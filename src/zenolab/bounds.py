@@ -1,27 +1,35 @@
-"""Explicit error bounds and condition checkers for the measurement
-protocol: leakage and survival estimates, the trace-distance bound, the
-regularity conditions behind pointwise convergence, and the entropy-side
-checks built around a dominating operator.
+"""The paper's explicit bounds and the one table of named checks that
+asserts them.
 
-Every function here is a pure scalar/array computation; the test suite and
-the scenario battery are responsible for asserting the inequalities these
-bounds promise.
+The formulas (leakage and survival estimates, the trace-distance bound,
+convergence-condition reports, the dominating operator and the entropy
+reports) are pure scalar/array computations. CHECKS is the only place the
+inequalities are asserted: each row has a name, the scenario "checks" key
+that enables it in a sweep (None for corpus-only rows) and a tolerance,
+and yields one outcome per comparison it makes on a CheckInputs.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
+from functools import cached_property
+from typing import Callable, NamedTuple
 
 import numpy as np
 
-from .curves import BasisCurve, partition_lipschitz_estimate
+from .channels import FAMILY_TOL, rank1_family, validate_projection_family
+from .curves import BasisCurve, GeneratedCurve, partition_lipschitz_estimate
 from .errors import ValidationError
 from .linalg import hermitian_eigendecompose, require_cons
-from .measurement import Partition
-from .states import entr
+from .measurement import MeasurementResult, Partition, leakage_by_path_enumeration, target_state
+from .states import entr, fannes_bound_at, von_neumann_entropy
 
 MONOTONE_REGION = 1.0 / math.e
+SUBADDITIVITY_TOL = 1e-12
+DOMINATOR_ENTROPY_TOL = 1e-9
+TAIL_MONOTONE_TOL = 1e-12
+PATH_ORACLE_MAX_STEPS = 6
 
 
 def leakage_upper_bound(xi: float, eta: float, partition: Partition) -> float:
@@ -167,8 +175,8 @@ def entropy_condition_report(weights, xis, etas, truncation_length: int | None =
     combined = w + x2 + e2
     s_c = float(np.sum(entr(combined)))
 
-    subadd = bool(np.all(entr(combined) <= entr(w) + entr(x2) + entr(e2) + 1e-12))
-    dominator_ok = s_c <= s_rho + s_x + s_e + 1e-9
+    subadd = bool(np.all(entr(combined) <= entr(w) + entr(x2) + entr(e2) + SUBADDITIVITY_TOL))
+    dominator_ok = s_c <= s_rho + s_x + s_e + DOMINATOR_ENTROPY_TOL
 
     # Tail index: number of leading entries that must be excluded before the
     # combined values all fall into the monotone region of the kernel.
@@ -181,7 +189,7 @@ def entropy_condition_report(weights, xis, etas, truncation_length: int | None =
         tw, tx, te, tc = (
             float(np.sum(entr(v[tail_index:]))) for v in (w, x2, e2, combined)
         )
-        tail_ok = max(tw, tx, te) <= tc + 1e-12
+        tail_ok = max(tw, tx, te) <= tc + TAIL_MONOTONE_TOL
 
     # Finite-dimension stand-in for "the constants decay along the index":
     # the sequences are nonincreasing and their last quartile is inside the
@@ -263,3 +271,224 @@ def jensen_check(hamiltonian, curve: BasisCurve, k: int, grid_points: int = 257)
         weighted_kernel_sums=weighted_sums,
         kernel_trace=float(np.sum(kernel_of_spectrum)),
     )
+
+
+@dataclass(frozen=True, eq=False)
+class CheckInputs:
+    """One protocol run as the check table sees it. Derived values are
+    computed on first use and shared by the rows and the sweep record;
+    constants are the values of a that the survival rows try."""
+
+    result: MeasurementResult
+    weights: np.ndarray
+    curve: BasisCurve
+    hamiltonian: np.ndarray
+    partition: Partition
+    xis: np.ndarray
+    etas: np.ndarray
+    constants: tuple
+    uniform: bool = False
+    seed: int = 0
+
+    @property
+    def dim(self) -> int:
+        return self.weights.shape[0]
+
+    @cached_property
+    def drifts(self) -> np.ndarray:
+        return np.array([self.curve.drift_sum(self.partition, k) for k in range(self.dim)])
+
+    @cached_property
+    def eps_bounds(self) -> np.ndarray:
+        return np.array([leakage_upper_bound(self.xis[k], self.etas[k], self.partition) for k in range(self.dim)])
+
+    @cached_property
+    def gamma_lbs(self) -> dict:
+        """Survival lower bounds per index for each constant a, mesh condition or not."""
+        xis, etas, p, drifts = self.xis, self.etas, self.partition, self.drifts
+        return {
+            a: np.array([survival_lower_bound(xis[k], etas[k], a, p, drifts[k]) for k in range(self.dim)])
+            for a in self.constants
+        }
+
+    @cached_property
+    def gated(self) -> list:
+        """(k, a) pairs whose mesh condition holds: where the survival bounds are asserted."""
+        xis, etas, mesh = self.xis, self.etas, self.partition.mesh
+        return [(k, a) for k in range(self.dim) for a in self.constants if mesh_condition(xis[k], etas[k], a, mesh)]
+
+    @cached_property
+    def trace_bound(self) -> float:
+        return trace_distance_bound(self.weights, self.result.survivals)
+
+    @cached_property
+    def fannes(self):
+        return fannes_bound_at(self.result.trace_distance_to_target, self.dim)
+
+    @cached_property
+    def entropy(self) -> float:
+        return von_neumann_entropy(self.result.rho_final)
+
+    @cached_property
+    def entropy_report(self) -> EntropyConditionReport:
+        return entropy_condition_report(self.weights, self.xis, self.etas)
+
+
+class Check(NamedTuple):
+    """A row of the table: compare(inputs, tol) yields one (passed, fields) pair per comparison."""
+
+    name: str
+    key: str | None
+    tol: float
+    compare: Callable
+
+
+def _projection_family(x: CheckInputs, tol: float):
+    diag = asdict(validate_projection_family(rank1_family(x.curve.evaluate(x.partition.tau)).projectors))
+    yield max(diag.values()) <= tol, diag
+
+
+# run_measurement already enforces the weight-gap identity and the trace
+# bound; the next rows re-derive them so a regression there cannot hide.
+def _weight_gap_identity(x: CheckInputs, tol: float):
+    distance = x.result.trace_distance_to_target
+    gap = float(np.sum(np.abs(x.result.weights_out - x.weights)))
+    yield abs(distance - gap) <= tol, {"distance": distance, "weight_gap": gap}
+
+
+def _trace_distance_bound(x: CheckInputs, tol: float):
+    distance = x.result.trace_distance_to_target
+    yield distance <= x.trace_bound + tol, {"distance": distance, "bound": x.trace_bound}
+
+
+def _per_index_gap(x: CheckInputs, tol: float):
+    distance = x.result.trace_distance_to_target
+    worst = float(np.max(np.abs(x.result.weights_out - x.weights)))
+    yield worst <= distance + tol, {"worst_gap": worst, "distance": distance}
+
+
+def _weight_split(x: CheckInputs, tol: float):
+    r = x.result
+    residual = float(np.max(np.abs(r.weights_out - (x.weights * r.survivals + r.leakage))))
+    yield residual <= tol, {"residual": residual}
+
+
+def _leakage_path_enumeration(x: CheckInputs, tol: float):
+    if x.dim == 2 and x.partition.n <= PATH_ORACLE_MAX_STEPS:
+        for k in range(x.dim):
+            brute = leakage_by_path_enumeration(x.weights, x.curve, x.hamiltonian, x.partition, k)
+            leakage = float(x.result.leakage[k])
+            yield abs(brute - leakage) <= tol, {"k": k + 1, "brute": brute, "leakage": leakage}
+
+
+def _leakage_bound(x: CheckInputs, tol: float):
+    for k in range(x.dim):
+        leakage, bound = float(x.result.leakage[k]), float(x.eps_bounds[k])
+        yield leakage <= bound + tol, {"k": k + 1, "leakage": leakage, "bound": bound}
+
+
+def _survival_lower_bound(x: CheckInputs, tol: float):
+    for k, a in x.gated:
+        survival, lower = float(x.result.survivals[k]), float(x.gamma_lbs[a][k])
+        yield lower <= survival <= 1.0 + tol, {"k": k + 1, "a": a, "survival": survival, "lower": lower}
+
+
+def _weight_error_bound(x: CheckInputs, tol: float):
+    for k, a in x.gated:
+        bound = float(weight_error_bound(x.weights[k], x.xis[k], x.etas[k], a, x.partition, x.drifts[k]))
+        error = float(abs(x.result.weights_out[k] - x.weights[k]))
+        yield error <= bound + tol, {"k": k + 1, "a": a, "error": error, "bound": bound}
+
+
+def _drift_nonpositive(x: CheckInputs, tol: float):
+    worst = float(np.max(x.drifts))
+    yield worst <= tol, {"worst": worst}
+
+
+def _drift_identity(x: CheckInputs, tol: float):
+    # Each drift sum equals minus half the summed squared increments.
+    frames = [x.curve.evaluate(float(t)) for t in x.partition.times]
+    steps = list(zip(frames, frames[1:]))
+    half_sq = [0.5 * sum(float(np.linalg.norm(b[:, k] - a[:, k]) ** 2) for a, b in steps) for k in range(x.dim)]
+    residual = float(np.max(np.abs(x.drifts + np.array(half_sq))))
+    yield residual <= tol, {"residual": residual}
+
+
+def _drift_bound(x: CheckInputs, tol: float):
+    for k in range(x.dim):
+        drift, bound = float(x.drifts[k]), float(0.5 * x.etas[k] ** 2 * x.partition.sumsq)
+        yield abs(drift) <= bound + tol, {"k": k + 1, "drift": drift, "bound": bound}
+
+
+def _drift_bound_uniform(x: CheckInputs, tol: float):
+    if x.uniform:
+        p = x.partition
+        for k in range(x.dim):
+            drift, bound = float(x.drifts[k]), float(x.etas[k]) ** 2 * p.tau**2 / (2 * p.n)
+            yield abs(drift) <= bound + tol, {"k": k + 1, "drift": drift, "bound": bound}
+
+
+def _lipschitz_witness(x: CheckInputs, tol: float):
+    if isinstance(x.curve, GeneratedCurve):
+        pair_rng = np.random.default_rng(x.seed ^ 0x5EED)
+        for _ in range(8):
+            t0, t1 = (float(t) for t in sorted(pair_rng.uniform(0.0, x.curve.tau, size=2)))
+            steps = np.linalg.norm(x.curve.evaluate(t1) - x.curve.evaluate(t0), axis=0)
+            yield bool(np.all(steps <= x.etas * (t1 - t0) + tol)), {"t0": t0, "t1": t1}
+
+
+def _fannes(x: CheckInputs, tol: float):
+    if x.fannes.applicable:
+        gap = abs(x.entropy - von_neumann_entropy(target_state(x.curve, x.weights, x.partition.tau)))
+        yield gap <= x.fannes.bound + tol, {"gap": gap, "bound": x.fannes.bound}
+
+
+def _sigma_domination(x: CheckInputs, tol: float):
+    # Domination is promised only once the partition is fine enough.
+    if x.partition.sumsq < 0.5:
+        sigma = dominating_operator(x.weights, x.xis, x.etas, x.curve, x.partition.tau)
+        min_eig = float(np.min(np.linalg.eigvalsh(sigma - x.result.rho_final.matrix)))
+        yield min_eig >= -tol, {"min_eig": min_eig}
+
+
+def _entropy_tail_monotone(x: CheckInputs, tol: float):
+    if x.entropy_report.tail_index is not None:
+        yield x.entropy_report.tail_ok, {"tail_index": x.entropy_report.tail_index}
+
+
+# The three entropy-report rows reach entropy_condition_report through its
+# module-level tolerances; every other row compares with its own tol.
+CHECKS = (
+    Check("projection_family", None, FAMILY_TOL, _projection_family),
+    Check("trace_distance_equals_weight_gap", None, 1e-8, _weight_gap_identity),
+    Check("trace_distance_bound", "trace_bound", 1e-9, _trace_distance_bound),
+    Check("per_index_gap_below_distance", None, 1e-9, _per_index_gap),
+    Check("weight_split_identity", None, 1e-9, _weight_split),
+    Check("leakage_path_enumeration", None, 1e-10, _leakage_path_enumeration),
+    Check("leakage_bound", "leakage_bound", 1e-9, _leakage_bound),
+    Check("survival_lower_bound", "survival_bounds", 1e-12, _survival_lower_bound),
+    Check("weight_error_bound", "survival_bounds", 1e-9, _weight_error_bound),
+    Check("drift_nonpositive", None, 1e-12, _drift_nonpositive),
+    Check("drift_identity", None, 1e-10, _drift_identity),
+    Check("drift_bound", "drift", 1e-9, _drift_bound),
+    Check("drift_decay_bound_uniform", None, 1e-9, _drift_bound_uniform),
+    Check("lipschitz_witness", None, 1e-9, _lipschitz_witness),
+    Check("fannes_bound", "fannes", 1e-9, _fannes),
+    Check("sigma_domination", "sigma", 1e-8, _sigma_domination),
+    Check("entropy_subadditivity", None, SUBADDITIVITY_TOL, lambda x, tol: [(x.entropy_report.subadditivity_ok, {})]),
+    Check("dominator_entropy", "sigma", DOMINATOR_ENTROPY_TOL,
+          lambda x, tol: [(x.entropy_report.dominator_entropy_ok, {})]),
+    Check("entropy_tail_monotone", None, TAIL_MONOTONE_TOL, _entropy_tail_monotone),
+)
+
+
+def run_checks(inputs: CheckInputs, keys=None) -> list[tuple[str, bool, dict]]:
+    """(name, passed, fields) for each comparison of every row in table order
+    or, given scenario checks keys, of the rows those keys enable; rows left
+    out are never evaluated."""
+    return [
+        (c.name, bool(ok), fields)
+        for c in CHECKS
+        if keys is None or c.key in keys
+        for ok, fields in c.compare(inputs, c.tol)
+    ]

@@ -14,31 +14,14 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .bounds import (
-    dominating_operator,
-    entropy_condition_report,
-    leakage_upper_bound,
-    mesh_condition,
-    survival_lower_bound,
-    trace_distance_bound,
-    weight_error_bound,
-)
-from .channels import validate_projection_family, rank1_family
+from .bounds import CheckInputs, run_checks
 from .curves import BasisCurve, GeneratedCurve, SampledCurve, StaticCurve, curve_bounds
 from .errors import ZenolabError
 from .linalg import seeded_cons, seeded_hermitian
-from .measurement import (
-    Partition,
-    leakage_by_path_enumeration,
-    random_partition,
-    run_measurement,
-    target_state,
-    uniform_partition,
-)
-from .states import DensityMatrix, fannes_bound, von_neumann_entropy
+from .measurement import Partition, random_partition, run_measurement, uniform_partition
+from .states import DensityMatrix
 
 BOUND_CONSTANTS = (1.5, 2.0, 4.0)
-PATH_ORACLE_MAX_STEPS = 6
 
 
 @dataclass(frozen=True)
@@ -141,153 +124,29 @@ class ScenarioReport:
 
 
 def run_battery(scenario: CorpusScenario) -> ScenarioReport:
-    """Run every invariant and bound check on one scenario.
+    """Run every row of the check table on one scenario.
 
-    Any ZenolabError raised along the way becomes a structured failure entry
-    rather than an exception, so a whole-corpus run always completes.
+    A ZenolabError from building the state or running the protocol becomes
+    a structured failure entry rather than an exception, so a whole-corpus
+    run always completes.
     """
-    failures: list[tuple[str, str]] = []
-    checks = 0
-
-    def check(name: str, ok: bool, detail: str = ""):
-        nonlocal checks
-        checks += 1
-        if not ok:
-            failures.append((name, detail))
-
     s = scenario
     try:
         rho = DensityMatrix.from_weights(s.weights, s.basis)
-        family = rank1_family(s.curve.evaluate(s.tau))
-        diag = validate_projection_family(family.projectors)
-        check("projection_family", diag.ok, f"worst residuals {diag}")
         result = run_measurement(rho, s.hamiltonian, s.curve, s.partition)
     except ZenolabError as exc:
-        failures.append(("run_measurement", str(exc)))
-        return ScenarioReport(scenario=s, checks_run=checks + 1, failures=tuple(failures))
+        return ScenarioReport(scenario=s, checks_run=1, failures=(("run_measurement", str(exc)),))
 
-    weights = s.weights
-    distance = result.trace_distance_to_target
-
-    # run_measurement already enforces the dual oracle, double stochasticity,
-    # the weight-gap identity, and the survival trace bound; re-derive the
-    # cheap ones here so a regression in those internal checks cannot hide.
-    gap = float(np.sum(np.abs(result.weights_out - weights)))
-    check("trace_distance_equals_weight_gap", abs(distance - gap) <= 1e-8, f"|{distance} - {gap}|")
-    bound = trace_distance_bound(weights, result.survivals)
-    check("survival_trace_bound", distance <= bound + 1e-9, f"{distance} vs {bound}")
-    check(
-        "per_index_gap_below_distance",
-        bool(np.all(np.abs(result.weights_out - weights) <= distance + 1e-9)),
-        "some |weight gap| exceeds the trace distance",
+    b = curve_bounds(s.curve, s.hamiltonian)
+    inputs = CheckInputs(
+        result, s.weights, s.curve, s.hamiltonian, s.partition, b.energy_sups, b.lipschitz, BOUND_CONSTANTS,
+        uniform=s.partition_kind == "uniform", seed=s.seed,
     )
-    split = weights * result.survivals + result.leakage
-    check(
-        "weight_split_identity",
-        float(np.max(np.abs(result.weights_out - split))) <= 1e-9,
-        f"residual {float(np.max(np.abs(result.weights_out - split))):.3e}",
+    outcomes = run_checks(inputs)
+    failures = tuple(
+        (name, " ".join(f"{k}={v!r}" for k, v in fields.items())) for name, passed, fields in outcomes if not passed
     )
-
-    if s.dim == 2 and s.partition.n <= PATH_ORACLE_MAX_STEPS:
-        for k in range(s.dim):
-            brute = leakage_by_path_enumeration(weights, s.curve, s.hamiltonian, s.partition, k)
-            check(
-                "leakage_path_enumeration",
-                abs(brute - float(result.leakage[k])) <= 1e-10,
-                f"k={k + 1} brute={brute} residual={float(result.leakage[k])}",
-            )
-
-    bounds_ = curve_bounds(s.curve, s.hamiltonian)
-    xis, etas = bounds_.energy_sups, bounds_.lipschitz
-
-    for k in range(s.dim):
-        eps_bound = leakage_upper_bound(float(xis[k]), float(etas[k]), s.partition)
-        check(
-            "leakage_upper_bound",
-            float(result.leakage[k]) <= eps_bound + 1e-9,
-            f"k={k + 1} leakage={float(result.leakage[k])} bound={eps_bound}",
-        )
-
-    drifts = np.array([s.curve.drift_sum(s.partition, k) for k in range(s.dim)])
-    for k in range(s.dim):
-        for a in BOUND_CONSTANTS:
-            if not mesh_condition(float(xis[k]), float(etas[k]), a, s.partition.mesh):
-                continue
-            lower = survival_lower_bound(float(xis[k]), float(etas[k]), a, s.partition, float(drifts[k]))
-            check(
-                "survival_lower_bound",
-                lower <= float(result.survivals[k]) <= 1.0 + 1e-12,
-                f"k={k + 1} a={a} lower={lower} survival={float(result.survivals[k])}",
-            )
-            err = weight_error_bound(float(weights[k]), float(xis[k]), float(etas[k]), a, s.partition, float(drifts[k]))
-            check(
-                "weight_error_bound",
-                abs(float(result.weights_out[k]) - float(weights[k])) <= err + 1e-9,
-                f"k={k + 1} a={a} error bound {err}",
-            )
-
-    # Drift sum: sign, the unit-vector identity, and the decay bound.
-    half_sq = np.zeros(s.dim)
-    times = s.partition.times
-    for k in range(s.dim):
-        prev = s.curve.evaluate(float(times[0]))[:, k]
-        acc = 0.0
-        for t in times[1:]:
-            cur = s.curve.evaluate(float(t))[:, k]
-            acc += float(np.linalg.norm(cur - prev) ** 2)
-            prev = cur
-        half_sq[k] = 0.5 * acc
-    check("drift_nonpositive", bool(np.all(drifts <= 1e-12)), "a positive drift sum appeared")
-    check(
-        "drift_identity",
-        float(np.max(np.abs(drifts + half_sq))) <= 1e-10,
-        f"residual {float(np.max(np.abs(drifts + half_sq))):.3e}",
-    )
-    for k in range(s.dim):
-        limit = 0.5 * float(etas[k]) ** 2 * s.partition.sumsq
-        check(
-            "drift_decay_bound",
-            abs(float(drifts[k])) <= limit + 1e-9,
-            f"k={k + 1} |drift|={abs(float(drifts[k]))} limit={limit}",
-        )
-        if s.partition_kind == "uniform":
-            uniform_limit = float(etas[k]) ** 2 * s.tau**2 / (2 * s.partition.n)
-            check(
-                "drift_decay_bound_uniform",
-                abs(float(drifts[k])) <= uniform_limit + 1e-9,
-                f"k={k + 1} |drift|={abs(float(drifts[k]))} limit={uniform_limit}",
-            )
-
-    if isinstance(s.curve, GeneratedCurve):
-        pair_rng = np.random.default_rng(s.seed ^ 0x5EED)
-        for _ in range(8):
-            t0, t1 = sorted(pair_rng.uniform(0.0, s.tau, size=2))
-            frame0, frame1 = s.curve.evaluate(float(t0)), s.curve.evaluate(float(t1))
-            steps_norm = np.linalg.norm(frame1 - frame0, axis=0)
-            check(
-                "lipschitz_witness",
-                bool(np.all(steps_norm <= etas * (t1 - t0) + 1e-9)),
-                f"pair ({t0}, {t1})",
-            )
-
-    rho_tau = target_state(s.curve, weights, s.tau)
-    fannes = fannes_bound(result.rho_final, rho_tau)
-    if fannes.applicable:
-        entropy_gap = abs(von_neumann_entropy(result.rho_final) - von_neumann_entropy(rho_tau))
-        check("fannes_bound", entropy_gap <= fannes.bound + 1e-9, f"gap={entropy_gap} bound={fannes.bound}")
-
-    if s.partition.sumsq < 0.5:
-        sigma = dominating_operator(weights, xis, etas, s.curve, s.tau)
-        slack = float(np.min(np.linalg.eigvalsh(sigma - result.rho_final.matrix)))
-        check("sigma_domination", slack >= -1e-8, f"min eigenvalue {slack:.3e}")
-
-    report = entropy_condition_report(weights, xis, etas)
-    check("entropy_subadditivity", report.subadditivity_ok, "kernel subadditivity failed")
-    check("dominator_entropy", report.dominator_entropy_ok, "dominator entropy inequality failed")
-    if report.tail_index is not None:
-        check("entropy_tail_monotone", bool(report.tail_ok), f"tail index {report.tail_index}")
-
-    return ScenarioReport(scenario=s, checks_run=checks, failures=tuple(failures))
+    return ScenarioReport(scenario=s, checks_run=len(outcomes), failures=failures)
 
 
 @dataclass(frozen=True)

@@ -96,15 +96,11 @@ class GeneratedCurve(BasisCurve):
         self.generator.flags.writeable = False
         self._eig = hermitian_eigendecompose(self.generator)
 
-    def _rotation(self, t: float) -> np.ndarray:
-        phases = np.exp(-1j * t * self._eig.values)
-        return (self._eig.vectors * phases) @ self._eig.vectors.conj().T
-
     def evaluate(self, t: float) -> np.ndarray:
         t = self._check_time(t)
         if t == 0.0:
             return self.base
-        return self._rotation(t) @ self.base
+        return self._eig.propagator(t) @ self.base
 
     def energy_sup(self, hamiltonian, k: int, grid_points: int = DEFAULT_GRID_POINTS) -> float:
         return float(self._energy_sups(hamiltonian, grid_points)[k])

@@ -77,6 +77,11 @@ class HermitianEigen:
     def reconstruct(self) -> np.ndarray:
         return (self.vectors * self.values) @ self.vectors.conj().T
 
+    def propagator(self, t: float) -> np.ndarray:
+        """e^{-i t M} for the decomposed Hermitian M."""
+        phases = np.exp(-1j * t * self.values)
+        return (self.vectors * phases) @ self.vectors.conj().T
+
 
 def hermitian_eigendecompose(m, tol: float = HERMITIAN_TOL) -> HermitianEigen:
     """Eigendecompose a Hermitian matrix with a deterministic phase convention.
@@ -95,9 +100,7 @@ def hermitian_eigendecompose(m, tol: float = HERMITIAN_TOL) -> HermitianEigen:
 
 def unitary_exponential(h, t: float) -> np.ndarray:
     """e^{-i t H} for Hermitian H, via the spectral decomposition."""
-    eig = hermitian_eigendecompose(h)
-    phases = np.exp(-1j * float(t) * eig.values)
-    return (eig.vectors * phases) @ eig.vectors.conj().T
+    return hermitian_eigendecompose(h).propagator(float(t))
 
 
 def trace_norm(t) -> float:

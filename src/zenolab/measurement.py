@@ -19,6 +19,7 @@ only as a small-scale oracle since it grows like d^N.
 
 from __future__ import annotations
 
+import functools
 import itertools
 from dataclasses import dataclass
 
@@ -105,22 +106,12 @@ def random_partition(tau: float, n: int, seed: int) -> Partition:
     raise ValidationError(f"could not place {n - 1} distinct interior points in (0, {tau})")
 
 
-class _StepUnitaries:
-    """e^{-i dt H} factory that reuses the spectral decomposition of H and
-    caches one matrix per distinct step length (a uniform partition needs
-    exactly one)."""
-
-    def __init__(self, hamiltonian):
-        self._eig = hermitian_eigendecompose(require_hermitian(hamiltonian, name="hamiltonian"))
-        self._cache: dict[float, np.ndarray] = {}
-
-    def __call__(self, dt: float) -> np.ndarray:
-        u = self._cache.get(dt)
-        if u is None:
-            phases = np.exp(-1j * dt * self._eig.values)
-            u = (self._eig.vectors * phases) @ self._eig.vectors.conj().T
-            self._cache[dt] = u
-        return u
+def _step_unitaries(hamiltonian):
+    """e^{-i dt H} as a function of dt that reuses one spectral decomposition
+    of H and caches one matrix per distinct step length (a uniform partition
+    needs exactly one)."""
+    eig = hermitian_eigendecompose(require_hermitian(hamiltonian, name="hamiltonian"))
+    return functools.lru_cache(maxsize=None)(eig.propagator)
 
 
 def _check_partition_on_curve(curve: BasisCurve, partition: Partition):
@@ -139,7 +130,7 @@ def step_transition_matrix(curve: BasisCurve, hamiltonian, t_prev: float, t_next
     """
     if not t_next > t_prev:
         raise ValidationError("step requires t_prev < t_next")
-    u = _StepUnitaries(hamiltonian)(t_next - t_prev)
+    u = _step_unitaries(hamiltonian)(t_next - t_prev)
     return _transition(curve, u, t_prev, t_next)
 
 
@@ -150,7 +141,7 @@ def _transition(curve: BasisCurve, u: np.ndarray, t_prev: float, t_next: float) 
 
 
 def _step_matrices(curve: BasisCurve, hamiltonian, partition: Partition) -> list[np.ndarray]:
-    unitaries = _StepUnitaries(hamiltonian)
+    unitaries = _step_unitaries(hamiltonian)
     times = partition.times
     return [
         _transition(curve, unitaries(float(times[j] - times[j - 1])), float(times[j - 1]), float(times[j]))
@@ -172,7 +163,7 @@ def propagate_weights(weights, curve: BasisCurve, hamiltonian, partition: Partit
 def survival_probability(curve: BasisCurve, hamiltonian, partition: Partition, k: int) -> float:
     """Product over steps of the stay probability of index k."""
     _check_partition_on_curve(curve, partition)
-    unitaries = _StepUnitaries(hamiltonian)
+    unitaries = _step_unitaries(hamiltonian)
     times = partition.times
     prod = 1.0
     prev = curve.evaluate(float(times[0]))[:, k]
@@ -200,7 +191,7 @@ def evolve_by_channels(rho: DensityMatrix, hamiltonian, curve: BasisCurve, parti
     """
     _require_diagonal_in_base(rho, curve)
     _check_partition_on_curve(curve, partition)
-    unitaries = _StepUnitaries(hamiltonian)
+    unitaries = _step_unitaries(hamiltonian)
     state = rho
     times = partition.times
     for j in range(1, times.shape[0]):

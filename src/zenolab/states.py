@@ -180,10 +180,13 @@ class FannesBound:
     bound: float
 
 
+def fannes_bound_at(t: float, dim: int) -> FannesBound:
+    """Entropy-continuity bound T ln d + entr(T) at trace-norm distance T."""
+    return FannesBound(trace_distance=t, applicable=t <= FANNES_THRESHOLD, bound=float(t * math.log(dim) + entr(t)))
+
+
 def fannes_bound(rho1: DensityMatrix, rho2: DensityMatrix) -> FannesBound:
     """Entropy-continuity bound T ln d + entr(T), T the trace-norm distance."""
     if rho1.dim != rho2.dim:
         raise ValidationError(f"dimension mismatch: {rho1.dim} vs {rho2.dim}")
-    t = trace_norm(rho1.matrix - rho2.matrix)
-    bound = t * math.log(rho1.dim) + entr(t)
-    return FannesBound(trace_distance=t, applicable=t <= FANNES_THRESHOLD, bound=float(bound))
+    return fannes_bound_at(trace_norm(rho1.matrix - rho2.matrix), rho1.dim)

@@ -11,29 +11,16 @@ significant digits so a parse reproduces the records bit for bit.
 from __future__ import annotations
 
 import csv
-import math
-import os
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
 
-from .bounds import (
-    dominating_operator,
-    entropy_condition_report,
-    leakage_upper_bound,
-    mesh_condition,
-    survival_lower_bound,
-    trace_distance_bound,
-    weight_error_bound,
-)
+from .bounds import CheckInputs, run_checks
 from .curves import curve_bounds
 from .errors import InvariantViolation, ValidationError
-from .measurement import Partition, run_measurement, target_state
+from .measurement import run_measurement
 from .scenario import Scenario
-from .states import FANNES_THRESHOLD, fannes_bound, von_neumann_entropy
-
-THREADS_ENV = "ZENOLAB_THREADS"
+from .states import fannes_bound_at, von_neumann_entropy
 
 
 @dataclass(frozen=True)
@@ -97,98 +84,11 @@ def csv_columns(dim: int) -> list[str]:
     return cols
 
 
-def _sweep_one(scenario: Scenario, rho, hamiltonian, curve, xis, etas, weights, s_rho, partition: Partition) -> SweepRecord:
-    label = f"{scenario.label} N={partition.n}"
-    try:
-        result = run_measurement(rho, hamiltonian, curve, partition)
-    except InvariantViolation as exc:
-        raise InvariantViolation(exc.name, scenario=label, **exc.details) from exc
-    dim = scenario.dim
-
-    drifts = np.array([curve.drift_sum(partition, k) for k in range(dim)])
-    eps_bounds = np.array([leakage_upper_bound(xis[k], etas[k], partition) for k in range(dim)])
-    gamma_lbs = np.array(
-        [survival_lower_bound(xis[k], etas[k], scenario.a, partition, drifts[k]) for k in range(dim)]
-    )
-    bound = trace_distance_bound(weights, result.survivals)
-
-    rho_tau = target_state(curve, weights, partition.tau)
-    fannes = fannes_bound(result.rho_final, rho_tau)
-    entropy = von_neumann_entropy(result.rho_final)
-    gap = abs(entropy - s_rho)
-
-    checks = set(scenario.checks)
-    if "leakage_bound" in checks:
-        for k in range(dim):
-            if result.leakage[k] > eps_bounds[k] + 1e-9:
-                raise InvariantViolation(
-                    "leakage_bound", scenario=label, k=k + 1, leakage=float(result.leakage[k]), bound=float(eps_bounds[k])
-                )
-    if "survival_bounds" in checks:
-        for k in range(dim):
-            if not mesh_condition(xis[k], etas[k], scenario.a, partition.mesh):
-                continue
-            if not (gamma_lbs[k] <= result.survivals[k] <= 1.0 + 1e-12):
-                raise InvariantViolation(
-                    "survival_lower_bound", scenario=label, k=k + 1,
-                    survival=float(result.survivals[k]), lower=float(gamma_lbs[k]),
-                )
-            err_bound = weight_error_bound(weights[k], xis[k], etas[k], scenario.a, partition, drifts[k])
-            if abs(result.weights_out[k] - weights[k]) > err_bound + 1e-9:
-                raise InvariantViolation(
-                    "weight_error_bound", scenario=label, k=k + 1,
-                    error=float(abs(result.weights_out[k] - weights[k])), bound=float(err_bound),
-                )
-    if "trace_bound" in checks and result.trace_distance_to_target > bound + 1e-9:
-        raise InvariantViolation(
-            "trace_distance_bound", scenario=label,
-            distance=result.trace_distance_to_target, bound=bound,
-        )
-    if "fannes" in checks and fannes.applicable:
-        gap_tau = abs(entropy - von_neumann_entropy(rho_tau))
-        if gap_tau > fannes.bound + 1e-9:
-            raise InvariantViolation("fannes_bound", scenario=label, gap=gap_tau, bound=fannes.bound)
-    if "sigma" in checks and partition.sumsq < 0.5:
-        sigma = dominating_operator(weights, xis, etas, curve, partition.tau)
-        slack = float(np.min(np.linalg.eigvalsh(sigma - result.rho_final.matrix)))
-        if slack < -1e-8:
-            raise InvariantViolation("sigma_domination", scenario=label, min_eig=slack)
-        report = entropy_condition_report(weights, xis, etas)
-        if not report.dominator_entropy_ok:
-            raise InvariantViolation("dominator_entropy", scenario=label)
-    if "drift" in checks:
-        for k in range(dim):
-            limit = 0.5 * etas[k] ** 2 * partition.sumsq
-            if abs(drifts[k]) > limit + 1e-9:
-                raise InvariantViolation(
-                    "drift_bound", scenario=label, k=k + 1, drift=float(drifts[k]), bound=float(limit)
-                )
-
-    return SweepRecord(
-        n=partition.n,
-        mesh=partition.mesh,
-        sumsq=partition.sumsq,
-        trace_distance=result.trace_distance_to_target,
-        trace_bound=bound,
-        entropy=entropy,
-        entropy_gap=gap,
-        fannes_applicable=fannes.applicable,
-        fannes_bound=fannes.bound,
-        lambdas=tuple(float(x) for x in result.weights_out),
-        gammas=tuple(float(x) for x in result.survivals),
-        eps=tuple(float(x) for x in result.leakage),
-        eps_bounds=tuple(float(x) for x in eps_bounds),
-        gamma_lbs=tuple(float(x) for x in gamma_lbs),
-        a3s=tuple(float(x) for x in drifts),
-    )
-
-
 def run_sweep(scenario: Scenario) -> list[SweepRecord]:
     """One record per partition in the plan, ordered by step count.
 
     Deterministic for a fixed scenario, including any seeded pieces. The
-    ZENOLAB_THREADS environment variable caps parallel workers; unset means
-    serial execution. Records are ordered by N regardless of scheduling.
+    first failing enabled check raises, labelled with the scenario and N.
     """
     rho = scenario.state()
     hamiltonian = scenario.hamiltonian()
@@ -197,22 +97,37 @@ def run_sweep(scenario: Scenario) -> list[SweepRecord]:
     xis, etas = bounds.energy_sups, bounds.lipschitz
     weights = np.asarray(scenario.state_weights, dtype=float)
     s_rho = von_neumann_entropy(rho)
-    partitions = sorted(scenario.partitions(), key=lambda p: p.n)
-
-    def work(partition: Partition) -> SweepRecord:
-        return _sweep_one(scenario, rho, hamiltonian, curve, xis, etas, weights, s_rho, partition)
-
-    raw_workers = os.environ.get(THREADS_ENV, "1")
-    try:
-        workers = int(raw_workers)
-    except ValueError:
-        raise ValidationError(f"{THREADS_ENV} must be an integer, got {raw_workers!r}") from None
-    if workers > 1 and len(partitions) > 1:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            records = list(pool.map(work, partitions))
-    else:
-        records = [work(p) for p in partitions]
-    return sorted(records, key=lambda r: r.n)
+    records = []
+    for partition in sorted(scenario.partitions(), key=lambda p: p.n):
+        label = f"{scenario.label} N={partition.n}"
+        try:
+            result = run_measurement(rho, hamiltonian, curve, partition)
+        except InvariantViolation as exc:
+            raise InvariantViolation(exc.name, scenario=label, **exc.details) from exc
+        inputs = CheckInputs(result, weights, curve, hamiltonian, partition, xis, etas, constants=(scenario.a,))
+        for name, passed, fields in run_checks(inputs, scenario.checks):
+            if not passed:
+                raise InvariantViolation(name, scenario=label, **fields)
+        records.append(
+            SweepRecord(
+                n=partition.n,
+                mesh=partition.mesh,
+                sumsq=partition.sumsq,
+                trace_distance=result.trace_distance_to_target,
+                trace_bound=inputs.trace_bound,
+                entropy=inputs.entropy,
+                entropy_gap=abs(inputs.entropy - s_rho),
+                fannes_applicable=inputs.fannes.applicable,
+                fannes_bound=inputs.fannes.bound,
+                lambdas=tuple(float(x) for x in result.weights_out),
+                gammas=tuple(float(x) for x in result.survivals),
+                eps=tuple(float(x) for x in result.leakage),
+                eps_bounds=tuple(float(x) for x in inputs.eps_bounds),
+                gamma_lbs=tuple(float(x) for x in inputs.gamma_lbs[scenario.a]),
+                a3s=tuple(float(x) for x in inputs.drifts),
+            )
+        )
+    return records
 
 
 def _fmt(x: float) -> str:
@@ -253,6 +168,7 @@ def read_csv(path: str) -> list[SweepRecord]:
         for row in reader:
             values = dict(zip(header, row))
             t = float(values["trace_distance"])
+            fannes = fannes_bound_at(t, dim)
             records.append(
                 SweepRecord(
                     n=int(values["N"]),
@@ -262,8 +178,8 @@ def read_csv(path: str) -> list[SweepRecord]:
                     trace_bound=float(values["trace_bound"]),
                     entropy=float(values["entropy"]),
                     entropy_gap=float(values["entropy_gap"]),
-                    fannes_applicable=t <= FANNES_THRESHOLD,
-                    fannes_bound=float(t * math.log(dim) + (-t * math.log(t) if t > 0 else 0.0)),
+                    fannes_applicable=fannes.applicable,
+                    fannes_bound=fannes.bound,
                     lambdas=tuple(float(values[f"lambda_{k}"]) for k in range(1, dim + 1)),
                     gammas=tuple(float(values[f"gamma_{k}"]) for k in range(1, dim + 1)),
                     eps=tuple(float(values[f"eps_{k}"]) for k in range(1, dim + 1)),

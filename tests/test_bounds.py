@@ -5,11 +5,14 @@ protocol quantities they dominate come from run_measurement.
 """
 
 import math
+import os
+import re
 
 import numpy as np
 import pytest
 
 from zenolab.bounds import (
+    CHECKS,
     convergence_conditions_report,
     dominating_operator,
     entropy_condition_report,
@@ -24,6 +27,7 @@ from zenolab.curves import GeneratedCurve, SampledCurve, StaticCurve
 from zenolab.errors import ValidationError
 from zenolab.linalg import gram_schmidt_complete, seeded_cons, seeded_hermitian
 from zenolab.measurement import run_measurement, uniform_partition
+from zenolab.scenario import ALL_CHECKS
 from zenolab.states import DensityMatrix, entr, von_neumann_entropy
 
 from conftest import PAULI_X
@@ -302,3 +306,22 @@ class TestEntropySemicontinuityAlongSweeps:
         limit = von_neumann_entropy(rho)
         tail = entropies[len(entropies) // 2 :]
         assert limit <= min(tail) + 1e-6
+
+
+class TestCheckTable:
+    def test_names_unique_and_keys_are_scenario_keys(self):
+        names = [c.name for c in CHECKS]
+        assert len(set(names)) == len(names)
+        assert {c.key for c in CHECKS} - {None} == set(ALL_CHECKS)
+
+    def test_readme_table_matches_the_code(self):
+        readme = os.path.join(os.path.dirname(__file__), "..", "README.md")
+        with open(readme) as fh:
+            section = fh.read().split("## Checks", 1)[1].split("\n## ", 1)[0]
+        rows = []
+        for line in section.splitlines():
+            m = re.match(r"\| `(\w+)`[^|]*\| (\S+)[^|]*\| ([^|]+) \|$", line)
+            if m:
+                key = None if m.group(3) == "corpus only" else m.group(3).strip("`")
+                rows.append((m.group(1), float(m.group(2)), key))
+        assert rows == [(c.name, c.tol, c.key) for c in CHECKS]

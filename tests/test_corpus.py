@@ -1,6 +1,8 @@
 """Corpus generator and battery tests: determinism, coverage, and the
 structured failure path."""
 
+import os
+
 import numpy as np
 import pytest
 
@@ -13,6 +15,8 @@ from zenolab.corpus import (
 )
 from zenolab.curves import StaticCurve
 from zenolab.measurement import uniform_partition
+
+DATA = os.path.join(os.path.dirname(__file__), "data")
 
 
 class TestScenarioSeeds:
@@ -75,8 +79,24 @@ class TestRunBattery:
         assert report.failures[0][0] == "run_measurement"
         assert "FAIL" in report.render()
 
+    def test_failed_row_is_listed_under_its_name(self, monkeypatch):
+        import zenolab.bounds as bounds_mod
+
+        scenario = build_scenario(scenario_seeds(3, 1)[0])
+        monkeypatch.setattr(bounds_mod.CheckInputs, "eps_bounds", property(lambda self: np.full(self.dim, -1.0)))
+        report = run_battery(scenario)
+        assert [name for name, _ in report.failures] == ["leakage_bound"] * scenario.dim
+        assert report.failures[0][1].startswith("k=1 leakage=")
+        assert report.failures[0][1].endswith("bound=-1.0")
+        assert "leakage_bound: k=1" in report.render()
+
     def test_suite_result_render_is_stable(self):
         a = check_suite(5, 6).render()
         b = check_suite(5, 6).render()
         assert a == b
         assert a.endswith("result: PASS\n")
+
+    def test_seeded_report_matches_golden_file(self):
+        # Pins every scenario line, including each checks_run count.
+        with open(os.path.join(DATA, "check_seed42_size20.txt"), "rb") as fh:
+            assert check_suite(42, 20).render().encode() == fh.read()

@@ -8,6 +8,7 @@ import pytest
 
 from zenolab.errors import ValidationError
 from zenolab.scenario import load_scenario
+from zenolab.states import fannes_bound_at
 from zenolab.sweep import (
     SweepRecord,
     fit_loglog,
@@ -19,6 +20,26 @@ from zenolab.sweep import (
 )
 
 SCENARIOS = os.path.join(os.path.dirname(__file__), "..", "scenarios")
+
+
+def rotated_scenario(tmp_path):
+    """d=4 generated curve over a random basis: the state is diagonal there only up to rounding."""
+    import json
+
+    path = tmp_path / "rotated.json"
+    path.write_text(
+        json.dumps(
+            {
+                "dim": 4,
+                "hamiltonian": {"random": {"seed": 1, "norm": 1.0}},
+                "state": {"eigenvalues": [0.4, 0.3, 0.2, 0.1], "basis": {"random": {"seed": 2}}},
+                "curve": {"generated": {"generator": {"random": {"seed": 3, "norm": 1.0}}}},
+                "tau": 1.0,
+                "partitions": {"uniform": [2, 4, 8]},
+            }
+        )
+    )
+    return load_scenario(str(path))
 
 
 def small_qubit_scenario(tmp_path, ns=(2, 4, 8, 16, 32, 64)):
@@ -70,17 +91,10 @@ class TestRunSweep:
         b = run_sweep(scenario)
         assert a == b
 
-    def test_thread_cap_does_not_change_records(self, tmp_path, monkeypatch):
-        scenario = small_qubit_scenario(tmp_path)
-        serial = run_sweep(scenario)
-        monkeypatch.setenv("ZENOLAB_THREADS", "4")
-        parallel = run_sweep(scenario)
-        assert serial == parallel
-
     def test_disabled_checks_are_skipped(self, tmp_path, monkeypatch):
         import json
 
-        import zenolab.sweep as sweep_mod
+        import zenolab.bounds as bounds_mod
 
         path = tmp_path / "nochecks.json"
         path.write_text(
@@ -97,19 +111,53 @@ class TestRunSweep:
             )
         )
         # A poisoned bound would fail the sweep if the check were evaluated.
-        monkeypatch.setattr(sweep_mod, "trace_distance_bound", lambda w, g: -1.0)
+        monkeypatch.setattr(bounds_mod, "trace_distance_bound", lambda w, g: -1.0)
+        monkeypatch.setattr(bounds_mod, "dominating_operator", lambda *args: pytest.fail("sigma row evaluated"))
         records = run_sweep(load_scenario(str(path)))
         assert records[0].trace_bound == -1.0
 
-    def test_violated_bound_aborts_with_named_diagnostic(self, tmp_path, monkeypatch):
+    @pytest.mark.parametrize(
+        "key, name",
+        [
+            ("leakage_bound", "leakage_bound"),
+            ("survival_bounds", "survival_lower_bound"),
+            ("survival_bounds", "weight_error_bound"),
+            ("trace_bound", "trace_distance_bound"),
+            ("fannes", "fannes_bound"),
+            ("sigma", "sigma_domination"),
+            ("sigma", "dominator_entropy"),
+            ("drift", "drift_bound"),
+        ],
+    )
+    def test_violated_bound_aborts_with_named_diagnostic(self, tmp_path, monkeypatch, key, name):
+        import dataclasses
+
+        import zenolab.bounds as bounds_mod
+        from zenolab.curves import StaticCurve
         from zenolab.errors import InvariantViolation
+        from zenolab.states import FannesBound
 
-        import zenolab.sweep as sweep_mod
-
-        scenario = small_qubit_scenario(tmp_path, ns=(4,))
-        monkeypatch.setattr(sweep_mod, "trace_distance_bound", lambda w, g: -1.0)
-        with pytest.raises(InvariantViolation, match="trace_distance_bound") as excinfo:
+        report = bounds_mod.entropy_condition_report
+        # One poisoned formula per named inequality; only the key under test is enabled.
+        poison = {
+            "leakage_bound": (bounds_mod, "leakage_upper_bound", lambda xi, eta, p: -1.0),
+            "survival_lower_bound": (bounds_mod, "survival_lower_bound", lambda *args: 2.0),
+            "weight_error_bound": (bounds_mod, "weight_error_bound", lambda *args: -1.0),
+            "trace_distance_bound": (bounds_mod, "trace_distance_bound", lambda w, g: -1.0),
+            "fannes_bound": (bounds_mod, "fannes_bound_at", lambda t, d: FannesBound(t, True, -1.0)),
+            "sigma_domination": (bounds_mod, "dominating_operator", lambda *args: np.zeros((2, 2))),
+            "dominator_entropy": (
+                bounds_mod,
+                "entropy_condition_report",
+                lambda *args: dataclasses.replace(report(*args), dominator_entropy_ok=False),
+            ),
+            "drift_bound": (StaticCurve, "drift_sum", lambda self, partition, k: -1.0),
+        }
+        monkeypatch.setattr(*poison[name])
+        scenario = dataclasses.replace(small_qubit_scenario(tmp_path, ns=(4,)), checks=(key,))
+        with pytest.raises(InvariantViolation, match=name) as excinfo:
             run_sweep(scenario)
+        assert excinfo.value.name == name
         assert "N=4" in str(excinfo.value)
 
     def test_protocol_violation_carries_scenario_context(self, tmp_path, monkeypatch):
@@ -127,18 +175,29 @@ class TestRunSweep:
             run_sweep(scenario)
         assert "N=4" in str(excinfo.value)
 
-    def test_malformed_thread_cap_is_config_error(self, tmp_path, monkeypatch):
-        monkeypatch.setenv("ZENOLAB_THREADS", "many")
-        with pytest.raises(ValidationError, match="ZENOLAB_THREADS"):
-            run_sweep(small_qubit_scenario(tmp_path, ns=(4,)))
-
 
 class TestCsvRoundTrip:
     def test_round_trip_is_exact(self, tmp_path):
-        records = run_sweep(small_qubit_scenario(tmp_path))
-        path = str(tmp_path / "out.csv")
-        write_csv(records, path)
-        assert read_csv(path) == records
+        for load in (small_qubit_scenario, rotated_scenario):
+            records = run_sweep(load(tmp_path))
+            path = str(tmp_path / "out.csv")
+            write_csv(records, path)
+            assert read_csv(path) == records
+
+    def test_round_trip_is_exact_for_last_ulp_fannes_distance(self, tmp_path):
+        # At this distance a log-based recomputation differing from the
+        # entropy kernel's lands one ulp away from the stored bound.
+        t = 0.05658778652591252
+        fannes = fannes_bound_at(t, 2)
+        record = SweepRecord(
+            n=4, mesh=0.25, sumsq=0.25, trace_distance=t, trace_bound=0.5, entropy=0.6, entropy_gap=0.01,
+            fannes_applicable=fannes.applicable, fannes_bound=fannes.bound,
+            lambdas=(0.7, 0.3), gammas=(0.9, 0.8), eps=(0.01, 0.02), eps_bounds=(0.5, 0.5),
+            gamma_lbs=(0.6, 0.6), a3s=(0.0, 0.0),
+        )
+        path = str(tmp_path / "one.csv")
+        write_csv([record], path)
+        assert read_csv(path) == [record]
 
     def test_header_and_schema_line(self, tmp_path):
         records = run_sweep(small_qubit_scenario(tmp_path, ns=(2,)))
