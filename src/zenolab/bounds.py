@@ -2,6 +2,7 @@
 asserts them.
 
 The formulas (leakage and survival estimates, the trace-distance bound,
+which lives in measurement because run_measurement asserts it too,
 convergence-condition reports, the dominating operator and the entropy
 reports) are pure scalar/array computations. CHECKS is the only place the
 inequalities are asserted: each row has a name, the scenario "checks" key
@@ -19,10 +20,10 @@ from typing import Callable, NamedTuple
 import numpy as np
 
 from .channels import FAMILY_TOL, rank1_family, validate_projection_family
-from .curves import BasisCurve, GeneratedCurve, partition_lipschitz_estimate
+from .curves import BasisCurve, GeneratedCurve, drift_sums, partition_lipschitz_estimate
 from .errors import ValidationError
 from .linalg import hermitian_eigendecompose, require_cons
-from .measurement import MeasurementResult, Partition, leakage_by_path_enumeration, target_state
+from .measurement import MeasurementResult, Partition, leakage_by_path_enumeration, target_state, trace_distance_bound
 from .states import entr, fannes_bound_at, von_neumann_entropy
 
 MONOTONE_REGION = 1.0 / math.e
@@ -63,14 +64,6 @@ def weight_error_bound(weight: float, xi: float, eta: float, a: float, partition
     return weight * (1.0 - survival_lower_bound(xi, eta, a, partition, drift)) + leakage_upper_bound(
         xi, eta, partition
     )
-
-
-def trace_distance_bound(weights, survivals) -> float:
-    """2 - 2 sum_k weight_k * survival_k, the refinement-driven distance bound."""
-    w = np.asarray(weights, dtype=float)
-    if abs(float(w.sum()) - 1.0) > 1e-9:
-        raise ValidationError(f"weights sum to {w.sum()!r}, expected 1")
-    return 2.0 - 2.0 * float(np.sum(w * np.asarray(survivals, dtype=float)))
 
 
 @dataclass(frozen=True)
@@ -277,6 +270,7 @@ def jensen_check(hamiltonian, curve: BasisCurve, k: int, grid_points: int = 257)
 class CheckInputs:
     """One protocol run as the check table sees it. Derived values are
     computed on first use and shared by the rows and the sweep record;
+    curve quantities along the partition come from the run's own frames;
     constants are the values of a that the survival rows try."""
 
     result: MeasurementResult
@@ -296,7 +290,7 @@ class CheckInputs:
 
     @cached_property
     def drifts(self) -> np.ndarray:
-        return np.array([self.curve.drift_sum(self.partition, k) for k in range(self.dim)])
+        return drift_sums(self.result.frames)
 
     @cached_property
     def eps_bounds(self) -> np.ndarray:
@@ -344,7 +338,7 @@ class Check(NamedTuple):
 
 
 def _projection_family(x: CheckInputs, tol: float):
-    diag = asdict(validate_projection_family(rank1_family(x.curve.evaluate(x.partition.tau)).projectors))
+    diag = asdict(validate_projection_family(rank1_family(x.result.frames[-1]).projectors))
     yield max(diag.values()) <= tol, diag
 
 
@@ -407,10 +401,8 @@ def _drift_nonpositive(x: CheckInputs, tol: float):
 
 def _drift_identity(x: CheckInputs, tol: float):
     # Each drift sum equals minus half the summed squared increments.
-    frames = [x.curve.evaluate(float(t)) for t in x.partition.times]
-    steps = list(zip(frames, frames[1:]))
-    half_sq = [0.5 * sum(float(np.linalg.norm(b[:, k] - a[:, k]) ** 2) for a, b in steps) for k in range(x.dim)]
-    residual = float(np.max(np.abs(x.drifts + np.array(half_sq))))
+    half_sq = 0.5 * np.sum(np.abs(np.diff(x.result.frames, axis=0)) ** 2, axis=(0, 1))
+    residual = float(np.max(np.abs(x.drifts + half_sq)))
     yield residual <= tol, {"residual": residual}
 
 

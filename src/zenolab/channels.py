@@ -3,8 +3,8 @@ projective measurement over a complete family of orthogonal projectors.
 
 Only the nonselective posterior state is modeled; there are no outcome
 trajectories. Rank-1 families built from an orthonormal basis keep the
-generating basis around as a fast path, since the measurement pipeline
-needs the vectors rather than the projector matrices.
+generating basis as a fast path, so the projection channel needs only the
+vectors; the measurement protocol runs both maps on plain arrays instead.
 """
 
 from __future__ import annotations

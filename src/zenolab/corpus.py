@@ -86,8 +86,7 @@ def build_scenario(seed: int) -> CorpusScenario:
         if variant == "generated":
             curve = generated
         else:
-            frames = [generated.evaluate(float(t)) for t in partition.times]
-            curve = SampledCurve(partition.times, frames)
+            curve = SampledCurve(partition.times, generated.frames_at(partition.times))
 
     return CorpusScenario(
         seed=seed,

@@ -7,6 +7,10 @@ curve is known only at its grid times and is evaluated by nearest grid
 point; it never interpolates, so time partitions used against it must be
 subsets of its grid.
 
+frames_at(times), the frames at an array of times as one (n, d, d) stack,
+is the evaluation primitive and evaluate(t) its one-time case; only a
+sampled curve differs, rejecting off-grid times there but not in evaluate.
+
 Per basis index k the module exposes:
   energy_sup      sup over t of ||H Psi_k(t)||           (finite always here)
   lipschitz_bound a Lipschitz constant for t -> Psi_k(t)
@@ -44,13 +48,19 @@ class BasisCurve:
         self.tau = float(tau)
         self.dim = self.base.shape[1]
 
-    def _check_time(self, t: float) -> float:
-        t = float(t)
-        if t < -1e-12 or t > self.tau + 1e-12:
-            raise ValidationError(f"time {t} outside [0, {self.tau}]")
-        return min(max(t, 0.0), self.tau)
+    def _check_times(self, times) -> np.ndarray:
+        t = np.atleast_1d(np.asarray(times, dtype=float))
+        outside = (t < -1e-12) | (t > self.tau + 1e-12)
+        if np.any(outside):
+            raise ValidationError(f"time {float(t[outside][0])} outside [0, {self.tau}]")
+        return np.clip(t, 0.0, self.tau)
 
     def evaluate(self, t: float) -> np.ndarray:
+        """The frame at one time: column n is Psi_n(t)."""
+        return self.frames_at(t)[0]
+
+    def frames_at(self, times) -> np.ndarray:
+        """Frames at every time of a 1-d array, stacked as (len(times), d, d)."""
         raise NotImplementedError
 
     def energy_sup(self, hamiltonian, k: int, grid_points: int = DEFAULT_GRID_POINTS) -> float:
@@ -61,21 +71,21 @@ class BasisCurve:
 
     def drift_sum(self, partition, k: int) -> float:
         """Exact finite sum of Re <increment, previous point> along a partition."""
-        total = 0.0
-        prev = self.evaluate(partition.times[0])[:, k]
-        for t in partition.times[1:]:
-            cur = self.evaluate(t)[:, k]
-            total += float(np.real(np.vdot(prev, cur - prev)))
-            prev = cur
-        return total
+        return float(drift_sums(self.frames_at(partition.times))[k])
+
+
+def drift_sums(frames: np.ndarray) -> np.ndarray:
+    """Per-index drift sums of a frame stack (N+1, d, d), the steps added in order."""
+    prev = frames[:-1]
+    return np.real(np.sum(prev.conj() * (frames[1:] - prev), axis=1)).sum(axis=0)
 
 
 class StaticCurve(BasisCurve):
     """Constant curve: the basis never moves."""
 
-    def evaluate(self, t: float) -> np.ndarray:
-        self._check_time(t)
-        return self.base
+    def frames_at(self, times) -> np.ndarray:
+        t = self._check_times(times)
+        return np.broadcast_to(self.base, (t.shape[0],) + self.base.shape)
 
     def energy_sup(self, hamiltonian, k: int, grid_points: int = DEFAULT_GRID_POINTS) -> float:
         h = require_hermitian(hamiltonian, name="hamiltonian")
@@ -96,11 +106,13 @@ class GeneratedCurve(BasisCurve):
         self.generator.flags.writeable = False
         self._eig = hermitian_eigendecompose(self.generator)
 
-    def evaluate(self, t: float) -> np.ndarray:
-        t = self._check_time(t)
-        if t == 0.0:
-            return self.base
-        return self._eig.propagator(t) @ self.base
+    def frames_at(self, times) -> np.ndarray:
+        # ((V e^{-itλ}) V*) base per time, the association of HermitianEigen.propagator.
+        t = self._check_times(times)
+        v, phases = self._eig.vectors, np.exp(-1j * t[:, None] * self._eig.values)
+        frames = ((v * phases[:, None, :]) @ v.conj().T) @ self.base
+        frames[t == 0.0] = self.base
+        return frames
 
     def energy_sup(self, hamiltonian, k: int, grid_points: int = DEFAULT_GRID_POINTS) -> float:
         return float(self._energy_sups(hamiltonian, grid_points)[k])
@@ -112,10 +124,8 @@ class GeneratedCurve(BasisCurve):
             return np.linalg.norm(h @ self.base, axis=0)
         if grid_points < 2:
             raise ValidationError("grid must contain at least the two endpoints")
-        best = np.zeros(self.dim)
-        for t in np.linspace(0.0, self.tau, grid_points):
-            best = np.maximum(best, np.linalg.norm(h @ self.evaluate(t), axis=0))
-        return best
+        frames = self.frames_at(np.linspace(0.0, self.tau, grid_points))
+        return np.max(np.linalg.norm(h @ frames, axis=1), axis=0)
 
     def lipschitz_bound(self, k: int) -> float:
         # ||(e^{-i s A} - 1) psi|| <= |s| ||A psi|| with equality in the limit,
@@ -140,28 +150,31 @@ class SampledCurve(BasisCurve):
             raise ValidationError("sampled grid must start at 0")
         if len(frames) != times.shape[0]:
             raise ValidationError(f"{len(frames)} frames for {times.shape[0]} grid times")
-        checked = []
-        for i, frame in enumerate(frames):
-            checked.append(require_cons(frame, tol=1e-9, name=f"frame {i}"))
-            checked[-1].flags.writeable = False
-        super().__init__(checked[0], tau=times[-1])
+        stack = np.stack([require_cons(frame, tol=1e-9, name=f"frame {i}") for i, frame in enumerate(frames)])
+        stack.flags.writeable = False
+        super().__init__(stack[0], tau=times[-1])
         self.times = times
         self.times.flags.writeable = False
-        self.frames = tuple(checked)
+        self._stack = stack
+        self.frames = tuple(stack)
 
-    def _nearest_index(self, t: float) -> int:
-        return int(np.argmin(np.abs(self.times - t)))
-
-    def grid_index(self, t: float) -> int:
-        """Index of t in the grid; error if t is not a grid time."""
-        i = self._nearest_index(t)
-        if abs(self.times[i] - t) > 1e-12 * max(1.0, self.tau):
-            raise ValidationError(f"time {t} is not on the sampled grid (no interpolation)")
-        return i
+    def _nearest_indices(self, t: np.ndarray) -> np.ndarray:
+        # The closer of the two neighbouring grid times, ties to the lower index.
+        grid = self.times
+        i = np.clip(np.searchsorted(grid, t), 1, grid.shape[0] - 1)
+        return i - (t - grid[i - 1] <= grid[i] - t)
 
     def evaluate(self, t: float) -> np.ndarray:
-        t = self._check_time(t)
-        return self.frames[self._nearest_index(t)]
+        return self.frames[int(self._nearest_indices(self._check_times(t))[0])]
+
+    def frames_at(self, times) -> np.ndarray:
+        """Frames at grid times only; an off-grid time raises (no interpolation)."""
+        t = self._check_times(times)
+        i = self._nearest_indices(t)
+        off = np.abs(self.times[i] - t) > 1e-12 * max(1.0, self.tau)
+        if np.any(off):
+            raise ValidationError(f"time {float(t[off][0])} is not on the sampled grid (no interpolation)")
+        return self._stack[i]
 
     def energy_sup(self, hamiltonian, k: int, grid_points: int = DEFAULT_GRID_POINTS) -> float:
         # The curve is piecewise constant under nearest-point evaluation, so
@@ -180,14 +193,8 @@ class SampledCurve(BasisCurve):
 
 def partition_lipschitz_estimate(curve: BasisCurve, partition, k: int) -> float:
     """Largest difference quotient of Psi_k along the partition's own steps."""
-    best = 0.0
-    prev_t = partition.times[0]
-    prev = curve.evaluate(prev_t)[:, k]
-    for t in partition.times[1:]:
-        cur = curve.evaluate(t)[:, k]
-        best = max(best, float(np.linalg.norm(cur - prev)) / (t - prev_t))
-        prev, prev_t = cur, t
-    return best
+    psi = curve.frames_at(partition.times)[:, :, k]
+    return float(np.max(np.linalg.norm(np.diff(psi, axis=0), axis=1) / partition.steps))
 
 
 @dataclass(frozen=True)

@@ -2,10 +2,21 @@
 measurement onto a moving basis along a time partition of [0, tau].
 
 Two independent computations of the same coefficients are kept side by
-side on purpose. evolve_by_channels composes the dense channel maps; the
-transfer route propagates the weight vector through one doubly stochastic
-matrix per step. They must agree to 1e-9 and checking that agreement is
-the central internal oracle of the package.
+side on purpose. The channel route composes U rho U* with the dephasing in
+each new frame, on plain arrays; the transfer route pushes the weights
+through one doubly stochastic matrix |F_j* U F_{j-1}|^2 per step. Both read
+one trajectory per partition (the frame stack from curve.frames_at and one
+step unitary per distinct step length) and nothing of each other: the
+transfer matrices, weights_out and survivals never reach the channel route,
+and its state never reaches the transfer route. They must agree to 1e-9.
+
+Inputs are validated once, at the API boundary (state, Hamiltonian,
+partition horizon, and the times through frames_at), never per step.
+run_measurement then asserts at the end of the run: step matrices doubly
+stochastic, survivals <= 1, the final state diagonal in the frame at tau
+with the transfer weights as its diagonal (dual_oracle_agreement),
+weights_out summing to 1, leakage nonnegative, the trace distance equal to
+the weight gap and within trace_distance_bound.
 
 Per index k the result splits as
 
@@ -19,14 +30,12 @@ only as a small-scale oracle since it grows like d^N.
 
 from __future__ import annotations
 
-import functools
 import itertools
 from dataclasses import dataclass
 
 import numpy as np
 
-from .channels import apply_projection_channel, apply_unitary_channel, rank1_family
-from .curves import BasisCurve, SampledCurve
+from .curves import BasisCurve
 from .errors import InvariantViolation, ValidationError
 from .linalg import hermitian_eigendecompose, require_hermitian, trace_norm
 from .states import DensityMatrix
@@ -36,6 +45,8 @@ WEIGHT_SUM_TOL = 1e-9
 LEAKAGE_FLOOR = -1e-10
 PROOF_IDENTITY_TOL = 1e-8
 TRACE_BOUND_TOL = 1e-9
+# Steps per batched transfer product: caps the temporaries at a few frames' worth at any N.
+TRANSFER_BLOCK = 256
 
 
 @dataclass(frozen=True, eq=False)
@@ -106,20 +117,51 @@ def random_partition(tau: float, n: int, seed: int) -> Partition:
     raise ValidationError(f"could not place {n - 1} distinct interior points in (0, {tau})")
 
 
-def _step_unitaries(hamiltonian):
-    """e^{-i dt H} as a function of dt that reuses one spectral decomposition
-    of H and caches one matrix per distinct step length (a uniform partition
-    needs exactly one)."""
-    eig = hermitian_eigendecompose(require_hermitian(hamiltonian, name="hamiltonian"))
-    return functools.lru_cache(maxsize=None)(eig.propagator)
+def _trajectory(curve: BasisCurve, hamiltonian, times) -> tuple:
+    """What both routes read, the inputs validated once: the (N+1, d, d) frame
+    stack, one e^{-i dt H} per distinct step length and each step's index into them."""
+    h = require_hermitian(hamiltonian, name="hamiltonian")
+    if h.shape[0] != curve.dim:
+        raise ValidationError(f"hamiltonian dimension {h.shape[0]} does not match the curve")
+    propagator = hermitian_eigendecompose(h).propagator
+    dts, which = np.unique(np.diff(times), return_inverse=True)
+    return curve.frames_at(times), tuple(propagator(float(dt)) for dt in dts), which
 
 
-def _check_partition_on_curve(curve: BasisCurve, partition: Partition):
+def _partition_trajectory(curve: BasisCurve, hamiltonian, partition: Partition) -> tuple:
     if abs(partition.tau - curve.tau) > 1e-12 * max(1.0, curve.tau):
         raise ValidationError(f"partition horizon {partition.tau} differs from curve horizon {curve.tau}")
-    if isinstance(curve, SampledCurve):
-        for t in partition.times:
-            curve.grid_index(t)
+    return _trajectory(curve, hamiltonian, partition.times)
+
+
+def _transfer_matrices(frames: np.ndarray, unitaries: tuple, which: np.ndarray) -> np.ndarray:
+    """|F_j* U_j F_{j-1}|^2 for every step, batched over blocks of steps that share a unitary."""
+    out = np.empty((which.shape[0],) + frames.shape[1:])
+    for m, u in enumerate(unitaries):
+        steps = np.flatnonzero(which == m)
+        for i in range(0, steps.shape[0], TRANSFER_BLOCK):
+            block = steps[i:i + TRANSFER_BLOCK]
+            out[block] = np.abs((frames[block + 1].conj().transpose(0, 2, 1) @ u) @ frames[block]) ** 2
+    return out
+
+
+def _survivals(mats: np.ndarray) -> np.ndarray:
+    """Per-index product of the stay probabilities, the steps taken in order."""
+    return np.multiply.reduce(np.diagonal(mats, axis1=1, axis2=2), axis=0)
+
+
+def _channel_route(m: np.ndarray, frames: np.ndarray, unitaries: tuple, which: np.ndarray) -> np.ndarray:
+    """U rho U*, then dephasing in the next frame, each followed by the
+    (m + m*)/2 that DensityMatrix applies; the products in its order."""
+    pairs = [(u, u.conj().T) for u in unitaries]
+    for b, w in zip(frames[1:], which):
+        u, u_adj = pairs[w]
+        m = u @ m @ u_adj
+        m = (m + m.conj().T) / 2
+        b_adj = b.conj().T
+        m = (b * np.real(np.diag(b_adj @ m @ b))) @ b_adj
+        m = (m + m.conj().T) / 2
+    return m
 
 
 def step_transition_matrix(curve: BasisCurve, hamiltonian, t_prev: float, t_next: float) -> np.ndarray:
@@ -130,23 +172,7 @@ def step_transition_matrix(curve: BasisCurve, hamiltonian, t_prev: float, t_next
     """
     if not t_next > t_prev:
         raise ValidationError("step requires t_prev < t_next")
-    u = _step_unitaries(hamiltonian)(t_next - t_prev)
-    return _transition(curve, u, t_prev, t_next)
-
-
-def _transition(curve: BasisCurve, u: np.ndarray, t_prev: float, t_next: float) -> np.ndarray:
-    b_prev = curve.evaluate(t_prev)
-    b_next = curve.evaluate(t_next)
-    return np.abs(b_next.conj().T @ u @ b_prev) ** 2
-
-
-def _step_matrices(curve: BasisCurve, hamiltonian, partition: Partition) -> list[np.ndarray]:
-    unitaries = _step_unitaries(hamiltonian)
-    times = partition.times
-    return [
-        _transition(curve, unitaries(float(times[j] - times[j - 1])), float(times[j - 1]), float(times[j]))
-        for j in range(1, times.shape[0])
-    ]
+    return _transfer_matrices(*_trajectory(curve, hamiltonian, [t_prev, t_next]))[0]
 
 
 def propagate_weights(weights, curve: BasisCurve, hamiltonian, partition: Partition) -> np.ndarray:
@@ -154,32 +180,12 @@ def propagate_weights(weights, curve: BasisCurve, hamiltonian, partition: Partit
     w = np.asarray(weights, dtype=float)
     if abs(w.sum() - 1.0) > WEIGHT_SUM_TOL:
         raise ValidationError(f"weights sum to {w.sum()!r}, expected 1")
-    _check_partition_on_curve(curve, partition)
-    for m in _step_matrices(curve, hamiltonian, partition):
-        w = m @ w
-    return w
+    return _transfer_route(w, *_partition_trajectory(curve, hamiltonian, partition))[0]
 
 
 def survival_probability(curve: BasisCurve, hamiltonian, partition: Partition, k: int) -> float:
     """Product over steps of the stay probability of index k."""
-    _check_partition_on_curve(curve, partition)
-    unitaries = _step_unitaries(hamiltonian)
-    times = partition.times
-    prod = 1.0
-    prev = curve.evaluate(float(times[0]))[:, k]
-    for j in range(1, times.shape[0]):
-        u = unitaries(float(times[j] - times[j - 1]))
-        cur = curve.evaluate(float(times[j]))[:, k]
-        prod *= float(np.abs(np.vdot(cur, u @ prev)) ** 2)
-        prev = cur
-    return prod
-
-
-def _survival_all(step_matrices: list[np.ndarray]) -> np.ndarray:
-    gammas = np.ones(step_matrices[0].shape[0])
-    for m in step_matrices:
-        gammas = gammas * np.diag(m)
-    return gammas
+    return float(_survivals(_transfer_matrices(*_partition_trajectory(curve, hamiltonian, partition)))[k])
 
 
 def evolve_by_channels(rho: DensityMatrix, hamiltonian, curve: BasisCurve, partition: Partition) -> DensityMatrix:
@@ -190,29 +196,25 @@ def evolve_by_channels(rho: DensityMatrix, hamiltonian, curve: BasisCurve, parti
     caller to fix the basis explicitly.
     """
     _require_diagonal_in_base(rho, curve)
-    _check_partition_on_curve(curve, partition)
-    unitaries = _step_unitaries(hamiltonian)
-    state = rho
-    times = partition.times
-    for j in range(1, times.shape[0]):
-        u = unitaries(float(times[j] - times[j - 1]))
-        state = apply_unitary_channel(u, state)
-        state = apply_projection_channel(rank1_family(curve.evaluate(float(times[j]))), state)
-    return state
+    return DensityMatrix(_channel_route(rho.matrix, *_partition_trajectory(curve, hamiltonian, partition)))
+
+
+def _in_basis(matrix: np.ndarray, basis: np.ndarray) -> tuple[np.ndarray, float]:
+    """Real diagonal and largest off-diagonal modulus of basis* matrix basis."""
+    c = basis.conj().T @ matrix @ basis
+    return np.real(np.diag(c)), float(np.max(np.abs(c - np.diag(np.diag(c)))))
 
 
 def _require_diagonal_in_base(rho: DensityMatrix, curve: BasisCurve) -> np.ndarray:
     if rho.dim != curve.dim:
         raise ValidationError("state dimension does not match the curve")
-    c = curve.base.conj().T @ rho.matrix @ curve.base
-    off = c - np.diag(np.diag(c))
-    worst = float(np.max(np.abs(off)))
+    weights, worst = _in_basis(rho.matrix, curve.base)
     if worst > DIAGONAL_TOL:
         raise ValidationError(
             f"state is not diagonal in the curve's base basis (residual {worst:.3e}); "
             "the decomposition must be fixed to the curve"
         )
-    return np.real(np.diag(c))
+    return weights
 
 
 def leakage_residual(weights_out, weights, survivals) -> np.ndarray:
@@ -234,7 +236,7 @@ def leakage_by_path_enumeration(weights, curve: BasisCurve, hamiltonian, partiti
     oracle for d = 2, N <= 6 scale only."""
     w = np.asarray(weights, dtype=float)
     d = w.shape[0]
-    mats = _step_matrices(curve, hamiltonian, partition)
+    mats = _transfer_matrices(*_partition_trajectory(curve, hamiltonian, partition))
     n = len(mats)
     total = 0.0
     for path in itertools.product(range(d), repeat=n):
@@ -256,6 +258,14 @@ def target_state(curve: BasisCurve, weights, t: float) -> DensityMatrix:
     return DensityMatrix.from_weights(w, curve.evaluate(t))
 
 
+def trace_distance_bound(weights, survivals) -> float:
+    """2 - 2 sum_k weight_k * survival_k, the refinement-driven distance bound."""
+    w = np.asarray(weights, dtype=float)
+    if abs(float(w.sum()) - 1.0) > WEIGHT_SUM_TOL:
+        raise ValidationError(f"weights sum to {w.sum()!r}, expected 1")
+    return 2.0 - 2.0 * float(np.sum(w * np.asarray(survivals, dtype=float)))
+
+
 @dataclass(frozen=True, eq=False)
 class MeasurementResult:
     """Everything a single protocol run produces.
@@ -263,7 +273,8 @@ class MeasurementResult:
     weights_out are the coefficients of the final state in the basis at tau,
     survivals the per-index stay probabilities, leakage the nonnegative
     remainder, and trace_distance_to_target the trace-norm distance between
-    the final state and the moving reference state at tau.
+    the final state and the moving reference state at tau. frames is the
+    read-only (N+1, d, d) frame stack both routes read, kept for the checks.
     """
 
     rho_final: DensityMatrix
@@ -271,6 +282,19 @@ class MeasurementResult:
     survivals: np.ndarray
     leakage: np.ndarray
     trace_distance_to_target: float
+    frames: np.ndarray
+
+
+def _transfer_route(weights: np.ndarray, frames, unitaries, which) -> tuple[np.ndarray, np.ndarray]:
+    """weights_out and survivals; the transfer stack is dropped on return."""
+    mats = _transfer_matrices(frames, unitaries, which)
+    worst = np.max(np.abs(np.concatenate((mats.sum(axis=1), mats.sum(axis=2)), axis=1) - 1.0), axis=1)
+    j = int(np.argmax(worst > DIAGONAL_TOL))
+    if worst[j] > DIAGONAL_TOL:
+        raise InvariantViolation("step_doubly_stochastic", step=j + 1, worst=float(worst[j]))
+    for m in mats:
+        weights = m @ weights
+    return weights, _survivals(mats)
 
 
 def run_measurement(rho: DensityMatrix, hamiltonian, curve: BasisCurve, partition: Partition) -> MeasurementResult:
@@ -279,34 +303,20 @@ def run_measurement(rho: DensityMatrix, hamiltonian, curve: BasisCurve, partitio
     Violations surface as InvariantViolation diagnostics naming the failed
     inequality; nothing is returned silently wrong.
     """
-    weights = _require_diagonal_in_base(rho, curve)
-    weights = np.clip(weights, 0.0, None)
-    _check_partition_on_curve(curve, partition)
+    weights = np.clip(_require_diagonal_in_base(rho, curve), 0.0, None)
+    frames, unitaries, which = _partition_trajectory(curve, hamiltonian, partition)
 
-    mats = _step_matrices(curve, hamiltonian, partition)
-    for j, m in enumerate(mats):
-        worst = max(
-            float(np.max(np.abs(m.sum(axis=0) - 1.0))),
-            float(np.max(np.abs(m.sum(axis=1) - 1.0))),
-        )
-        if worst > DIAGONAL_TOL:
-            raise InvariantViolation("step_doubly_stochastic", step=j + 1, worst=worst)
-
-    weights_out = weights.copy()
-    for m in mats:
-        weights_out = m @ weights_out
-    survivals = _survival_all(mats)
+    weights_out, survivals = _transfer_route(weights, frames, unitaries, which)
     if float(np.max(survivals)) > 1.0 + 1e-12:
         raise InvariantViolation("survival_above_one", worst=float(np.max(survivals)))
 
-    rho_final = evolve_by_channels(rho, hamiltonian, curve, partition)
+    rho_final = DensityMatrix(_channel_route(rho.matrix, frames, unitaries, which))
 
-    final_basis = curve.evaluate(partition.tau)
-    c = final_basis.conj().T @ rho_final.matrix @ final_basis
-    off_residual = float(np.max(np.abs(c - np.diag(np.diag(c)))))
+    final_basis = frames[-1]
+    final_weights, off_residual = _in_basis(rho_final.matrix, final_basis)
     if off_residual > DIAGONAL_TOL:
         raise InvariantViolation("final_state_diagonal", residual=off_residual)
-    dual_gap = float(np.max(np.abs(np.real(np.diag(c)) - weights_out)))
+    dual_gap = float(np.max(np.abs(final_weights - weights_out)))
     if dual_gap > DIAGONAL_TOL:
         raise InvariantViolation("dual_oracle_agreement", gap=dual_gap)
 
@@ -315,7 +325,7 @@ def run_measurement(rho: DensityMatrix, hamiltonian, curve: BasisCurve, partitio
 
     leakage = leakage_residual(weights_out, weights, survivals)
 
-    target = target_state(curve, weights, partition.tau)
+    target = DensityMatrix.from_weights(weights, final_basis)
     distance = trace_norm(rho_final.matrix - target.matrix)
 
     coefficient_gap = float(np.sum(np.abs(weights_out - weights)))
@@ -323,17 +333,17 @@ def run_measurement(rho: DensityMatrix, hamiltonian, curve: BasisCurve, partitio
         raise InvariantViolation(
             "trace_distance_equals_weight_gap", distance=distance, weight_gap=coefficient_gap
         )
-    bound = 2.0 - 2.0 * float(np.sum(weights * survivals))
+    bound = trace_distance_bound(weights, survivals)
     if distance > bound + TRACE_BOUND_TOL:
-        raise InvariantViolation("survival_trace_bound", distance=distance, bound=bound)
+        raise InvariantViolation("trace_distance_bound", distance=distance, bound=bound)
 
-    weights_out.flags.writeable = False
-    survivals.flags.writeable = False
-    leakage.flags.writeable = False
+    for a in (weights_out, survivals, leakage, frames):
+        a.flags.writeable = False
     return MeasurementResult(
         rho_final=rho_final,
         weights_out=weights_out,
         survivals=survivals,
         leakage=leakage,
         trace_distance_to_target=distance,
+        frames=frames,
     )

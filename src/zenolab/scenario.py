@@ -56,13 +56,13 @@ class Scenario:
     def hamiltonian(self) -> np.ndarray:
         return build_operator(self.hamiltonian_spec, self.dim)
 
-    def basis(self) -> np.ndarray:
+    def basis(self, curve: BasisCurve | None = None) -> np.ndarray:
         if self.basis_spec == "curve":
-            return self.curve().base
+            return (curve or self.curve()).base
         return build_basis(self.basis_spec, self.dim)
 
-    def state(self) -> DensityMatrix:
-        return DensityMatrix.from_weights(self.state_weights, self.basis())
+    def state(self, curve: BasisCurve | None = None) -> DensityMatrix:
+        return DensityMatrix.from_weights(self.state_weights, self.basis(curve))
 
     def curve(self) -> BasisCurve:
         return build_curve(self.curve_spec, self.basis_spec, self.dim, self.tau, self.base_dir)
@@ -263,12 +263,11 @@ def load_scenario(path: str) -> Scenario:
         hamiltonian = scenario.hamiltonian()
         if hamiltonian.shape[0] != scenario.dim:
             raise ValidationError(f"hamiltonian dimension {hamiltonian.shape[0]} != dim {scenario.dim}")
-        scenario.state()
         curve = scenario.curve()
+        scenario.state(curve)
         for partition in scenario.partitions():
             if isinstance(curve, SampledCurve):
-                for t in partition.times:
-                    curve.grid_index(t)
+                curve.frames_at(partition.times)
     except ValidationError as exc:
         raise SchemaError([str(exc)]) from exc
     return scenario

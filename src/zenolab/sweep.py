@@ -23,6 +23,11 @@ from .scenario import Scenario
 from .states import fannes_bound_at, von_neumann_entropy
 
 
+# The per-index blocks of a record, (SweepRecord field, CSV column stem), in column order.
+BLOCKS = (("lambdas", "lambda"), ("gammas", "gamma"), ("eps", "eps"),
+          ("eps_bounds", "eps_bound"), ("gamma_lbs", "gamma_lb"), ("a3s", "a3"))
+
+
 @dataclass(frozen=True)
 class SweepRecord:
     """One refinement step of a sweep: scalar diagnostics plus per-index blocks."""
@@ -61,14 +66,7 @@ def record_column(record: SweepRecord, name: str) -> float:
     }
     if name in scalars:
         return scalars[name]
-    blocks = {
-        "lambda": record.lambdas,
-        "gamma": record.gammas,
-        "eps": record.eps,
-        "eps_bound": record.eps_bounds,
-        "gamma_lb": record.gamma_lbs,
-        "a3": record.a3s,
-    }
+    blocks = {stem: getattr(record, field) for field, stem in BLOCKS}
     stem, _, index = name.rpartition("_")
     if stem in blocks and index.isdigit():
         k = int(index)
@@ -80,7 +78,7 @@ def record_column(record: SweepRecord, name: str) -> float:
 def csv_columns(dim: int) -> list[str]:
     cols = ["N", "mesh", "sumsq", "trace_distance", "trace_bound", "entropy", "entropy_gap"]
     for k in range(1, dim + 1):
-        cols += [f"lambda_{k}", f"gamma_{k}", f"eps_{k}", f"eps_bound_{k}", f"gamma_lb_{k}", f"a3_{k}"]
+        cols += [f"{stem}_{k}" for _, stem in BLOCKS]
     return cols
 
 
@@ -90,9 +88,9 @@ def run_sweep(scenario: Scenario) -> list[SweepRecord]:
     Deterministic for a fixed scenario, including any seeded pieces. The
     first failing enabled check raises, labelled with the scenario and N.
     """
-    rho = scenario.state()
-    hamiltonian = scenario.hamiltonian()
     curve = scenario.curve()
+    rho = scenario.state(curve)
+    hamiltonian = scenario.hamiltonian()
     bounds = curve_bounds(curve, hamiltonian)
     xis, etas = bounds.energy_sups, bounds.lipschitz
     weights = np.asarray(scenario.state_weights, dtype=float)
@@ -180,12 +178,7 @@ def read_csv(path: str) -> list[SweepRecord]:
                     entropy_gap=float(values["entropy_gap"]),
                     fannes_applicable=fannes.applicable,
                     fannes_bound=fannes.bound,
-                    lambdas=tuple(float(values[f"lambda_{k}"]) for k in range(1, dim + 1)),
-                    gammas=tuple(float(values[f"gamma_{k}"]) for k in range(1, dim + 1)),
-                    eps=tuple(float(values[f"eps_{k}"]) for k in range(1, dim + 1)),
-                    eps_bounds=tuple(float(values[f"eps_bound_{k}"]) for k in range(1, dim + 1)),
-                    gamma_lbs=tuple(float(values[f"gamma_lb_{k}"]) for k in range(1, dim + 1)),
-                    a3s=tuple(float(values[f"a3_{k}"]) for k in range(1, dim + 1)),
+                    **{f: tuple(float(values[f"{stem}_{k}"]) for k in range(1, dim + 1)) for f, stem in BLOCKS},
                 )
             )
     return records

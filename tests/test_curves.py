@@ -15,7 +15,7 @@ from zenolab.curves import (
 )
 from zenolab.errors import ValidationError
 from zenolab.linalg import orthonormality_defect, seeded_cons, seeded_hermitian
-from zenolab.measurement import uniform_partition
+from zenolab.measurement import random_partition, uniform_partition
 
 from conftest import PAULI_X, PAULI_Y, PAULI_Z
 
@@ -50,6 +50,52 @@ class TestEvaluate:
         curve = GeneratedCurve(seeded_hermitian(dim, seed), seeded_cons(dim, seed + 5), 1.3)
         for t in rng.uniform(0.0, 1.3, size=100):
             assert orthonormality_defect(curve.evaluate(float(t))) <= 1e-9
+
+
+def three_variants(tau=1.3):
+    """A static, a generated and a sampled curve; the sampled grid is a
+    random partition of [0, tau]."""
+    base = seeded_cons(4, 1)
+    generated = GeneratedCurve(seeded_hermitian(4, 2), base, tau)
+    grid = random_partition(tau, 40, seed=3).times
+    return {
+        "static": StaticCurve(base, tau),
+        "generated": generated,
+        "sampled": SampledCurve(grid, generated.frames_at(grid)),
+    }
+
+
+class TestFramesAt:
+    @pytest.mark.parametrize("variant", ["static", "generated", "sampled"])
+    def test_equals_stacked_evaluate_bit_for_bit(self, variant):
+        curve = three_variants()[variant]
+        grid = random_partition(1.3, 40, seed=3).times
+        for times in (np.array([0.0, 1.3]), grid, grid[::-1], np.array([grid[5]])):
+            stacked = np.stack([curve.evaluate(float(t)) for t in times])
+            np.testing.assert_array_equal(curve.frames_at(times), stacked)
+
+    def test_generated_is_exactly_base_at_zero(self):
+        curve = three_variants()["generated"]
+        np.testing.assert_array_equal(curve.frames_at([0.0, -1e-13])[1], curve.base)
+
+    @pytest.mark.parametrize("variant", ["static", "generated", "sampled"])
+    def test_rejects_time_outside_horizon(self, variant):
+        curve = three_variants()[variant]
+        with pytest.raises(ValidationError, match="outside"):
+            curve.frames_at([0.0, 0.5, 1.3 + 1e-9])
+        with pytest.raises(ValidationError, match="outside"):
+            curve.frames_at([-1e-9])
+
+    def test_sampled_rejects_off_grid_time(self):
+        curve = three_variants()["sampled"]
+        grid = curve.times
+        with pytest.raises(ValidationError, match="not on the sampled grid"):
+            curve.frames_at([grid[0], 0.5 * (grid[1] + grid[2]), grid[-1]])
+
+    def test_sampled_nearest_breaks_ties_low_like_evaluate(self):
+        curve = SampledCurve([0.0, 0.5, 1.0], [np.eye(2, dtype=complex)] * 2 + [PAULI_X])
+        assert curve._nearest_indices(np.array([0.25, 0.75, 1.0])).tolist() == [0, 1, 2]
+        np.testing.assert_array_equal(curve.evaluate(0.75), curve.frames[1])
 
 
 class TestEnergySup:
@@ -142,6 +188,19 @@ class TestDriftSum:
             assert abs(drift + 0.5 * acc) <= 1e-10
             assert drift <= 1e-12
 
+    @pytest.mark.parametrize("n", [1, 7, 64])
+    def test_batched_sum_matches_stepwise_loop(self, n):
+        # The batched sum adds each step's terms in another order: allow n d eps.
+        curve = GeneratedCurve(seeded_hermitian(5, 1), seeded_cons(5, 2), 1.0)
+        partition = random_partition(1.0, n, seed=n)
+        for k in range(5):
+            loop, prev = 0.0, curve.evaluate(0.0)[:, k]
+            for t in partition.times[1:]:
+                cur = curve.evaluate(float(t))[:, k]
+                loop += float(np.real(np.vdot(prev, cur - prev)))
+                prev = cur
+            assert abs(curve.drift_sum(partition, k) - loop) <= n * 5 * np.finfo(float).eps
+
     def test_decay_under_uniform_refinement(self):
         curve = GeneratedCurve(seeded_hermitian(4, 6), seeded_cons(4, 7), 1.0)
         for n in (2, 8, 32, 128):
@@ -197,7 +256,7 @@ class TestSampledCurve:
     def test_off_grid_time_rejected_for_partitions(self):
         curve, _ = self.make()
         with pytest.raises(ValidationError, match="not on the sampled grid"):
-            curve.grid_index(0.3)
+            curve.frames_at([0.0, 0.3])
 
     def test_partition_estimate_bounded_by_curve_constant(self):
         curve, _ = self.make()

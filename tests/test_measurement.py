@@ -102,6 +102,31 @@ class TestStepTransitionMatrix:
         assert np.all(m >= 0)
 
 
+class TestBatchedTransfer:
+    @pytest.mark.parametrize("partition", [uniform_partition(1.0, 12), random_partition(1.0, 12, seed=4)])
+    def test_equals_stepwise_loop_bit_for_bit(self, partition):
+        from zenolab.linalg import hermitian_eigendecompose
+        from zenolab.measurement import _partition_trajectory, _transfer_matrices
+
+        curve = GeneratedCurve(seeded_hermitian(4, 3), seeded_cons(4, 1), 1.0)
+        h = seeded_hermitian(4, 2)
+        eig = hermitian_eigendecompose(h)
+        times = [float(t) for t in partition.times]
+        loop = [
+            np.abs(curve.evaluate(t1).conj().T @ eig.propagator(t1 - t0) @ curve.evaluate(t0)) ** 2
+            for t0, t1 in zip(times, times[1:])
+        ]
+        np.testing.assert_array_equal(_transfer_matrices(*_partition_trajectory(curve, h, partition)), loop)
+
+    def test_one_unitary_per_distinct_step(self):
+        from zenolab.measurement import _partition_trajectory
+
+        curve = StaticCurve(seeded_cons(3, 1), 1.0)
+        h = seeded_hermitian(3, 2)
+        assert len(_partition_trajectory(curve, h, uniform_partition(1.0, 64))[1]) == 1
+        assert len(_partition_trajectory(curve, h, random_partition(1.0, 9, seed=1))[1]) == 9
+
+
 class TestPropagateWeights:
     def test_single_step_matches_closed_form(self):
         _, h, curve = qubit_static()
@@ -209,7 +234,8 @@ class TestEvolveByChannels:
             dt = float(partition.times[j] - partition.times[j - 1])
             state = apply_unitary_channel(unitary_exponential(h, dt), state)
             state = apply_projection_channel(rank1_family(curve.evaluate(float(partition.times[j]))), state)
-        assert np.max(np.abs(one_pass.matrix - state.matrix)) <= 1e-9
+        # The array route keeps the channels' products and symmetrization, so the bits agree.
+        np.testing.assert_array_equal(one_pass.matrix, state.matrix)
 
 
 class TestLeakage:
@@ -306,6 +332,73 @@ class TestRunMeasurement:
         b = run_measurement(rho, h, curve, uniform_partition(1.0, 17))
         np.testing.assert_array_equal(a.weights_out, b.weights_out)
         np.testing.assert_array_equal(a.rho_final.matrix, b.rho_final.matrix)
+
+
+def four_level_run(n=8):
+    base = seeded_cons(4, 1)
+    w = np.array([0.4, 0.3, 0.2, 0.1])
+    curve = GeneratedCurve(seeded_hermitian(4, 3), base, 1.0)
+    return DensityMatrix.from_weights(w, base), seeded_hermitian(4, 2), curve, uniform_partition(1.0, n)
+
+
+class TestTrajectoryCorruption:
+    """The per-step state and unitarity checks are gone; the end-of-run
+    invariants must still name a corrupted input."""
+
+    def test_scaled_frame_column_is_named(self, monkeypatch):
+        rho, h, curve, partition = four_level_run()
+        frames_at = curve.frames_at
+
+        def corrupted(times):
+            frames = frames_at(times).copy()
+            frames[3, :, 1] *= 1.5
+            return frames
+
+        monkeypatch.setattr(curve, "frames_at", corrupted)
+        with pytest.raises(InvariantViolation) as excinfo:
+            run_measurement(rho, h, curve, partition)
+        assert excinfo.value.name == "step_doubly_stochastic"
+        assert excinfo.value.details["step"] == 3
+
+    def test_corrupted_step_unitary_is_named(self, monkeypatch):
+        from zenolab.linalg import HermitianEigen
+
+        rho, h, curve, partition = four_level_run()
+        propagator = HermitianEigen.propagator
+        monkeypatch.setattr(HermitianEigen, "propagator", lambda self, t: 1.05 * propagator(self, t))
+        with pytest.raises(InvariantViolation) as excinfo:
+            run_measurement(rho, h, curve, partition)
+        assert excinfo.value.name in ("step_doubly_stochastic", "dual_oracle_agreement")
+
+    def test_perturbed_transfer_matrices_break_dual_oracle_only(self, monkeypatch):
+        import zenolab.measurement as measurement_mod
+
+        rho, h, curve, partition = four_level_run()
+        before = evolve_by_channels(rho, h, curve, partition)
+        transfer_matrices = measurement_mod._transfer_matrices
+
+        def perturbed(*trajectory):
+            # A row permutation keeps the step doubly stochastic.
+            mats = transfer_matrices(*trajectory)
+            mats[2] = mats[2][::-1]
+            return mats
+
+        monkeypatch.setattr(measurement_mod, "_transfer_matrices", perturbed)
+        with pytest.raises(InvariantViolation) as excinfo:
+            run_measurement(rho, h, curve, partition)
+        assert excinfo.value.name == "dual_oracle_agreement"
+        # The channel route never reads the transfer matrices.
+        np.testing.assert_array_equal(evolve_by_channels(rho, h, curve, partition).matrix, before.matrix)
+
+    def test_one_frame_stack_per_run(self, monkeypatch):
+        rho, h, curve, partition = four_level_run(n=16)
+        calls = []
+        frames_at = curve.frames_at
+        monkeypatch.setattr(curve, "frames_at", lambda times: calls.append(len(times)) or frames_at(times))
+        result = run_measurement(rho, h, curve, partition)
+        assert calls == [17]
+        np.testing.assert_array_equal(result.frames, frames_at(partition.times))
+        assert not result.frames.flags.writeable
 
 
 class TestLeakageResidualGuard:

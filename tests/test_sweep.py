@@ -133,7 +133,6 @@ class TestRunSweep:
         import dataclasses
 
         import zenolab.bounds as bounds_mod
-        from zenolab.curves import StaticCurve
         from zenolab.errors import InvariantViolation
         from zenolab.states import FannesBound
 
@@ -151,7 +150,7 @@ class TestRunSweep:
                 "entropy_condition_report",
                 lambda *args: dataclasses.replace(report(*args), dominator_entropy_ok=False),
             ),
-            "drift_bound": (StaticCurve, "drift_sum", lambda self, partition, k: -1.0),
+            "drift_bound": (bounds_mod, "drift_sums", lambda frames: np.full(frames.shape[2], -1.0)),
         }
         monkeypatch.setattr(*poison[name])
         scenario = dataclasses.replace(small_qubit_scenario(tmp_path, ns=(4,)), checks=(key,))
@@ -168,10 +167,10 @@ class TestRunSweep:
         scenario = small_qubit_scenario(tmp_path, ns=(4,))
 
         def explode(*args, **kwargs):
-            raise InvariantViolation("survival_trace_bound", distance=1.0, bound=0.5)
+            raise InvariantViolation("trace_distance_bound", distance=1.0, bound=0.5)
 
         monkeypatch.setattr(sweep_mod, "run_measurement", explode)
-        with pytest.raises(InvariantViolation, match="survival_trace_bound") as excinfo:
+        with pytest.raises(InvariantViolation, match="trace_distance_bound") as excinfo:
             run_sweep(scenario)
         assert "N=4" in str(excinfo.value)
 
