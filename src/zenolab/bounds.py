@@ -20,7 +20,7 @@ from typing import Callable, NamedTuple
 import numpy as np
 
 from .channels import FAMILY_TOL, rank1_family, validate_projection_family
-from .curves import BasisCurve, GeneratedCurve, drift_sums, partition_lipschitz_estimate
+from .curves import BasisCurve, GeneratedCurve, curve_bounds, drift_sums, partition_lipschitz_estimate
 from .errors import ValidationError
 from .linalg import hermitian_eigendecompose, require_cons
 from .measurement import MeasurementResult, Partition, leakage_by_path_enumeration, target_state, trace_distance_bound
@@ -97,10 +97,13 @@ def convergence_conditions_report(
     """Check the finite-sample footprint of the pointwise convergence conditions."""
     if not partitions:
         raise ValidationError("need at least one partition")
-    xi = curve.energy_sup(hamiltonian, k, grid_points)
-    eta = curve.lipschitz_bound(k)
-    drifts = [curve.drift_sum(p, k) for p in partitions]
-    estimates = [partition_lipschitz_estimate(curve, p, k) for p in partitions]
+    cb = curve_bounds(curve, hamiltonian, grid_points)
+    xi, eta = float(cb.energy_sups[k]), float(cb.lipschitz[k])
+    drifts, estimates = [], []
+    for p in partitions:
+        frames = curve.frames_at(p.times)
+        drifts.append(float(drift_sums(frames)[k]))
+        estimates.append(float(partition_lipschitz_estimate(frames, p.steps)[k]))
     threshold = 1e-3 * eta**2 * curve.tau**2
     drift_ok = abs(drifts[-1]) <= threshold + 1e-15
     if len(estimates) >= 2 and estimates[-2] > 1e-12:
@@ -238,7 +241,7 @@ def jensen_check(hamiltonian, curve: BasisCurve, k: int, grid_points: int = 257)
     """Verify the concavity inequality on a time grid for basis index k."""
     eig = hermitian_eigendecompose(hamiltonian)
     kernel_of_spectrum = entr(eig.values**2)
-    xi = curve.energy_sup(hamiltonian, k, grid_points)
+    xi = float(curve_bounds(curve, hamiltonian, grid_points).energy_sups[k])
     applicable = xi**2 <= MONOTONE_REGION
 
     worst_gap = -math.inf

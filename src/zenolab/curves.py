@@ -11,12 +11,13 @@ frames_at(times), the frames at an array of times as one (n, d, d) stack,
 is the evaluation primitive and evaluate(t) its one-time case; only a
 sampled curve differs, rejecting off-grid times there but not in evaluate.
 
-Per basis index k the module exposes:
-  energy_sup      sup over t of ||H Psi_k(t)||           (finite always here)
-  lipschitz_bound a Lipschitz constant for t -> Psi_k(t)
-  drift_sum       sum over a partition of Re <Psi_k(t_j) - Psi_k(t_{j-1}),
-                  Psi_k(t_{j-1})>, which equals -1/2 the summed squared
-                  increments for unit-norm curves
+Regularity quantities are (d,) vectors over the basis index k, each one
+pass over a frame stack:
+  xi_k   sup over t of ||H Psi_k(t)||, the max over sup_frames (curve_bounds)
+  eta_k  a Lipschitz constant for t -> Psi_k(t) (lipschitz, in curve_bounds)
+  drift  sum over a partition of Re <Psi_k(t_j) - Psi_k(t_{j-1}),
+         Psi_k(t_{j-1})>, which equals -1/2 the summed squared increments
+         for unit-norm curves (drift_sums)
 """
 
 from __future__ import annotations
@@ -63,21 +64,26 @@ class BasisCurve:
         """Frames at every time of a 1-d array, stacked as (len(times), d, d)."""
         raise NotImplementedError
 
-    def energy_sup(self, hamiltonian, k: int, grid_points: int = DEFAULT_GRID_POINTS) -> float:
+    def sup_frames(self, hamiltonian: np.ndarray, grid_points: int) -> np.ndarray:
+        """The frame stack over which the largest ||H Psi_k|| is the energy
+        sup xi_k: a single frame when that sup is exact, else M samples."""
         raise NotImplementedError
 
-    def lipschitz_bound(self, k: int) -> float:
+    def lipschitz(self) -> np.ndarray:
+        """Per-index Lipschitz constants eta_k of t -> Psi_k(t), shape (d,)."""
         raise NotImplementedError
-
-    def drift_sum(self, partition, k: int) -> float:
-        """Exact finite sum of Re <increment, previous point> along a partition."""
-        return float(drift_sums(self.frames_at(partition.times))[k])
 
 
 def drift_sums(frames: np.ndarray) -> np.ndarray:
     """Per-index drift sums of a frame stack (N+1, d, d), the steps added in order."""
     prev = frames[:-1]
     return np.real(np.sum(prev.conj() * (frames[1:] - prev), axis=1)).sum(axis=0)
+
+
+def partition_lipschitz_estimate(frames: np.ndarray, steps) -> np.ndarray:
+    """Per-index largest difference quotient ||Psi_k(t_j) - Psi_k(t_{j-1})|| / dt_j
+    of a frame stack (N+1, d, d) over its N steps."""
+    return np.max(np.linalg.norm(np.diff(frames, axis=0), axis=1) / np.asarray(steps)[:, None], axis=0)
 
 
 class StaticCurve(BasisCurve):
@@ -87,12 +93,11 @@ class StaticCurve(BasisCurve):
         t = self._check_times(times)
         return np.broadcast_to(self.base, (t.shape[0],) + self.base.shape)
 
-    def energy_sup(self, hamiltonian, k: int, grid_points: int = DEFAULT_GRID_POINTS) -> float:
-        h = require_hermitian(hamiltonian, name="hamiltonian")
-        return float(np.linalg.norm(h @ self.base[:, k]))
+    def sup_frames(self, hamiltonian: np.ndarray, grid_points: int) -> np.ndarray:
+        return self.base[None]
 
-    def lipschitz_bound(self, k: int) -> float:
-        return 0.0
+    def lipschitz(self) -> np.ndarray:
+        return np.zeros(self.dim)
 
 
 class GeneratedCurve(BasisCurve):
@@ -114,23 +119,18 @@ class GeneratedCurve(BasisCurve):
         frames[t == 0.0] = self.base
         return frames
 
-    def energy_sup(self, hamiltonian, k: int, grid_points: int = DEFAULT_GRID_POINTS) -> float:
-        return float(self._energy_sups(hamiltonian, grid_points)[k])
-
-    def _energy_sups(self, hamiltonian, grid_points: int) -> np.ndarray:
-        h = require_hermitian(hamiltonian, name="hamiltonian")
-        if commutator_norm(self.generator, h) <= COMMUTING_TOL:
+    def sup_frames(self, hamiltonian: np.ndarray, grid_points: int) -> np.ndarray:
+        if commutator_norm(self.generator, hamiltonian) <= COMMUTING_TOL:
             # Commuting flow: ||H e^{-itA} psi|| is t-independent.
-            return np.linalg.norm(h @ self.base, axis=0)
+            return self.base[None]
         if grid_points < 2:
             raise ValidationError("grid must contain at least the two endpoints")
-        frames = self.frames_at(np.linspace(0.0, self.tau, grid_points))
-        return np.max(np.linalg.norm(h @ frames, axis=1), axis=0)
+        return self.frames_at(np.linspace(0.0, self.tau, grid_points))
 
-    def lipschitz_bound(self, k: int) -> float:
+    def lipschitz(self) -> np.ndarray:
         # ||(e^{-i s A} - 1) psi|| <= |s| ||A psi|| with equality in the limit,
         # so ||A psi|| is the sharp constant; no grid error enters the bounds.
-        return float(np.linalg.norm(self.generator @ self.base[:, k]))
+        return np.linalg.norm(self.generator @ self.base, axis=0)
 
 
 class SampledCurve(BasisCurve):
@@ -176,25 +176,13 @@ class SampledCurve(BasisCurve):
             raise ValidationError(f"time {float(t[off][0])} is not on the sampled grid (no interpolation)")
         return self._stack[i]
 
-    def energy_sup(self, hamiltonian, k: int, grid_points: int = DEFAULT_GRID_POINTS) -> float:
+    def sup_frames(self, hamiltonian: np.ndarray, grid_points: int) -> np.ndarray:
         # The curve is piecewise constant under nearest-point evaluation, so
         # the exact sup is the max over its own grid frames.
-        h = require_hermitian(hamiltonian, name="hamiltonian")
-        return max(float(np.linalg.norm(h @ f[:, k])) for f in self.frames)
+        return self._stack
 
-    def lipschitz_bound(self, k: int) -> float:
-        best = 0.0
-        for i in range(len(self.frames) - 1):
-            gap = self.times[i + 1] - self.times[i]
-            step = float(np.linalg.norm(self.frames[i + 1][:, k] - self.frames[i][:, k]))
-            best = max(best, step / gap)
-        return best
-
-
-def partition_lipschitz_estimate(curve: BasisCurve, partition, k: int) -> float:
-    """Largest difference quotient of Psi_k along the partition's own steps."""
-    psi = curve.frames_at(partition.times)[:, :, k]
-    return float(np.max(np.linalg.norm(np.diff(psi, axis=0), axis=1) / partition.steps))
+    def lipschitz(self) -> np.ndarray:
+        return partition_lipschitz_estimate(self._stack, np.diff(self.times))
 
 
 @dataclass(frozen=True)
@@ -213,13 +201,11 @@ class CurveBounds:
 
 
 def curve_bounds(curve: BasisCurve, hamiltonian, grid_points: int = DEFAULT_GRID_POINTS) -> CurveBounds:
-    """Per-index regularity bounds for a whole curve in one pass."""
-    if isinstance(curve, GeneratedCurve):
-        xis = curve._energy_sups(hamiltonian, grid_points)
-        commuting = commutator_norm(curve.generator, require_hermitian(hamiltonian)) <= COMMUTING_TOL
-        method = "closed-form" if commuting else f"grid({grid_points})"
-    else:
-        xis = np.array([curve.energy_sup(hamiltonian, k, grid_points) for k in range(curve.dim)])
-        method = "closed-form" if isinstance(curve, StaticCurve) else f"grid({len(curve.frames)})"
-    etas = np.array([curve.lipschitz_bound(k) for k in range(curve.dim)])
-    return CurveBounds(energy_sups=xis, lipschitz=etas, method=method)
+    """The (d,) vectors xi and eta of a whole curve, each in one pass."""
+    h = require_hermitian(hamiltonian, name="hamiltonian")
+    if h.shape[0] != curve.dim:
+        raise ValidationError(f"hamiltonian dimension {h.shape[0]} does not match the curve")
+    frames = curve.sup_frames(h, grid_points)
+    xis = np.max(np.linalg.norm(h @ frames, axis=1), axis=0)
+    method = "closed-form" if frames.shape[0] == 1 else f"grid({frames.shape[0]})"
+    return CurveBounds(energy_sups=xis, lipschitz=curve.lipschitz(), method=method)

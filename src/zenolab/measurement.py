@@ -32,6 +32,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -75,15 +76,17 @@ class Partition:
     def tau(self) -> float:
         return float(self.times[-1])
 
-    @property
+    @cached_property
     def steps(self) -> np.ndarray:
-        return np.diff(self.times)
+        steps = np.diff(self.times)
+        steps.flags.writeable = False
+        return steps
 
-    @property
+    @cached_property
     def mesh(self) -> float:
         return float(np.max(self.steps))
 
-    @property
+    @cached_property
     def sumsq(self) -> float:
         return float(np.sum(self.steps**2))
 

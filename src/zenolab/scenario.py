@@ -71,12 +71,9 @@ class Scenario:
         return build_partitions(self.plan, self.tau)
 
 
-def _strip_comments(obj):
-    if isinstance(obj, dict):
-        return {k: _strip_comments(v) for k, v in obj.items() if not k.startswith("_")}
-    if isinstance(obj, list):
-        return [_strip_comments(v) for v in obj]
-    return obj
+def _without_comments(obj: dict) -> dict:
+    """json object_hook: drop the underscore keys, at every nesting level."""
+    return {k: v for k, v in obj.items() if not k.startswith("_")}
 
 
 def build_operator(spec, dim: int) -> np.ndarray:
@@ -137,7 +134,7 @@ def build_curve(curve_spec, basis_spec, dim: int, tau: float, base_dir: str = ".
     if kind == "sampled":
         path = os.path.join(base_dir, params["file"])
         with open(path) as fh:
-            data = _strip_comments(json.load(fh))
+            data = json.load(fh, object_hook=_without_comments)
         times = np.asarray(data["times"], dtype=float)
         frames = [_dense_matrix(f, dim) for f in data["frames"]]
         curve = SampledCurve(times, frames)
@@ -173,12 +170,11 @@ def load_scenario(path: str) -> Scenario:
     """
     try:
         with open(path) as fh:
-            raw = json.load(fh)
+            data = json.load(fh, object_hook=_without_comments)
     except OSError as exc:
         raise SchemaError([f"cannot read {path}: {exc}"]) from exc
     except json.JSONDecodeError as exc:
         raise SchemaError([f"{path} is not valid JSON: {exc}"]) from exc
-    data = _strip_comments(raw)
     if not isinstance(data, dict):
         raise SchemaError([f"{path}: top level must be an object"])
 
@@ -258,16 +254,26 @@ def load_scenario(path: str) -> Scenario:
         base_dir=os.path.dirname(os.path.abspath(path)),
     )
     # Building everything once surfaces dimension mismatches and invalid
-    # operator/curve/partition specs with precise messages.
+    # operator/curve/partition specs with precise messages; a spec of the
+    # wrong shape (a missing key, a non-number) is named by its field.
+    field = "hamiltonian"
     try:
         hamiltonian = scenario.hamiltonian()
         if hamiltonian.shape[0] != scenario.dim:
             raise ValidationError(f"hamiltonian dimension {hamiltonian.shape[0]} != dim {scenario.dim}")
+        field = "state"
+        if basis_spec != "curve":
+            scenario.basis()
+        field = "curve"
         curve = scenario.curve()
         scenario.state(curve)
+        field = "partitions"
         for partition in scenario.partitions():
             if isinstance(curve, SampledCurve):
                 curve.frames_at(partition.times)
     except ValidationError as exc:
         raise SchemaError([str(exc)]) from exc
+    except (KeyError, TypeError, ValueError) as exc:
+        detail = f"missing key {exc.args[0]!r}" if isinstance(exc, KeyError) else str(exc)
+        raise SchemaError([f"malformed {field} spec: {detail}"]) from exc
     return scenario

@@ -155,15 +155,6 @@ def von_neumann_entropy(rho: DensityMatrix) -> float:
     return float(np.sum(entr(weights)))
 
 
-def entropy_of_spectrum(values) -> float:
-    """Entropy-like functional sum entr(v) for a raw nonnegative spectrum.
-
-    Unlike von_neumann_entropy this does not require unit trace; it is used
-    for dominating operators whose trace exceeds 1.
-    """
-    return float(np.sum(entr(np.asarray(values, dtype=float))))
-
-
 FANNES_THRESHOLD = 1.0 / math.e
 
 

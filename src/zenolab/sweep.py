@@ -157,18 +157,21 @@ def read_csv(path: str) -> list[SweepRecord]:
         if not first.startswith("#schema=1"):
             raise ValidationError(f"{path} does not carry the #schema=1 header")
         reader = csv.reader(fh)
-        header = next(reader)
+        header = next(reader, [])
         per_k = [c for c in header if c.startswith("lambda_")]
         dim = len(per_k)
         if header != csv_columns(dim):
             raise ValidationError(f"{path} columns do not match schema 1 for dim {dim}")
         records = []
         for row in reader:
+            where = f"{path} line {reader.line_num + 1}"
+            if len(row) != len(header):
+                raise ValidationError(f"{where}: {len(row)} fields, the header has {len(header)}")
             values = dict(zip(header, row))
-            t = float(values["trace_distance"])
-            fannes = fannes_bound_at(t, dim)
-            records.append(
-                SweepRecord(
+            try:
+                t = float(values["trace_distance"])
+                fannes = fannes_bound_at(t, dim)
+                record = SweepRecord(
                     n=int(values["N"]),
                     mesh=float(values["mesh"]),
                     sumsq=float(values["sumsq"]),
@@ -180,7 +183,9 @@ def read_csv(path: str) -> list[SweepRecord]:
                     fannes_bound=fannes.bound,
                     **{f: tuple(float(values[f"{stem}_{k}"]) for k in range(1, dim + 1)) for f, stem in BLOCKS},
                 )
-            )
+            except ValueError as exc:
+                raise ValidationError(f"{where}: {exc}") from exc
+            records.append(record)
     return records
 
 

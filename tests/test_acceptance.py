@@ -34,7 +34,7 @@ from zenolab.bounds import (
 )
 from zenolab.cli import main
 from zenolab.corpus import CorpusScenario, build_scenario, scenario_seeds
-from zenolab.curves import GeneratedCurve, StaticCurve, curve_bounds
+from zenolab.curves import GeneratedCurve, StaticCurve, curve_bounds, drift_sums
 from zenolab.linalg import seeded_cons, unitary_exponential
 from zenolab.measurement import (
     MeasurementResult,
@@ -89,7 +89,7 @@ def _run_one(scenario: CorpusScenario) -> CorpusRun:
     cb = curve_bounds(scenario.curve, scenario.hamiltonian)
 
     dim = scenario.dim
-    drifts = np.array([scenario.curve.drift_sum(scenario.partition, k) for k in range(dim)])
+    drifts = drift_sums(scenario.curve.frames_at(scenario.partition.times))
     half_sq = np.zeros(dim)
     times = scenario.partition.times
     for k in range(dim):

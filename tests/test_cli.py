@@ -50,6 +50,58 @@ class TestRunCommand:
         assert "eigenvalues" in capsys.readouterr().err
 
 
+def _run_with(**overrides):
+    return lambda tmp_path: ["run", qubit_scenario_file(tmp_path, **overrides)]
+
+
+def _rate_with_row(edit):
+    """rate on a sweep CSV whose first data row (file line 3) is edited."""
+
+    def argv(tmp_path):
+        out_csv = tmp_path / "sweep.csv"
+        assert main(["sweep", qubit_scenario_file(tmp_path), "--output", str(out_csv)]) == 0
+        lines = out_csv.read_text().splitlines()
+        lines[2] = ",".join(edit(lines[2].split(",")))
+        out_csv.write_text("\n".join(lines) + "\n")
+        return ["rate", str(out_csv), "--column", "trace_distance"]
+
+    return argv
+
+
+def _csv_file(text):
+    def argv(tmp_path):
+        (tmp_path / "sweep.csv").write_text(text)
+        return ["rate", str(tmp_path / "sweep.csv"), "--column", "trace_distance"]
+
+    return argv
+
+
+MALFORMED_INPUTS = {
+    "random_hamiltonian_without_seed": (_run_with(hamiltonian={"random": {}}), "hamiltonian"),
+    "generated_curve_without_generator": (_run_with(curve={"generated": {}}), "'generator'"),
+    "dense_entries_not_pairs": (_run_with(hamiltonian={"dense": [[1, 2], [3, 4]]}), "hamiltonian"),
+    "uniform_plan_with_a_string": (_run_with(partitions={"uniform": ["x"]}), "partitions"),
+    "random_plan_without_seed": (_run_with(partitions={"random": {"n": [4]}}), "'seed'"),
+    "random_basis_without_seed": (
+        _run_with(state={"eigenvalues": [0.7, 0.3], "basis": {"random": {}}}), "malformed state spec"),
+    "csv_row_with_a_non_number": (_rate_with_row(lambda f: f[:3] + ["x"] + f[4:]), "line 3"),
+    "csv_row_with_too_few_fields": (_rate_with_row(lambda f: f[:3]), "line 3"),
+    "csv_without_header": (_csv_file("#schema=1\n"), "columns do not match"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(MALFORMED_INPUTS))
+def test_malformed_input_is_config_error(case, tmp_path, capsys):
+    argv, named = MALFORMED_INPUTS[case]
+    args = argv(tmp_path)
+    capsys.readouterr()
+    rc = main(args)
+    err = capsys.readouterr().err
+    assert rc == 2
+    assert err.startswith("configuration error:")
+    assert named in err
+
+
 class TestSweepCommand:
     def test_requires_some_output_path(self, tmp_path, capsys):
         rc = main(["sweep", qubit_scenario_file(tmp_path)])

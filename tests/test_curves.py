@@ -11,6 +11,7 @@ from zenolab.curves import (
     SampledCurve,
     StaticCurve,
     curve_bounds,
+    drift_sums,
     partition_lipschitz_estimate,
 )
 from zenolab.errors import ValidationError
@@ -98,78 +99,120 @@ class TestFramesAt:
         np.testing.assert_array_equal(curve.evaluate(0.75), curve.frames[1])
 
 
+def energy_sups(curve, h, *grid_points):
+    return curve_bounds(curve, h, *grid_points).energy_sups
+
+
+def partition_drifts(curve, partition):
+    return drift_sums(curve.frames_at(partition.times))
+
+
 class TestEnergySup:
     def test_static_closed_form(self):
         curve = StaticCurve(np.eye(2, dtype=complex), 1.0)
-        assert curve.energy_sup(PAULI_X, 0) == pytest.approx(1.0, abs=1e-12)
+        assert energy_sups(curve, PAULI_X)[0] == pytest.approx(1.0, abs=1e-12)
 
     def test_commuting_generator_is_grid_free(self):
         h = seeded_hermitian(4, 3)
         curve = GeneratedCurve(h, seeded_cons(4, 9), 1.0)
         expected = float(np.linalg.norm(h @ curve.base[:, 2]))
         for grid in (3, 17, 257):
-            assert curve.energy_sup(h, 2, grid) == pytest.approx(expected, abs=1e-12)
+            assert energy_sups(curve, h, grid)[2] == pytest.approx(expected, abs=1e-12)
 
     def test_rotating_qubit_grid_sup(self):
         # ||Z (cos t, sin t)|| = 1 for every t, so the grid sup is exactly 1.
         curve = y_curve()
-        assert curve.energy_sup(PAULI_Z, 0, 257) == pytest.approx(1.0, abs=1e-12)
+        assert energy_sups(curve, PAULI_Z, 257)[0] == pytest.approx(1.0, abs=1e-12)
 
     def test_grid_estimates_monotone_in_resolution(self):
         curve = GeneratedCurve(seeded_hermitian(5, 1), seeded_cons(5, 2), 1.0)
         h = seeded_hermitian(5, 3)
-        values = [curve.energy_sup(h, 0, m) for m in (2, 5, 17, 65, 257)]
+        values = [energy_sups(curve, h, m)[0] for m in (2, 5, 17, 65, 257)]
         assert all(b >= a - 1e-12 for a, b in zip(values, values[1:]))
+
+    def test_grid_needs_both_endpoints(self):
+        with pytest.raises(ValidationError, match="two endpoints"):
+            energy_sups(y_curve(), PAULI_Z, 1)
 
     def test_sampled_uses_its_own_grid(self):
         gen = y_curve(tau=1.0)
         times = np.linspace(0.0, 1.0, 5)
         curve = SampledCurve(times, [gen.evaluate(t) for t in times])
         expected = max(float(np.linalg.norm(PAULI_Z @ f[:, 0])) for f in curve.frames)
-        assert curve.energy_sup(PAULI_Z, 0) == pytest.approx(expected, abs=1e-14)
+        assert energy_sups(curve, PAULI_Z)[0] == pytest.approx(expected, abs=1e-14)
+
+    def test_rejects_mismatched_hamiltonian(self):
+        with pytest.raises(ValidationError, match="dimension"):
+            energy_sups(StaticCurve(np.eye(3, dtype=complex), 1.0), PAULI_X)
 
 
 class TestLipschitzBound:
     def test_static_is_zero(self):
-        assert StaticCurve(np.eye(3, dtype=complex), 1.0).lipschitz_bound(1) == 0.0
+        np.testing.assert_array_equal(StaticCurve(np.eye(3, dtype=complex), 1.0).lipschitz(), np.zeros(3))
 
     def test_generated_closed_form(self):
-        assert y_curve().lipschitz_bound(0) == pytest.approx(1.0, abs=1e-14)
+        assert y_curve().lipschitz()[0] == pytest.approx(1.0, abs=1e-14)
 
     def test_zero_generator(self):
         curve = GeneratedCurve(np.zeros((2, 2), dtype=complex), np.eye(2, dtype=complex), 1.0)
-        assert curve.lipschitz_bound(0) == 0.0
+        assert curve.lipschitz()[0] == 0.0
 
     def test_sampled_adjacent_quotients(self):
         times = [0.0, 0.5, 1.0]
         frames = [np.eye(2, dtype=complex)] * 2 + [np.array([[0, 1], [1, 0]], dtype=complex)]
         curve = SampledCurve(times, frames)
         # jump of norm sqrt(2) over a gap of 0.5
-        assert curve.lipschitz_bound(0) == pytest.approx(math.sqrt(2) / 0.5, abs=1e-12)
+        assert curve.lipschitz()[0] == pytest.approx(math.sqrt(2) / 0.5, abs=1e-12)
 
     @pytest.mark.parametrize("seed", range(4))
     def test_witness_on_random_pairs(self, seed):
         rng = np.random.default_rng(seed)
         dim = int(rng.integers(2, 7))
         curve = GeneratedCurve(seeded_hermitian(dim, seed + 40), seeded_cons(dim, seed), 1.2)
-        etas = np.array([curve.lipschitz_bound(k) for k in range(dim)])
+        etas = curve.lipschitz()
         for _ in range(50):
             s, t = sorted(rng.uniform(0.0, 1.2, size=2))
             gap = np.linalg.norm(curve.evaluate(t) - curve.evaluate(s), axis=0)
             assert np.all(gap <= etas * (t - s) + 1e-9)
 
 
+class TestSampledVectorsMatchPerFrameLoops:
+    """The sampled-curve vectors against explicit loops over frames and
+    indices. Each norm sums 2d squares and each quotient adds one rounding,
+    so the two orders agree to a few d eps relative to the value."""
+
+    @pytest.mark.parametrize("seed", range(3))
+    def test_energy_sups_and_lipschitz(self, seed):
+        rng = np.random.default_rng(seed)
+        dim = int(rng.integers(2, 9))
+        grid = random_partition(1.0, int(rng.integers(2, 40)), seed=seed).times
+        gen = GeneratedCurve(seeded_hermitian(dim, seed + 20), seeded_cons(dim, seed + 21), 1.0)
+        curve = SampledCurve(grid, gen.frames_at(grid))
+        h = seeded_hermitian(dim, seed + 22)
+        cb = curve_bounds(curve, h)
+        hs = (h + h.conj().T) / 2
+        tol = len(grid) * dim * np.finfo(float).eps
+        for k in range(dim):
+            xi = max(float(np.linalg.norm(hs @ f[:, k])) for f in curve.frames)
+            eta = max(
+                float(np.linalg.norm(curve.frames[i + 1][:, k] - curve.frames[i][:, k])) / (grid[i + 1] - grid[i])
+                for i in range(len(grid) - 1)
+            )
+            assert abs(cb.energy_sups[k] - xi) <= tol * max(1.0, xi)
+            assert abs(cb.lipschitz[k] - eta) <= tol * max(1.0, eta)
+
+
 class TestDriftSum:
     def test_static_curve_drift_is_zero(self):
         curve = StaticCurve(seeded_cons(3, 2), 1.0)
-        assert curve.drift_sum(uniform_partition(1.0, 8), 1) == 0.0
+        np.testing.assert_array_equal(partition_drifts(curve, uniform_partition(1.0, 8)), np.zeros(3))
 
     @pytest.mark.parametrize("n", [1, 4, 16])
     def test_rotating_qubit_closed_form(self, n):
         # per step Re<(e^{-i d Y} - 1) v, v> = cos(d) - 1 with d = 1/n
         curve = y_curve(tau=1.0)
         expected = n * (math.cos(1.0 / n) - 1.0)
-        assert curve.drift_sum(uniform_partition(1.0, n), 0) == pytest.approx(expected, abs=1e-12)
+        assert partition_drifts(curve, uniform_partition(1.0, n))[0] == pytest.approx(expected, abs=1e-12)
 
     @pytest.mark.parametrize("seed", range(4))
     def test_identity_with_half_squared_increments(self, seed):
@@ -177,37 +220,37 @@ class TestDriftSum:
         dim = int(rng.integers(2, 7))
         curve = GeneratedCurve(seeded_hermitian(dim, seed + 3), seeded_cons(dim, seed), 1.0)
         partition = uniform_partition(1.0, int(rng.integers(1, 30)))
+        drifts = partition_drifts(curve, partition)
         for k in range(dim):
-            drift = curve.drift_sum(partition, k)
             acc = 0.0
             prev = curve.evaluate(0.0)[:, k]
             for t in partition.times[1:]:
                 cur = curve.evaluate(float(t))[:, k]
                 acc += float(np.linalg.norm(cur - prev) ** 2)
                 prev = cur
-            assert abs(drift + 0.5 * acc) <= 1e-10
-            assert drift <= 1e-12
+            assert abs(drifts[k] + 0.5 * acc) <= 1e-10
+            assert drifts[k] <= 1e-12
 
     @pytest.mark.parametrize("n", [1, 7, 64])
     def test_batched_sum_matches_stepwise_loop(self, n):
         # The batched sum adds each step's terms in another order: allow n d eps.
         curve = GeneratedCurve(seeded_hermitian(5, 1), seeded_cons(5, 2), 1.0)
         partition = random_partition(1.0, n, seed=n)
+        drifts = partition_drifts(curve, partition)
         for k in range(5):
             loop, prev = 0.0, curve.evaluate(0.0)[:, k]
             for t in partition.times[1:]:
                 cur = curve.evaluate(float(t))[:, k]
                 loop += float(np.real(np.vdot(prev, cur - prev)))
                 prev = cur
-            assert abs(curve.drift_sum(partition, k) - loop) <= n * 5 * np.finfo(float).eps
+            assert abs(drifts[k] - loop) <= n * 5 * np.finfo(float).eps
 
     def test_decay_under_uniform_refinement(self):
         curve = GeneratedCurve(seeded_hermitian(4, 6), seeded_cons(4, 7), 1.0)
+        etas = curve.lipschitz()
         for n in (2, 8, 32, 128):
-            partition = uniform_partition(1.0, n)
-            for k in range(4):
-                eta = curve.lipschitz_bound(k)
-                assert abs(curve.drift_sum(partition, k)) <= eta**2 / (2 * n) + 1e-9
+            drifts = partition_drifts(curve, uniform_partition(1.0, n))
+            assert np.all(np.abs(drifts) <= etas**2 / (2 * n) + 1e-9)
 
 
 class TestGeneratedDerivative:
@@ -261,7 +304,8 @@ class TestSampledCurve:
     def test_partition_estimate_bounded_by_curve_constant(self):
         curve, _ = self.make()
         partition = uniform_partition(1.0, 2)
-        assert partition_lipschitz_estimate(curve, partition, 0) <= curve.lipschitz_bound(0) + 1e-12
+        estimate = partition_lipschitz_estimate(curve.frames_at(partition.times), partition.steps)
+        assert np.all(estimate <= curve.lipschitz() + 1e-12)
 
 
 class TestCurveBounds:
@@ -272,11 +316,5 @@ class TestCurveBounds:
         assert curve_bounds(commuting, PAULI_X).method == "closed-form"
         rotating = GeneratedCurve(PAULI_Y, np.eye(2, dtype=complex), 1.0)
         assert curve_bounds(rotating, PAULI_X, grid_points=33).method == "grid(33)"
-
-    def test_arrays_match_per_index_calls(self):
-        curve = GeneratedCurve(seeded_hermitian(3, 5), seeded_cons(3, 6), 1.0)
-        h = seeded_hermitian(3, 7)
-        cb = curve_bounds(curve, h)
-        for k in range(3):
-            assert cb.energy_sups[k] == pytest.approx(curve.energy_sup(h, k), abs=1e-12)
-            assert cb.lipschitz[k] == pytest.approx(curve.lipschitz_bound(k), abs=1e-12)
+        sampled = SampledCurve([0.0, 0.4, 1.0], [np.eye(2, dtype=complex)] * 3)
+        assert curve_bounds(sampled, PAULI_X, grid_points=33).method == "grid(3)"

@@ -74,6 +74,15 @@ class TestPartitions:
         p = random_partition(1.0, 100, seed=3)
         assert p.sumsq < p.mesh
 
+    def test_step_quantities_computed_once_and_steps_read_only(self):
+        p = random_partition(1.0, 9, seed=4)
+        assert p.steps is p.steps
+        np.testing.assert_array_equal(p.steps, np.diff(p.times))
+        assert p.mesh == float(np.max(np.diff(p.times)))
+        assert p.sumsq == float(np.sum(np.diff(p.times) ** 2))
+        with pytest.raises(ValueError, match="read-only"):
+            p.steps[0] = 0.5
+
     def test_partition_invariants(self):
         with pytest.raises(ValidationError, match="ascending"):
             Partition(np.array([0.0, 0.5, 0.5, 1.0]))

@@ -134,6 +134,19 @@ class TestSampledCurveSpecs:
         assert isinstance(scenario.curve(), SampledCurve)
         scenario.state()
 
+    def test_underscore_keys_in_curve_spec_and_frames_file_ignored(self, tmp_path):
+        payload = {"_note": "frames of a rotation", **self.frames_payload()}
+        write_json(tmp_path / "frames.json", payload)
+        path = minimal_zeno(
+            tmp_path,
+            curve={"_note": "read from a file", "sampled": {"file": "frames.json", "_note": {"_deeper": 1}}},
+            state={"eigenvalues": [0.7, 0.3], "basis": "curve", "_note": "the curve's first frame"},
+            partitions={"uniform": [2]},
+        )
+        scenario = load_scenario(path)
+        assert scenario.curve_spec == {"sampled": {"file": "frames.json"}}
+        assert scenario.curve().times.tolist() == payload["times"]
+
     def test_non_orthonormal_frame_rejected(self, tmp_path):
         payload = self.frames_payload()
         payload["frames"][1] = [[[1.0, 0.0], [1.0, 0.0]], [[0.0, 0.0], [0.0, 0.0]]]
