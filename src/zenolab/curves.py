@@ -51,7 +51,8 @@ class BasisCurve:
 
     def _check_times(self, times) -> np.ndarray:
         t = np.atleast_1d(np.asarray(times, dtype=float))
-        outside = (t < -1e-12) | (t > self.tau + 1e-12)
+        # Written to fail closed, so a NaN time counts as outside.
+        outside = ~((t >= -1e-12) & (t <= self.tau + 1e-12))
         if np.any(outside):
             raise ValidationError(f"time {float(t[outside][0])} outside [0, {self.tau}]")
         return np.clip(t, 0.0, self.tau)
@@ -112,10 +113,13 @@ class GeneratedCurve(BasisCurve):
         self._eig = hermitian_eigendecompose(self.generator)
 
     def frames_at(self, times) -> np.ndarray:
-        # ((V e^{-itλ}) V*) base per time, the association of HermitianEigen.propagator.
+        # ((V e^{-itλ}) V*) base per time, the association of HermitianEigen.propagator,
+        # with the time axis folded into the rows so each product is one GEMM.
         t = self._check_times(times)
+        n, d = t.shape[0], self.dim
         v, phases = self._eig.vectors, np.exp(-1j * t[:, None] * self._eig.values)
-        frames = ((v * phases[:, None, :]) @ v.conj().T) @ self.base
+        rows = (v * phases[:, None, :]).reshape(n * d, d)
+        frames = ((rows @ v.conj().T) @ self.base).reshape(n, d, d)
         frames[t == 0.0] = self.base
         return frames
 
@@ -144,6 +148,8 @@ class SampledCurve(BasisCurve):
         times = np.asarray(times, dtype=float)
         if times.ndim != 1 or times.shape[0] < 2:
             raise ValidationError("a sampled curve needs at least two grid times")
+        if not np.all(np.isfinite(times)):
+            raise ValidationError(f"sampled grid time {float(times[~np.isfinite(times)][0])} is not finite")
         if np.any(np.diff(times) <= 0):
             raise ValidationError("sampled grid times must be strictly ascending")
         if abs(times[0]) > 1e-12:

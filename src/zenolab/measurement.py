@@ -2,13 +2,22 @@
 measurement onto a moving basis along a time partition of [0, tau].
 
 Two independent computations of the same coefficients are kept side by
-side on purpose. The channel route composes U rho U* with the dephasing in
-each new frame, on plain arrays; the transfer route pushes the weights
-through one doubly stochastic matrix |F_j* U F_{j-1}|^2 per step. Both read
-one trajectory per partition (the frame stack from curve.frames_at and one
-step unitary per distinct step length) and nothing of each other: the
-transfer matrices, weights_out and survivals never reach the channel route,
-and its state never reaches the transfer route. They must agree to 1e-9.
+side on purpose. They share only one trajectory per partition: the frame
+stack F_0..F_N from curve.frames_at, the stack U of one e^{-i dt H} per
+distinct step length, and each step's index which_j into it, so that step j
+evolves by U_j = U[which_j]. Each route forms its own products from these,
+in blocks of TRANSFER_BLOCK steps that gather U[which].
+
+  channel route   a dense lab-frame state. With X_j = F_j* U_j, one step is
+                  p_a = Re sum_k (X_j rho)_ak conj(X_j)_ak, then
+                  rho = F_j diag(p) F_j*, which is U rho U* dephased in F_j.
+  transfer route  T_j = |(F_j* U_j) F_{j-1}|^2, doubly stochastic;
+                  weights_out = (T_N ... T_1) weights, the product taken as
+                  a pairwise tree of depth ceil(log2 N).
+
+The transfer matrices, weights_out and survivals never reach the channel
+route, and its state never reaches the transfer route. They must agree to
+1e-9.
 
 Inputs are validated once, at the API boundary (state, Hamiltonian,
 partition horizon, and the times through frames_at), never per step.
@@ -46,7 +55,7 @@ WEIGHT_SUM_TOL = 1e-9
 LEAKAGE_FLOOR = -1e-10
 PROOF_IDENTITY_TOL = 1e-8
 TRACE_BOUND_TOL = 1e-9
-# Steps per batched transfer product: caps the temporaries at a few frames' worth at any N.
+# Steps per gathered block in either route: caps the temporaries at a few frames' worth at any N.
 TRANSFER_BLOCK = 256
 
 
@@ -60,6 +69,8 @@ class Partition:
         t = np.asarray(self.times, dtype=float)
         if t.ndim != 1 or t.shape[0] < 2:
             raise ValidationError("a partition needs at least two times")
+        if not np.all(np.isfinite(t)):
+            raise ValidationError(f"partition time {float(t[~np.isfinite(t)][0])} is not finite")
         if abs(t[0]) > 0:
             raise ValidationError("partition must start at 0")
         if np.any(np.diff(t) <= 0):
@@ -122,13 +133,14 @@ def random_partition(tau: float, n: int, seed: int) -> Partition:
 
 def _trajectory(curve: BasisCurve, hamiltonian, times) -> tuple:
     """What both routes read, the inputs validated once: the (N+1, d, d) frame
-    stack, one e^{-i dt H} per distinct step length and each step's index into them."""
+    stack, one e^{-i dt H} per distinct step length stacked as (k, d, d), and
+    each step's index into that stack."""
     h = require_hermitian(hamiltonian, name="hamiltonian")
     if h.shape[0] != curve.dim:
         raise ValidationError(f"hamiltonian dimension {h.shape[0]} does not match the curve")
     propagator = hermitian_eigendecompose(h).propagator
     dts, which = np.unique(np.diff(times), return_inverse=True)
-    return curve.frames_at(times), tuple(propagator(float(dt)) for dt in dts), which
+    return curve.frames_at(times), np.stack([propagator(float(dt)) for dt in dts]), which
 
 
 def _partition_trajectory(curve: BasisCurve, hamiltonian, partition: Partition) -> tuple:
@@ -137,15 +149,31 @@ def _partition_trajectory(curve: BasisCurve, hamiltonian, partition: Partition) 
     return _trajectory(curve, hamiltonian, partition.times)
 
 
-def _transfer_matrices(frames: np.ndarray, unitaries: tuple, which: np.ndarray) -> np.ndarray:
-    """|F_j* U_j F_{j-1}|^2 for every step, batched over blocks of steps that share a unitary."""
-    out = np.empty((which.shape[0],) + frames.shape[1:])
-    for m, u in enumerate(unitaries):
-        steps = np.flatnonzero(which == m)
-        for i in range(0, steps.shape[0], TRANSFER_BLOCK):
-            block = steps[i:i + TRANSFER_BLOCK]
-            out[block] = np.abs((frames[block + 1].conj().transpose(0, 2, 1) @ u) @ frames[block]) ** 2
+def _transfer_matrices(frames: np.ndarray, unitaries: np.ndarray, which: np.ndarray) -> np.ndarray:
+    """The transfer route's own step matrices T_j = |F_j* U_j F_{j-1}|^2.
+
+    Each block of TRANSFER_BLOCK steps gathers its unitaries U[which] and
+    forms (F_j* U_j) F_{j-1} as two batched products, whatever the step
+    lengths; entry (a, b) of T_j is the probability of landing on index a
+    from index b. Like the channel route it reads only the frames, the
+    unitaries and the step index, and it forms its products itself.
+    """
+    n = which.shape[0]
+    out = np.empty((n,) + frames.shape[1:])
+    for start in range(0, n, TRANSFER_BLOCK):
+        stop = min(start + TRANSFER_BLOCK, n)
+        f_adj = frames[start + 1:stop + 1].conj().transpose(0, 2, 1)
+        out[start:stop] = np.abs((f_adj @ unitaries[which[start:stop]]) @ frames[start:stop]) ** 2
     return out
+
+
+def _chain(mats: np.ndarray) -> np.ndarray:
+    """T_N ... T_1 as a pairwise product tree: ceil(log2 N) batched products,
+    each multiplying every later step onto the step before it."""
+    while mats.shape[0] > 1:
+        pairs = mats[1::2] @ mats[:-1:2]
+        mats = np.concatenate((pairs, mats[-1:])) if mats.shape[0] % 2 else pairs
+    return mats[0]
 
 
 def _survivals(mats: np.ndarray) -> np.ndarray:
@@ -153,18 +181,27 @@ def _survivals(mats: np.ndarray) -> np.ndarray:
     return np.multiply.reduce(np.diagonal(mats, axis1=1, axis2=2), axis=0)
 
 
-def _channel_route(m: np.ndarray, frames: np.ndarray, unitaries: tuple, which: np.ndarray) -> np.ndarray:
-    """U rho U*, then dephasing in the next frame, each followed by the
-    (m + m*)/2 that DensityMatrix applies; the products in its order."""
-    pairs = [(u, u.conj().T) for u in unitaries]
-    for b, w in zip(frames[1:], which):
-        u, u_adj = pairs[w]
-        m = u @ m @ u_adj
-        m = (m + m.conj().T) / 2
-        b_adj = b.conj().T
-        m = (b * np.real(np.diag(b_adj @ m @ b))) @ b_adj
-        m = (m + m.conj().T) / 2
-    return m
+def _channel_route(m: np.ndarray, frames: np.ndarray, unitaries: np.ndarray, which: np.ndarray) -> np.ndarray:
+    """The channel route's own composition on the dense lab-frame state.
+
+    One step is U rho U* followed by dephasing in the frame F = F_j. With
+    X = F* U, the new state is F diag(p) F* where p_a = (X rho X*)_aa =
+    Re sum_k (X rho)_ak conj(X)_ak. Each block of TRANSFER_BLOCK steps
+    gathers its own X_j = F_j* U[which_j] and contiguous F_j*, so a step is
+    five array operations. One (rho + rho*)/2 at the end restores exact
+    Hermitian symmetry. The route reads frames, unitaries and step index
+    only, never a transfer matrix or a weight.
+    """
+    n = which.shape[0]
+    for start in range(0, n, TRANSFER_BLOCK):
+        stop = min(start + TRANSFER_BLOCK, n)
+        f = frames[start + 1:stop + 1]
+        f_adj = np.ascontiguousarray(f.conj().transpose(0, 2, 1))
+        x = f_adj @ unitaries[which[start:stop]]
+        for f_j, f_j_adj, x_j, x_j_conj in zip(f, f_adj, x, x.conj()):
+            p = ((x_j @ m) * x_j_conj).sum(axis=1).real
+            m = (f_j * p) @ f_j_adj
+    return (m + m.conj().T) / 2
 
 
 def step_transition_matrix(curve: BasisCurve, hamiltonian, t_prev: float, t_next: float) -> np.ndarray:
@@ -292,12 +329,12 @@ def _transfer_route(weights: np.ndarray, frames, unitaries, which) -> tuple[np.n
     """weights_out and survivals; the transfer stack is dropped on return."""
     mats = _transfer_matrices(frames, unitaries, which)
     worst = np.max(np.abs(np.concatenate((mats.sum(axis=1), mats.sum(axis=2)), axis=1) - 1.0), axis=1)
-    j = int(np.argmax(worst > DIAGONAL_TOL))
-    if worst[j] > DIAGONAL_TOL:
+    # Fails closed: a NaN entry is never within tolerance.
+    bad = ~(worst <= DIAGONAL_TOL)
+    j = int(np.argmax(bad))
+    if bad[j]:
         raise InvariantViolation("step_doubly_stochastic", step=j + 1, worst=float(worst[j]))
-    for m in mats:
-        weights = m @ weights
-    return weights, _survivals(mats)
+    return _chain(mats) @ weights, _survivals(mats)
 
 
 def run_measurement(rho: DensityMatrix, hamiltonian, curve: BasisCurve, partition: Partition) -> MeasurementResult:

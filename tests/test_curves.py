@@ -79,6 +79,28 @@ class TestFramesAt:
         curve = three_variants()["generated"]
         np.testing.assert_array_equal(curve.frames_at([0.0, -1e-13])[1], curve.base)
 
+    @pytest.mark.parametrize("dim", [2, 4, 8])
+    def test_generated_matches_propagator_times_base(self, dim):
+        # Two products of matrices with unit-norm rows and columns: about
+        # d * eps of rounding per entry against the same products per time.
+        from zenolab.linalg import hermitian_eigendecompose
+
+        curve = GeneratedCurve(seeded_hermitian(dim, 2), seeded_cons(dim, 1), 1.3)
+        times = random_partition(1.3, 300, seed=4).times
+        propagator = hermitian_eigendecompose(curve.generator).propagator
+        expected = np.stack([propagator(float(t)) @ curve.base for t in times])
+        frames = curve.frames_at(times)
+        np.testing.assert_allclose(frames, expected, rtol=0, atol=dim * np.finfo(float).eps)
+        np.testing.assert_array_equal(frames[0], curve.base)
+
+    @pytest.mark.parametrize("variant", ["static", "generated", "sampled"])
+    def test_rejects_nan_time(self, variant):
+        curve = three_variants()[variant]
+        with pytest.raises(ValidationError, match="time nan outside"):
+            curve.frames_at([0.0, math.nan])
+        with pytest.raises(ValidationError, match="time nan outside"):
+            curve.evaluate(math.nan)
+
     @pytest.mark.parametrize("variant", ["static", "generated", "sampled"])
     def test_rejects_time_outside_horizon(self, variant):
         curve = three_variants()[variant]
@@ -290,6 +312,11 @@ class TestSampledCurve:
     def test_rejects_single_time(self):
         with pytest.raises(ValidationError, match="two grid times"):
             SampledCurve([0.0], [np.eye(2, dtype=complex)])
+
+    @pytest.mark.parametrize("times, bad", [([0.0, math.nan, 1.0], "nan"), ([0.0, 1.0, math.inf], "inf")])
+    def test_rejects_non_finite_grid_time(self, times, bad):
+        with pytest.raises(ValidationError, match=f"sampled grid time {bad} is not finite"):
+            SampledCurve(times, [np.eye(2, dtype=complex)] * 3)
 
     def test_rejects_unsorted_times(self):
         frames = [np.eye(2, dtype=complex)] * 3

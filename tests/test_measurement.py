@@ -89,6 +89,11 @@ class TestPartitions:
         with pytest.raises(ValidationError, match="start at 0"):
             Partition(np.array([0.1, 1.0]))
 
+    @pytest.mark.parametrize("times, bad", [([0.0, math.nan, 1.0], "nan"), ([0.0, 1.0, math.inf], "inf")])
+    def test_rejects_non_finite_time(self, times, bad):
+        with pytest.raises(ValidationError, match=f"partition time {bad} is not finite"):
+            Partition(np.array(times))
+
 
 class TestStepTransitionMatrix:
     def test_free_hamiltonian_static_curve(self):
@@ -164,6 +169,26 @@ class TestPropagateWeights:
         with pytest.raises(ValidationError, match="sum"):
             propagate_weights([0.7, 0.7], curve, h, uniform_partition(1.0, 1))
 
+    @pytest.mark.parametrize(
+        "partition",
+        [uniform_partition(1.0, n) for n in (1, 2, 3, 5, 257)] + [random_partition(1.0, 257, seed=8)],
+        ids=["n1", "n2", "n3", "n5", "n257", "random257"],
+    )
+    def test_log_depth_chain_equals_sequential_loop(self, partition):
+        # The product tree and the in-order loop each multiply stochastic
+        # matrices whose entries lie in [0, 1]: about d * eps of rounding per
+        # product, N products in all.
+        dim = 3
+        curve = GeneratedCurve(seeded_hermitian(dim, 5), seeded_cons(dim, 6), 1.0)
+        h = seeded_hermitian(dim, 7)
+        w = np.array([0.5, 0.3, 0.2])
+        loop = w
+        for t0, t1 in zip(partition.times, partition.times[1:]):
+            loop = step_transition_matrix(curve, h, float(t0), float(t1)) @ loop
+        np.testing.assert_allclose(
+            propagate_weights(w, curve, h, partition), loop, rtol=0, atol=partition.n * dim * np.finfo(float).eps
+        )
+
 
 class TestSurvival:
     def test_commuting_case_is_one(self):
@@ -222,20 +247,26 @@ class TestEvolveByChannels:
         with pytest.raises(ValidationError, match="grid"):
             evolve_by_channels(rho, PAULI_X, curve, uniform_partition(1.0, 3))
 
-    def test_stepwise_equals_one_pass(self):
-        # composing the chain manually step by step gives the same state
+    @pytest.mark.parametrize("kind", ["uniform", "random"])
+    @pytest.mark.parametrize("dim", [2, 3, 8])
+    def test_stepwise_equals_one_pass(self, dim, kind):
+        # Composing the channels step by step gives the same state. Error
+        # model: each step of either computation is a few d-term products of
+        # entries bounded by 1, about d * eps of rounding per step, and the
+        # channels are contractions, so the errors add over the N steps.
+        # N = 300 leaves a partial second block of steps.
         from zenolab.channels import apply_projection_channel, apply_unitary_channel, rank1_family
         from zenolab.linalg import unitary_exponential
 
+        n = 300
         rng = np.random.default_rng(12)
-        dim = 4
         base = seeded_cons(dim, 1)
         w = rng.exponential(size=dim)
         w /= w.sum()
         rho = DensityMatrix.from_weights(w, base)
         h = seeded_hermitian(dim, 2)
         curve = GeneratedCurve(seeded_hermitian(dim, 3), base, 1.0)
-        partition = uniform_partition(1.0, 6)
+        partition = uniform_partition(1.0, n) if kind == "uniform" else random_partition(1.0, n, seed=7)
 
         one_pass = evolve_by_channels(rho, h, curve, partition)
         state = rho
@@ -243,8 +274,7 @@ class TestEvolveByChannels:
             dt = float(partition.times[j] - partition.times[j - 1])
             state = apply_unitary_channel(unitary_exponential(h, dt), state)
             state = apply_projection_channel(rank1_family(curve.evaluate(float(partition.times[j]))), state)
-        # The array route keeps the channels' products and symmetrization, so the bits agree.
-        np.testing.assert_array_equal(one_pass.matrix, state.matrix)
+        np.testing.assert_allclose(one_pass.matrix, state.matrix, rtol=0, atol=n * dim * np.finfo(float).eps)
 
 
 class TestLeakage:
@@ -361,6 +391,21 @@ class TestTrajectoryCorruption:
         def corrupted(times):
             frames = frames_at(times).copy()
             frames[3, :, 1] *= 1.5
+            return frames
+
+        monkeypatch.setattr(curve, "frames_at", corrupted)
+        with pytest.raises(InvariantViolation) as excinfo:
+            run_measurement(rho, h, curve, partition)
+        assert excinfo.value.name == "step_doubly_stochastic"
+        assert excinfo.value.details["step"] == 3
+
+    def test_nan_frame_fails_closed(self, monkeypatch):
+        rho, h, curve, partition = four_level_run()
+        frames_at = curve.frames_at
+
+        def corrupted(times):
+            frames = frames_at(times).copy()
+            frames[3, 0, 0] = np.nan
             return frames
 
         monkeypatch.setattr(curve, "frames_at", corrupted)

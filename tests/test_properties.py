@@ -1,0 +1,71 @@
+"""Property test: every identity run_measurement asserts holds on drawn
+protocols, checked here from the outside as well.
+
+The examples are derandomized and bounded so the tier-1 run stays fast and
+repeatable.
+"""
+
+import numpy as np
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from zenolab.curves import GeneratedCurve
+from zenolab.linalg import seeded_cons, seeded_hermitian
+from zenolab.measurement import (
+    DIAGONAL_TOL,
+    LEAKAGE_FLOOR,
+    PROOF_IDENTITY_TOL,
+    evolve_by_channels,
+    propagate_weights,
+    random_partition,
+    run_measurement,
+    step_transition_matrix,
+    uniform_partition,
+)
+from zenolab.states import DensityMatrix
+
+
+@settings(max_examples=25, deadline=None, derandomize=True, database=None)
+@given(
+    dim=st.integers(2, 6),
+    n=st.integers(1, 64),
+    seed=st.integers(0, 2**16),
+    kind=st.sampled_from(["uniform", "random"]),
+)
+def test_run_measurement_identities(dim, n, seed, kind):
+    rng = np.random.default_rng(seed)
+    base = seeded_cons(dim, seed)
+    w = rng.exponential(size=dim)
+    w /= w.sum()
+    rho = DensityMatrix.from_weights(w, base)
+    h = seeded_hermitian(dim, seed + 1)
+    curve = GeneratedCurve(seeded_hermitian(dim, seed + 2), base, 1.0)
+    partition = uniform_partition(1.0, n) if kind == "uniform" else random_partition(1.0, n, seed=seed)
+
+    result = run_measurement(rho, h, curve, partition)
+
+    # Route agreement: each route run on its own gives the same final weights.
+    final_basis = curve.evaluate(1.0)
+    rho_final = evolve_by_channels(rho, h, curve, partition).matrix
+    by_channels = np.real(np.diag(final_basis.conj().T @ rho_final @ final_basis))
+    by_transfer = propagate_weights(w, curve, h, partition)
+    np.testing.assert_allclose(by_channels, by_transfer, rtol=0, atol=DIAGONAL_TOL)
+    np.testing.assert_allclose(result.weights_out, by_transfer, rtol=0, atol=DIAGONAL_TOL)
+
+    # Weight split: weight_out_k = weight_k * survival_k + leakage_k, leakage
+    # clamped at 0 from at most -LEAKAGE_FLOOR below.
+    assert np.all(result.survivals <= 1.0 + 1e-12)
+    assert np.all(result.leakage >= 0.0)
+    np.testing.assert_allclose(w * result.survivals + result.leakage, result.weights_out, rtol=0, atol=-LEAKAGE_FLOOR)
+
+    # The trace distance to the target equals the weight gap.
+    gap = float(np.sum(np.abs(result.weights_out - w)))
+    assert abs(result.trace_distance_to_target - gap) <= PROOF_IDENTITY_TOL
+
+    # Every step matrix is doubly stochastic.
+    times = partition.times
+    for t0, t1 in zip(times, times[1:]):
+        m = step_transition_matrix(curve, h, float(t0), float(t1))
+        assert np.all(m >= 0.0)
+        np.testing.assert_allclose(m.sum(axis=0), 1.0, rtol=0, atol=DIAGONAL_TOL)
+        np.testing.assert_allclose(m.sum(axis=1), 1.0, rtol=0, atol=DIAGONAL_TOL)
