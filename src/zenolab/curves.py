@@ -30,6 +30,7 @@ from .errors import ValidationError
 from .linalg import (
     commutator_norm,
     hermitian_eigendecompose,
+    orthonormality_defect,
     require_cons,
     require_hermitian,
 )
@@ -113,13 +114,10 @@ class GeneratedCurve(BasisCurve):
         self._eig = hermitian_eigendecompose(self.generator)
 
     def frames_at(self, times) -> np.ndarray:
-        # ((V e^{-itλ}) V*) base per time, the association of HermitianEigen.propagator,
-        # with the time axis folded into the rows so each product is one GEMM.
+        # The propagators' rows stacked as one (n d, d) matrix, so base is one GEMM too.
         t = self._check_times(times)
         n, d = t.shape[0], self.dim
-        v, phases = self._eig.vectors, np.exp(-1j * t[:, None] * self._eig.values)
-        rows = (v * phases[:, None, :]).reshape(n * d, d)
-        frames = ((rows @ v.conj().T) @ self.base).reshape(n, d, d)
+        frames = (self._eig.propagator(t).reshape(n * d, d) @ self.base).reshape(n, d, d)
         frames[t == 0.0] = self.base
         return frames
 
@@ -156,13 +154,23 @@ class SampledCurve(BasisCurve):
             raise ValidationError("sampled grid must start at 0")
         if len(frames) != times.shape[0]:
             raise ValidationError(f"{len(frames)} frames for {times.shape[0]} grid times")
-        stack = np.stack([require_cons(frame, tol=1e-9, name=f"frame {i}") for i, frame in enumerate(frames)])
+        d = len(frames[0])
+        for i, frame in enumerate(frames):
+            if d == 0 or np.shape(frame) != (d, d):
+                raise ValidationError(f"frame {i} has shape {np.shape(frame)}, expected ({d}, {d}) with d >= 1")
+        stack = np.array(frames, dtype=complex)
+        finite = np.isfinite(stack).all(axis=(1, 2))
+        if not np.all(finite):
+            raise ValidationError(f"frame {int(np.argmin(finite))} contains non-finite entries")
+        defects = orthonormality_defect(stack)
+        if np.any(defects > 1e-9):
+            i = int(np.argmax(defects > 1e-9))
+            raise ValidationError(f"frame {i} is not orthonormal: defect {defects[i]:.3e} > 1.0e-09")
         stack.flags.writeable = False
         super().__init__(stack[0], tau=times[-1])
         self.times = times
         self.times.flags.writeable = False
-        self._stack = stack
-        self.frames = tuple(stack)
+        self.frames = stack
 
     def _nearest_indices(self, t: np.ndarray) -> np.ndarray:
         # The closer of the two neighbouring grid times, ties to the lower index.
@@ -180,15 +188,15 @@ class SampledCurve(BasisCurve):
         off = np.abs(self.times[i] - t) > 1e-12 * max(1.0, self.tau)
         if np.any(off):
             raise ValidationError(f"time {float(t[off][0])} is not on the sampled grid (no interpolation)")
-        return self._stack[i]
+        return self.frames[i]
 
     def sup_frames(self, hamiltonian: np.ndarray, grid_points: int) -> np.ndarray:
         # The curve is piecewise constant under nearest-point evaluation, so
         # the exact sup is the max over its own grid frames.
-        return self._stack
+        return self.frames
 
     def lipschitz(self) -> np.ndarray:
-        return partition_lipschitz_estimate(self._stack, np.diff(self.times))
+        return partition_lipschitz_estimate(self.frames, np.diff(self.times))
 
 
 @dataclass(frozen=True)

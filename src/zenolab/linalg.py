@@ -77,10 +77,13 @@ class HermitianEigen:
     def reconstruct(self) -> np.ndarray:
         return (self.vectors * self.values) @ self.vectors.conj().T
 
-    def propagator(self, t: float) -> np.ndarray:
-        """e^{-i t M} for the decomposed Hermitian M."""
-        phases = np.exp(-1j * t * self.values)
-        return (self.vectors * phases) @ self.vectors.conj().T
+    def propagator(self, t) -> np.ndarray:
+        """e^{-i t M} for the decomposed Hermitian M; for a 1-d array of n times, the (n, d, d)
+        stack from one GEMM with the times folded into the rows, each with its scalar call's bits."""
+        t = np.asarray(t, dtype=float)
+        phases = np.exp(-1j * t[..., None, None] * self.values)
+        rows = (self.vectors * phases).reshape(-1, self.dim)
+        return (rows @ self.vectors.conj().T).reshape(t.shape + (self.dim, self.dim))
 
 
 def hermitian_eigendecompose(m, tol: float = HERMITIAN_TOL) -> HermitianEigen:
@@ -183,10 +186,10 @@ def gram_schmidt_complete(partial, dim: int) -> np.ndarray:
     return np.column_stack(basis)
 
 
-def orthonormality_defect(cons: np.ndarray) -> float:
-    """Largest entrywise deviation of cons* cons from the identity."""
-    d = cons.shape[1]
-    return float(np.max(np.abs(cons.conj().T @ cons - np.eye(d))))
+def orthonormality_defect(cons: np.ndarray):
+    """Largest entrywise deviation of cons* cons from the identity, per matrix of a (..., d, d) stack."""
+    gram = np.swapaxes(cons.conj(), -1, -2) @ cons
+    return np.max(np.abs(gram - np.eye(cons.shape[-1])), axis=(-2, -1))
 
 
 def require_cons(cons, tol: float = 1e-9, name: str = "basis") -> np.ndarray:

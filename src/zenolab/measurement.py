@@ -3,14 +3,13 @@ measurement onto a moving basis along a time partition of [0, tau].
 
 Two independent computations of the same coefficients are kept side by
 side on purpose. They share only one trajectory per partition: the frame
-stack F_0..F_N from curve.frames_at, the stack U of one e^{-i dt H} per
-distinct step length, and each step's index which_j into it, so that step j
-evolves by U_j = U[which_j]. Each route forms its own products from these,
-in blocks of TRANSFER_BLOCK steps that gather U[which].
+stack F_0..F_N from curve.frames_at and the stack U_1..U_N of one
+U_j = e^{-i dt_j H} per step, from one HermitianEigen.propagator call. Each
+route forms its own products from these, in blocks of TRANSFER_BLOCK steps.
 
   channel route   a dense lab-frame state. With X_j = F_j* U_j, one step is
                   p_a = Re sum_k (X_j rho)_ak conj(X_j)_ak, then
-                  rho = F_j diag(p) F_j*, which is U rho U* dephased in F_j.
+                  rho = F_j diag(p) F_j*, that is U rho U* dephased in F_j.
   transfer route  T_j = |(F_j* U_j) F_{j-1}|^2, doubly stochastic;
                   weights_out = (T_N ... T_1) weights, the product taken as
                   a pairwise tree of depth ceil(log2 N).
@@ -133,14 +132,11 @@ def random_partition(tau: float, n: int, seed: int) -> Partition:
 
 def _trajectory(curve: BasisCurve, hamiltonian, times) -> tuple:
     """What both routes read, the inputs validated once: the (N+1, d, d) frame
-    stack, one e^{-i dt H} per distinct step length stacked as (k, d, d), and
-    each step's index into that stack."""
+    stack and the (N, d, d) stack of step unitaries U_j = e^{-i dt_j H}."""
     h = require_hermitian(hamiltonian, name="hamiltonian")
     if h.shape[0] != curve.dim:
         raise ValidationError(f"hamiltonian dimension {h.shape[0]} does not match the curve")
-    propagator = hermitian_eigendecompose(h).propagator
-    dts, which = np.unique(np.diff(times), return_inverse=True)
-    return curve.frames_at(times), np.stack([propagator(float(dt)) for dt in dts]), which
+    return curve.frames_at(times), hermitian_eigendecompose(h).propagator(np.diff(times))
 
 
 def _partition_trajectory(curve: BasisCurve, hamiltonian, partition: Partition) -> tuple:
@@ -149,21 +145,20 @@ def _partition_trajectory(curve: BasisCurve, hamiltonian, partition: Partition) 
     return _trajectory(curve, hamiltonian, partition.times)
 
 
-def _transfer_matrices(frames: np.ndarray, unitaries: np.ndarray, which: np.ndarray) -> np.ndarray:
+def _transfer_matrices(frames: np.ndarray, unitaries: np.ndarray) -> np.ndarray:
     """The transfer route's own step matrices T_j = |F_j* U_j F_{j-1}|^2.
 
-    Each block of TRANSFER_BLOCK steps gathers its unitaries U[which] and
-    forms (F_j* U_j) F_{j-1} as two batched products, whatever the step
-    lengths; entry (a, b) of T_j is the probability of landing on index a
-    from index b. Like the channel route it reads only the frames, the
-    unitaries and the step index, and it forms its products itself.
+    Each block of TRANSFER_BLOCK steps forms (F_j* U_j) F_{j-1} as two
+    batched products; entry (a, b) of T_j is the probability of landing on
+    index a from index b. Like the channel route it reads only the frames
+    and the unitaries, and it forms its products itself.
     """
-    n = which.shape[0]
+    n = unitaries.shape[0]
     out = np.empty((n,) + frames.shape[1:])
     for start in range(0, n, TRANSFER_BLOCK):
         stop = min(start + TRANSFER_BLOCK, n)
         f_adj = frames[start + 1:stop + 1].conj().transpose(0, 2, 1)
-        out[start:stop] = np.abs((f_adj @ unitaries[which[start:stop]]) @ frames[start:stop]) ** 2
+        out[start:stop] = np.abs((f_adj @ unitaries[start:stop]) @ frames[start:stop]) ** 2
     return out
 
 
@@ -181,23 +176,23 @@ def _survivals(mats: np.ndarray) -> np.ndarray:
     return np.multiply.reduce(np.diagonal(mats, axis1=1, axis2=2), axis=0)
 
 
-def _channel_route(m: np.ndarray, frames: np.ndarray, unitaries: np.ndarray, which: np.ndarray) -> np.ndarray:
+def _channel_route(m: np.ndarray, frames: np.ndarray, unitaries: np.ndarray) -> np.ndarray:
     """The channel route's own composition on the dense lab-frame state.
 
     One step is U rho U* followed by dephasing in the frame F = F_j. With
     X = F* U, the new state is F diag(p) F* where p_a = (X rho X*)_aa =
     Re sum_k (X rho)_ak conj(X)_ak. Each block of TRANSFER_BLOCK steps
-    gathers its own X_j = F_j* U[which_j] and contiguous F_j*, so a step is
-    five array operations. One (rho + rho*)/2 at the end restores exact
-    Hermitian symmetry. The route reads frames, unitaries and step index
-    only, never a transfer matrix or a weight.
+    forms its own X_j = F_j* U_j and contiguous F_j*, so a step is five
+    array operations. One (rho + rho*)/2 at the end restores exact
+    Hermitian symmetry. The route reads frames and unitaries only, never a
+    transfer matrix or a weight.
     """
-    n = which.shape[0]
+    n = unitaries.shape[0]
     for start in range(0, n, TRANSFER_BLOCK):
         stop = min(start + TRANSFER_BLOCK, n)
         f = frames[start + 1:stop + 1]
         f_adj = np.ascontiguousarray(f.conj().transpose(0, 2, 1))
-        x = f_adj @ unitaries[which[start:stop]]
+        x = f_adj @ unitaries[start:stop]
         for f_j, f_j_adj, x_j, x_j_conj in zip(f, f_adj, x, x.conj()):
             p = ((x_j @ m) * x_j_conj).sum(axis=1).real
             m = (f_j * p) @ f_j_adj
@@ -325,9 +320,9 @@ class MeasurementResult:
     frames: np.ndarray
 
 
-def _transfer_route(weights: np.ndarray, frames, unitaries, which) -> tuple[np.ndarray, np.ndarray]:
+def _transfer_route(weights: np.ndarray, frames, unitaries) -> tuple[np.ndarray, np.ndarray]:
     """weights_out and survivals; the transfer stack is dropped on return."""
-    mats = _transfer_matrices(frames, unitaries, which)
+    mats = _transfer_matrices(frames, unitaries)
     worst = np.max(np.abs(np.concatenate((mats.sum(axis=1), mats.sum(axis=2)), axis=1) - 1.0), axis=1)
     # Fails closed: a NaN entry is never within tolerance.
     bad = ~(worst <= DIAGONAL_TOL)
@@ -344,13 +339,13 @@ def run_measurement(rho: DensityMatrix, hamiltonian, curve: BasisCurve, partitio
     inequality; nothing is returned silently wrong.
     """
     weights = np.clip(_require_diagonal_in_base(rho, curve), 0.0, None)
-    frames, unitaries, which = _partition_trajectory(curve, hamiltonian, partition)
+    frames, unitaries = _partition_trajectory(curve, hamiltonian, partition)
 
-    weights_out, survivals = _transfer_route(weights, frames, unitaries, which)
+    weights_out, survivals = _transfer_route(weights, frames, unitaries)
     if float(np.max(survivals)) > 1.0 + 1e-12:
         raise InvariantViolation("survival_above_one", worst=float(np.max(survivals)))
 
-    rho_final = DensityMatrix(_channel_route(rho.matrix, frames, unitaries, which))
+    rho_final = DensityMatrix(_channel_route(rho.matrix, frames, unitaries))
 
     final_basis = frames[-1]
     final_weights, off_residual = _in_basis(rho_final.matrix, final_basis)

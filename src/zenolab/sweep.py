@@ -20,7 +20,7 @@ from .curves import curve_bounds
 from .errors import InvariantViolation, ValidationError
 from .measurement import run_measurement
 from .scenario import Scenario
-from .states import fannes_bound_at, von_neumann_entropy
+from .states import fannes_bound_at
 
 
 # The per-index blocks of a record, (SweepRecord field, CSV column stem), in column order.
@@ -94,7 +94,6 @@ def run_sweep(scenario: Scenario) -> list[SweepRecord]:
     bounds = curve_bounds(curve, hamiltonian)
     xis, etas = bounds.energy_sups, bounds.lipschitz
     weights = np.asarray(scenario.state_weights, dtype=float)
-    s_rho = von_neumann_entropy(rho)
     records = []
     for partition in sorted(scenario.partitions(), key=lambda p: p.n):
         label = f"{scenario.label} N={partition.n}"
@@ -114,7 +113,7 @@ def run_sweep(scenario: Scenario) -> list[SweepRecord]:
                 trace_distance=result.trace_distance_to_target,
                 trace_bound=inputs.trace_bound,
                 entropy=inputs.entropy,
-                entropy_gap=abs(inputs.entropy - s_rho),
+                entropy_gap=inputs.entropy_gap,
                 fannes_applicable=inputs.fannes.applicable,
                 fannes_bound=inputs.fannes.bound,
                 lambdas=tuple(float(x) for x in result.weights_out),

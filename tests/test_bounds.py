@@ -13,6 +13,7 @@ import pytest
 
 from zenolab.bounds import (
     CHECKS,
+    CheckInputs,
     convergence_conditions_report,
     dominating_operator,
     entropy_condition_report,
@@ -23,10 +24,10 @@ from zenolab.bounds import (
     trace_distance_bound,
     weight_error_bound,
 )
-from zenolab.curves import GeneratedCurve, SampledCurve, StaticCurve
+from zenolab.curves import GeneratedCurve, SampledCurve, StaticCurve, curve_bounds
 from zenolab.errors import ValidationError
-from zenolab.linalg import gram_schmidt_complete, seeded_cons, seeded_hermitian
-from zenolab.measurement import run_measurement, uniform_partition
+from zenolab.linalg import gram_schmidt_complete, hermitian_eigendecompose, seeded_cons, seeded_hermitian
+from zenolab.measurement import run_measurement, target_state, uniform_partition
 from zenolab.scenario import ALL_CHECKS
 from zenolab.states import DensityMatrix, entr, von_neumann_entropy
 
@@ -294,6 +295,137 @@ class TestJensenCheck:
         expected = float(np.sum(entr(np.diag(h).real ** 2)))
         assert total == pytest.approx(expected, abs=1e-9)
         assert jensen_check(h, curve, 0, grid_points=3).kernel_trace == pytest.approx(expected, abs=1e-12)
+
+
+def jensen_by_time(h, curve, k, grid_points):
+    """The per-time loop jensen_check replaces: (worst_gap, largest lhs, weighted sums)."""
+    eig = hermitian_eigendecompose(h)
+    kernel = entr(eig.values**2)
+    gaps, lhss, sums = [], [], []
+    for t in np.linspace(0.0, curve.tau, grid_points):
+        weights = np.abs(eig.vectors.conj().T @ curve.evaluate(float(t))[:, k]) ** 2
+        lhs = entr(float(np.sum(weights * eig.values**2)))
+        rhs = float(np.sum(weights * kernel))
+        gaps.append(rhs - lhs)
+        lhss.append(lhs)
+        sums.append(rhs)
+    return max(gaps), max(lhss), sums
+
+
+class TestJensenOnePass:
+    @pytest.mark.parametrize("variant", ["static", "generated", "sampled"])
+    @pytest.mark.parametrize("dim", [2, 5])
+    def test_matches_the_per_time_loop(self, variant, dim):
+        # The same sums in another association: d * eps of rounding on
+        # weights and kernel values that are at most 1.
+        tau, grid_points = 1.3, 33
+        h = 0.1 * seeded_hermitian(dim, 7)
+        generated = GeneratedCurve(seeded_hermitian(dim, 8), seeded_cons(dim, 9), tau)
+        grid = np.linspace(0.0, tau, grid_points)
+        curve = {
+            "static": StaticCurve(seeded_cons(dim, 9), tau),
+            "generated": generated,
+            "sampled": SampledCurve(grid, generated.frames_at(grid)),
+        }[variant]
+        tol = dim * np.finfo(float).eps
+        for k in range(dim):
+            report = jensen_check(h, curve, k, grid_points=grid_points)
+            worst_gap, lhs_max, sums = jensen_by_time(h, curve, k, grid_points)
+            assert report.worst_gap == pytest.approx(worst_gap, rel=0, abs=tol)
+            np.testing.assert_allclose(report.weighted_kernel_sums, sums, rtol=0, atol=tol)
+            assert report.chained_ok == (entr(report.energy_sup_sq) >= lhs_max - 1e-9 if report.applicable else None)
+
+
+def generated_inputs(dim=3, n=8, seed=0, constants=(1.5, 2.0, 4.0)) -> CheckInputs:
+    h = seeded_hermitian(dim, 11)
+    curve = GeneratedCurve(seeded_hermitian(dim, 12), seeded_cons(dim, 13), 1.0)
+    weights = np.linspace(1.0, 2.0, dim) / np.linspace(1.0, 2.0, dim).sum()
+    partition = uniform_partition(1.0, n)
+    result = run_measurement(DensityMatrix.from_weights(weights, curve.base), h, curve, partition)
+    b = curve_bounds(curve, h)
+    return CheckInputs(result, weights, curve, h, partition, b.energy_sups, b.lipschitz, constants, seed=seed)
+
+
+def row_outcomes(inputs: CheckInputs, name: str) -> list:
+    row = next(c for c in CHECKS if c.name == name)
+    return list(row.compare(inputs, row.tol))
+
+
+class TestCheckRowsReadTheRun:
+    def test_projection_family_fails_on_a_scaled_column_of_the_final_frame(self):
+        import dataclasses
+
+        x = generated_inputs()
+        [(passed, _)] = row_outcomes(x, "projection_family")
+        assert passed
+        frames = x.result.frames.copy()
+        frames[-1, :, 1] *= 1.0 + 1e-6
+        broken = dataclasses.replace(x, result=dataclasses.replace(x.result, frames=frames))
+        [(passed, fields)] = row_outcomes(broken, "projection_family")
+        assert not passed
+        assert fields["orthonormality_defect"] == pytest.approx(2e-6, rel=1e-5)
+
+    @pytest.mark.parametrize("dim", [2, 3, 4, 8])
+    def test_target_entropy_is_the_weight_entropy(self, dim):
+        # Each computed eigenvalue of the target is off by about delta = d * eps,
+        # and entr has slope at most 1 + |ln delta| on [delta, 1], a zero weight included.
+        delta = dim * np.finfo(float).eps
+        tol = dim * delta * (1.0 + abs(math.log(delta)))
+        curve = GeneratedCurve(seeded_hermitian(dim, 1), seeded_cons(dim, 2), 1.0)
+        for seed in range(20):
+            w = np.random.default_rng(seed).exponential(size=dim)
+            if seed % 2:
+                w[seed % dim] = 0.0
+            w = w / w.sum()
+            target = von_neumann_entropy(target_state(curve, w, 0.7))
+            assert abs(target - float(np.sum(entr(w)))) <= tol
+
+    def test_entropy_gap_is_the_distance_to_the_target_entropy(self):
+        x = generated_inputs(dim=4)
+        target = von_neumann_entropy(target_state(x.curve, x.weights, x.partition.tau))
+        delta = 4 * np.finfo(float).eps
+        assert x.entropy_gap == pytest.approx(abs(x.entropy - target), rel=0, abs=4 * delta * (1 - math.log(delta)))
+        [(passed, fields)] = row_outcomes(x, "fannes_bound")
+        assert fields["gap"] == x.entropy_gap
+
+    def test_lipschitz_witness_draws_the_pairs_of_eight_two_time_draws(self):
+        import dataclasses
+
+        x = generated_inputs()
+        for seed in range(50):
+            rng = np.random.default_rng(seed ^ 0x5EED)
+            pairs = [sorted(float(t) for t in rng.uniform(0.0, x.curve.tau, size=2)) for _ in range(8)]
+            outcomes = row_outcomes(dataclasses.replace(x, seed=seed), "lipschitz_witness")
+            assert [[f["t0"], f["t1"]] for _, f in outcomes] == pairs
+            for (t0, t1), (passed, _) in zip(pairs, outcomes):
+                steps = np.linalg.norm(x.curve.evaluate(t1) - x.curve.evaluate(t0), axis=0)
+                assert passed == bool(np.all(steps <= x.etas * (t1 - t0) + 1e-9))
+
+
+class TestCheckInputsOverArrays:
+    def test_vectors_match_the_scalar_formulas(self):
+        x = generated_inputs(dim=5, n=3)
+        xis, etas, p = x.xis, x.etas, x.partition
+        for k in range(x.dim):
+            assert x.eps_bounds[k] == leakage_upper_bound(float(xis[k]), float(etas[k]), p)
+            for a in x.constants:
+                exponent = -a * ((xis[k] ** 2 + 2 * xis[k] * etas[k]) * p.sumsq - 2.0 * x.drifts[k])
+                assert x.gamma_lbs[a][k] == pytest.approx(math.exp(exponent), rel=4 * np.finfo(float).eps)
+
+    def test_gated_pairs_are_k_major(self):
+        x = generated_inputs(dim=5, n=16)
+        expected = [
+            (k, a)
+            for k in range(x.dim)
+            for a in x.constants
+            if mesh_condition(float(x.xis[k]), float(x.etas[k]), a, x.partition.mesh)
+        ]
+        assert 0 < len(expected) < x.dim * len(x.constants)
+        assert x.gated == expected
+
+    def test_negative_entry_of_a_vector_is_rejected(self):
+        with pytest.raises(ValidationError, match="nonnegative"):
+            leakage_upper_bound(np.array([1.0, -1e-300]), np.zeros(2), uniform_partition(1.0, 2))
 
 
 class TestEntropySemicontinuityAlongSweeps:

@@ -309,6 +309,19 @@ class TestSampledCurve:
         with pytest.raises(ValidationError, match="orthonormal"):
             SampledCurve([0.0, 1.0], [np.eye(2, dtype=complex), np.ones((2, 2), dtype=complex)])
 
+    @pytest.mark.parametrize(
+        "bad, message",
+        [
+            (np.eye(3, dtype=complex), r"frame 2 has shape \(3, 3\)"),
+            (np.full((2, 2), np.nan, dtype=complex), "frame 2 contains non-finite entries"),
+            (np.diag([1.0, 1.5]).astype(complex), "frame 2 is not orthonormal"),
+        ],
+    )
+    def test_names_the_first_bad_frame(self, bad, message):
+        frames = [np.eye(2, dtype=complex)] * 2 + [bad, bad]
+        with pytest.raises(ValidationError, match=message):
+            SampledCurve([0.0, 0.5, 0.7, 1.0], frames)
+
     def test_rejects_single_time(self):
         with pytest.raises(ValidationError, match="two grid times"):
             SampledCurve([0.0], [np.eye(2, dtype=complex)])

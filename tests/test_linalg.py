@@ -91,6 +91,14 @@ class TestUnitaryExponential:
         u = unitary_exponential(seeded_hermitian(5, 9), 0.7)
         np.testing.assert_allclose(u @ u.conj().T, np.eye(5), atol=1e-10)
 
+    @pytest.mark.parametrize("dim", [2, 3, 8, 32])
+    def test_array_of_times_stacks_the_scalar_calls_bit_for_bit(self, dim):
+        eig = hermitian_eigendecompose(seeded_hermitian(dim, dim))
+        times = np.random.default_rng(dim).uniform(-2.0, 2.0, size=50)
+        stack = eig.propagator(times)
+        assert stack.shape == (50, dim, dim)
+        np.testing.assert_array_equal(stack, np.stack([eig.propagator(float(t)) for t in times]))
+
     @pytest.mark.parametrize("seed", range(4))
     def test_group_law(self, seed):
         rng = np.random.default_rng(seed)
@@ -158,6 +166,17 @@ class TestGramSchmidtComplete:
         v = np.array([1.0, 2.0, 0.0])
         with pytest.raises(ValidationError, match="dependent"):
             gram_schmidt_complete([v, 2 * v], 3)
+
+
+class TestOrthonormalityDefect:
+    def test_stack_gives_one_defect_per_matrix(self):
+        stack = np.stack([seeded_cons(4, seed) for seed in range(3)])
+        stack[1, :, 2] *= 1.5
+        defects = orthonormality_defect(stack)
+        assert defects.shape == (3,)
+        assert defects[1] == pytest.approx(1.25, abs=1e-12)
+        for defect, frame in zip(defects, stack):
+            assert defect == orthonormality_defect(frame)
 
 
 class TestSeededFixtures:

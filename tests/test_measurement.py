@@ -132,13 +132,21 @@ class TestBatchedTransfer:
         ]
         np.testing.assert_array_equal(_transfer_matrices(*_partition_trajectory(curve, h, partition)), loop)
 
-    def test_one_unitary_per_distinct_step(self):
+    @pytest.mark.parametrize(
+        "partition",
+        [uniform_partition(1.0, n) for n in (64, 100, 1000, 3000)] + [random_partition(1.0, 300, seed=1)],
+        ids=["uniform-64", "uniform-100", "uniform-1000", "uniform-3000", "random-300"],
+    )
+    def test_one_unitary_per_step_from_its_own_length(self, partition):
+        from zenolab.linalg import hermitian_eigendecompose
         from zenolab.measurement import _partition_trajectory
 
         curve = StaticCurve(seeded_cons(3, 1), 1.0)
         h = seeded_hermitian(3, 2)
-        assert len(_partition_trajectory(curve, h, uniform_partition(1.0, 64))[1]) == 1
-        assert len(_partition_trajectory(curve, h, random_partition(1.0, 9, seed=1))[1]) == 9
+        unitaries = _partition_trajectory(curve, h, partition)[1]
+        propagator = hermitian_eigendecompose(h).propagator
+        assert len(unitaries) == partition.n
+        np.testing.assert_array_equal(unitaries, np.stack([propagator(float(dt)) for dt in partition.steps]))
 
 
 class TestPropagateWeights:

@@ -139,8 +139,8 @@ class TestRunSweep:
         report = bounds_mod.entropy_condition_report
         # One poisoned formula per named inequality; only the key under test is enabled.
         poison = {
-            "leakage_bound": (bounds_mod, "leakage_upper_bound", lambda xi, eta, p: -1.0),
-            "survival_lower_bound": (bounds_mod, "survival_lower_bound", lambda *args: 2.0),
+            "leakage_bound": (bounds_mod, "leakage_upper_bound", lambda xi, eta, p: np.full(np.shape(xi), -1.0)),
+            "survival_lower_bound": (bounds_mod, "survival_lower_bound", lambda xi, *args: np.full(np.shape(xi), 2.0)),
             "weight_error_bound": (bounds_mod, "weight_error_bound", lambda *args: -1.0),
             "trace_distance_bound": (bounds_mod, "trace_distance_bound", lambda w, g: -1.0),
             "fannes_bound": (bounds_mod, "fannes_bound_at", lambda t, d: FannesBound(t, True, -1.0)),
