@@ -302,6 +302,12 @@ class CheckInputs:
         return {a: survival_lower_bound(self.xis, self.etas, a, self.partition, self.drifts) for a in self.constants}
 
     @cached_property
+    def weight_error_bounds(self) -> dict:
+        """Weight error bounds per index for each constant a, mesh condition or not."""
+        w, xis, etas, p = self.weights, self.xis, self.etas, self.partition
+        return {a: weight_error_bound(w, xis, etas, a, p, self.drifts) for a in self.constants}
+
+    @cached_property
     def gated(self) -> list:
         """(k, a) pairs whose mesh condition holds, k-major: where the survival bounds are asserted."""
         holds = {a: mesh_condition(self.xis, self.etas, a, self.partition.mesh) for a in self.constants}
@@ -373,10 +379,10 @@ def _weight_split(x: CheckInputs, tol: float):
 
 def _leakage_path_enumeration(x: CheckInputs, tol: float):
     if x.dim == 2 and x.partition.n <= PATH_ORACLE_MAX_STEPS:
+        brute = leakage_by_path_enumeration(x.weights, x.curve, x.hamiltonian, x.partition)
         for k in range(x.dim):
-            brute = leakage_by_path_enumeration(x.weights, x.curve, x.hamiltonian, x.partition, k)
             leakage = float(x.result.leakage[k])
-            yield abs(brute - leakage) <= tol, {"k": k + 1, "brute": brute, "leakage": leakage}
+            yield abs(brute[k] - leakage) <= tol, {"k": k + 1, "brute": brute[k], "leakage": leakage}
 
 
 def _leakage_bound(x: CheckInputs, tol: float):
@@ -393,7 +399,7 @@ def _survival_lower_bound(x: CheckInputs, tol: float):
 
 def _weight_error_bound(x: CheckInputs, tol: float):
     for k, a in x.gated:
-        bound = float(weight_error_bound(x.weights[k], x.xis[k], x.etas[k], a, x.partition, x.drifts[k]))
+        bound = float(x.weight_error_bounds[a][k])
         error = float(abs(x.result.weights_out[k] - x.weights[k]))
         yield error <= bound + tol, {"k": k + 1, "a": a, "error": error, "bound": bound}
 

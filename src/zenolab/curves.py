@@ -156,8 +156,12 @@ class SampledCurve(BasisCurve):
             raise ValidationError(f"{len(frames)} frames for {times.shape[0]} grid times")
         d = len(frames[0])
         for i, frame in enumerate(frames):
-            if d == 0 or np.shape(frame) != (d, d):
-                raise ValidationError(f"frame {i} has shape {np.shape(frame)}, expected ({d}, {d}) with d >= 1")
+            try:
+                shape = np.shape(frame)
+            except ValueError:
+                raise ValidationError(f"frame {i} is a ragged nested list, expected ({d}, {d})") from None
+            if d == 0 or shape != (d, d):
+                raise ValidationError(f"frame {i} has shape {shape}, expected ({d}, {d}) with d >= 1")
         stack = np.array(frames, dtype=complex)
         finite = np.isfinite(stack).all(axis=(1, 2))
         if not np.all(finite):

@@ -265,24 +265,24 @@ def leakage_residual(weights_out, weights, survivals) -> np.ndarray:
     return np.clip(eps, 0.0, None)
 
 
-def leakage_by_path_enumeration(weights, curve: BasisCurve, hamiltonian, partition: Partition, k: int) -> float:
-    """Brute-force leakage: sum over every index path that leaves k at least
-    once before the final step. Exponential in the step count; meant as an
-    oracle for d = 2, N <= 6 scale only."""
+def leakage_by_path_enumeration(weights, curve: BasisCurve, hamiltonian, partition: Partition) -> np.ndarray:
+    """Brute-force leakage (d,): entry k sums every index path that ends on k
+    and leaves k at least once before. One pass over the d^(N+1) paths;
+    meant as an oracle for d = 2, N <= 6 scale only."""
     w = np.asarray(weights, dtype=float)
     d = w.shape[0]
     mats = _transfer_matrices(*_partition_trajectory(curve, hamiltonian, partition))
     n = len(mats)
-    total = 0.0
-    for path in itertools.product(range(d), repeat=n):
-        if all(i == k for i in path):
+    totals = np.zeros(d)
+    for indices in itertools.product(range(d), repeat=n + 1):
+        k = indices[-1]
+        if all(i == k for i in indices):
             continue
-        indices = list(path) + [k]
         weight = w[indices[0]]
         for j in range(n):
             weight *= mats[j][indices[j + 1], indices[j]]
-        total += weight
-    return total
+        totals[k] += weight
+    return totals
 
 
 def target_state(curve: BasisCurve, weights, t: float) -> DensityMatrix:

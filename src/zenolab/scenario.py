@@ -6,6 +6,10 @@ partitions to sweep, the bound constant a, and which optional checks to
 enforce. Keys beginning with an underscore are ignored everywhere, which is
 how the shipped example files carry comments.
 
+load_scenario builds and validates every piece once and returns them as a
+Scenario: a sampled curve's frames file is read there, relative to the
+scenario file, and sweeps never re-read a file or rebuild an operator.
+
 Operator literals use [re, im] pairs for complex entries, e.g.
     {"dense": [[[0,0],[1,0]],[[1,0],[0,0]]]}
 Named forms: "pauli_x" / "pauli_y" / "pauli_z" (dimension 2 only),
@@ -36,39 +40,28 @@ PAULI = {
 ALL_CHECKS = ("leakage_bound", "survival_bounds", "trace_bound", "fannes", "sigma", "drift")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Scenario:
-    """A validated experiment description, ready to build operators from."""
+    """A built and validated experiment: the operators, state, curve and
+    partitions (sorted by N) that every sweep of it runs on."""
 
-    dim: int
-    hamiltonian_spec: object
+    hamiltonian: np.ndarray
     state_weights: np.ndarray
-    basis_spec: object
-    curve_spec: object
-    tau: float
-    plan: object
+    state: DensityMatrix
+    curve: BasisCurve
+    partitions: tuple
     a: float = 2.0
     checks: tuple = ALL_CHECKS
     output: str | None = None
     label: str = "scenario"
-    base_dir: str = "."
 
-    def hamiltonian(self) -> np.ndarray:
-        return build_operator(self.hamiltonian_spec, self.dim)
+    @property
+    def dim(self) -> int:
+        return self.curve.dim
 
-    def basis(self, curve: BasisCurve | None = None) -> np.ndarray:
-        if self.basis_spec == "curve":
-            return (curve or self.curve()).base
-        return build_basis(self.basis_spec, self.dim)
-
-    def state(self, curve: BasisCurve | None = None) -> DensityMatrix:
-        return DensityMatrix.from_weights(self.state_weights, self.basis(curve))
-
-    def curve(self) -> BasisCurve:
-        return build_curve(self.curve_spec, self.basis_spec, self.dim, self.tau, self.base_dir)
-
-    def partitions(self) -> list[Partition]:
-        return build_partitions(self.plan, self.tau)
+    @property
+    def tau(self) -> float:
+        return self.curve.tau
 
 
 def _without_comments(obj: dict) -> dict:
@@ -122,15 +115,17 @@ def build_basis(spec, dim: int) -> np.ndarray:
     raise ValidationError(f"unrecognized basis spec {spec!r}")
 
 
-def build_curve(curve_spec, basis_spec, dim: int, tau: float, base_dir: str = ".") -> BasisCurve:
+def build_curve(curve_spec, basis, dim: int, tau: float, base_dir: str = ".") -> BasisCurve:
+    """The curve through the built state basis; None (the "curve" spec) takes a sampled curve's first frame."""
     if not isinstance(curve_spec, dict) or len(curve_spec) != 1:
         raise ValidationError(f"curve spec must be a single-key object, got {curve_spec!r}")
     kind, params = next(iter(curve_spec.items()))
+    if basis is None and kind in ("static", "generated"):
+        raise ValidationError("unrecognized basis spec 'curve'")
     if kind == "static":
-        return StaticCurve(build_basis(basis_spec, dim), tau)
+        return StaticCurve(basis, tau)
     if kind == "generated":
-        generator = build_operator(params["generator"], dim)
-        return GeneratedCurve(generator, build_basis(basis_spec, dim), tau)
+        return GeneratedCurve(build_operator(params["generator"], dim), basis, tau)
     if kind == "sampled":
         path = os.path.join(base_dir, params["file"])
         with open(path) as fh:
@@ -140,13 +135,11 @@ def build_curve(curve_spec, basis_spec, dim: int, tau: float, base_dir: str = ".
         curve = SampledCurve(times, frames)
         if abs(curve.tau - tau) > 1e-12 * max(1.0, tau):
             raise ValidationError(f"sampled grid ends at {curve.tau}, scenario tau is {tau}")
-        if basis_spec != "curve":
-            base = build_basis(basis_spec, dim)
-            if float(np.max(np.abs(base - curve.base))) > 1e-9:
-                raise ValidationError(
-                    'state basis differs from the sampled curve\'s first frame; use "curve" '
-                    "as the basis spec or supply a matching basis"
-                )
+        if basis is not None and float(np.max(np.abs(basis - curve.base))) > 1e-9:
+            raise ValidationError(
+                'state basis differs from the sampled curve\'s first frame; use "curve" '
+                "as the basis spec or supply a matching basis"
+            )
         return curve
     raise ValidationError(f"unknown curve kind {kind!r}")
 
@@ -239,41 +232,26 @@ def load_scenario(path: str) -> Scenario:
     if problems:
         raise SchemaError(problems)
 
-    scenario = Scenario(
-        dim=dim,
-        hamiltonian_spec=hamiltonian_spec,
-        state_weights=weights,
-        basis_spec=basis_spec,
-        curve_spec=curve_spec,
-        tau=float(tau),
-        plan=plan,
-        a=float(a),
-        checks=tuple(checks),
-        output=output,
-        label=os.path.basename(path),
-        base_dir=os.path.dirname(os.path.abspath(path)),
-    )
-    # Building everything once surfaces dimension mismatches and invalid
+    # Building each piece once surfaces dimension mismatches and invalid
     # operator/curve/partition specs with precise messages; a spec of the
     # wrong shape (a missing key, a non-number) is named by its field.
     field = "hamiltonian"
     try:
-        hamiltonian = scenario.hamiltonian()
-        if hamiltonian.shape[0] != scenario.dim:
-            raise ValidationError(f"hamiltonian dimension {hamiltonian.shape[0]} != dim {scenario.dim}")
+        hamiltonian = build_operator(hamiltonian_spec, dim)
         field = "state"
-        if basis_spec != "curve":
-            scenario.basis()
+        basis = None if basis_spec == "curve" else build_basis(basis_spec, dim)
         field = "curve"
-        curve = scenario.curve()
-        scenario.state(curve)
+        curve = build_curve(curve_spec, basis, dim, float(tau), os.path.dirname(os.path.abspath(path)))
+        rho = DensityMatrix.from_weights(weights, curve.base if basis is None else basis)
         field = "partitions"
-        for partition in scenario.partitions():
-            if isinstance(curve, SampledCurve):
+        partitions = tuple(sorted(build_partitions(plan, float(tau)), key=lambda p: p.n))
+        if isinstance(curve, SampledCurve):
+            for partition in partitions:
                 curve.frames_at(partition.times)
     except ValidationError as exc:
         raise SchemaError([str(exc)]) from exc
     except (KeyError, TypeError, ValueError) as exc:
         detail = f"missing key {exc.args[0]!r}" if isinstance(exc, KeyError) else str(exc)
         raise SchemaError([f"malformed {field} spec: {detail}"]) from exc
-    return scenario
+    return Scenario(hamiltonian, weights, rho, curve, partitions, a=float(a), checks=tuple(checks),
+                    output=output, label=os.path.basename(path))

@@ -88,17 +88,14 @@ def run_sweep(scenario: Scenario) -> list[SweepRecord]:
     Deterministic for a fixed scenario, including any seeded pieces. The
     first failing enabled check raises, labelled with the scenario and N.
     """
-    curve = scenario.curve()
-    rho = scenario.state(curve)
-    hamiltonian = scenario.hamiltonian()
+    curve, hamiltonian, weights = scenario.curve, scenario.hamiltonian, scenario.state_weights
     bounds = curve_bounds(curve, hamiltonian)
     xis, etas = bounds.energy_sups, bounds.lipschitz
-    weights = np.asarray(scenario.state_weights, dtype=float)
     records = []
-    for partition in sorted(scenario.partitions(), key=lambda p: p.n):
+    for partition in scenario.partitions:
         label = f"{scenario.label} N={partition.n}"
         try:
-            result = run_measurement(rho, hamiltonian, curve, partition)
+            result = run_measurement(scenario.state, hamiltonian, curve, partition)
         except InvariantViolation as exc:
             raise InvariantViolation(exc.name, scenario=label, **exc.details) from exc
         inputs = CheckInputs(result, weights, curve, hamiltonian, partition, xis, etas, constants=(scenario.a,))

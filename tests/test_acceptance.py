@@ -161,9 +161,9 @@ def test_criterion_2_weight_split_identity_and_path_oracle(corpus):
             recombined = s.weights * run.result.survivals + run.result.leakage
             assert float(np.max(np.abs(run.result.weights_out - recombined))) <= 1e-9
             if s.dim == 2 and s.partition.n <= 6:
+                brute = leakage_by_path_enumeration(s.weights, s.curve, s.hamiltonian, s.partition)
                 for k in range(s.dim):
-                    brute = leakage_by_path_enumeration(s.weights, s.curve, s.hamiltonian, s.partition, k)
-                    assert abs(brute - float(run.result.leakage[k])) <= 1e-10
+                    assert abs(brute[k] - float(run.result.leakage[k])) <= 1e-10
                     oracle_checked += 1
         assert oracle_checked > 0
 
@@ -197,10 +197,8 @@ def test_criterion_4_static_qubit_first_order_convergence(qubit_sweep):
         assert distances[-1] <= 2e-3
         slope = fit_rate(records, "trace_distance").slope
         assert -1.15 <= slope <= -0.85
-        rho = scenario.state()
-        curve = scenario.curve()
-        h = scenario.hamiltonian()
-        for record, partition in zip(records, scenario.partitions()):
+        rho, curve, h = scenario.state, scenario.curve, scenario.hamiltonian
+        for record, partition in zip(records, scenario.partitions):
             result = run_measurement(rho, h, curve, partition)
             weight_gap = float(np.sum(np.abs(result.weights_out - scenario.state_weights)))
             assert abs(result.trace_distance_to_target - weight_gap) <= 1e-8
@@ -211,12 +209,10 @@ def test_criterion_4_static_qubit_first_order_convergence(qubit_sweep):
 def test_criterion_5_unitary_channel_approximation(unitary_sweep):
     scenario, records = unitary_sweep
     with criterion(5, "generated curve approximates the target unitary conjugation"):
-        generator = scenario.curve().generator
-        target_u = unitary_exponential(generator, scenario.tau)
-        rho = scenario.state()
+        target_u = unitary_exponential(scenario.curve.generator, scenario.tau)
+        rho = scenario.state
         conjugated = target_u @ rho.matrix @ target_u.conj().T
-        final = evolve_by_channels(rho, scenario.hamiltonian(), scenario.curve(),
-                                   scenario.partitions()[-1])
+        final = evolve_by_channels(rho, scenario.hamiltonian, scenario.curve, scenario.partitions[-1])
         from zenolab.linalg import trace_norm
 
         direct = trace_norm(final.matrix - conjugated)
@@ -253,17 +249,15 @@ def test_criterion_7_entropy_convergence_and_domination(qubit_sweep, unitary_swe
     with criterion(7, "entropy convergence, continuity bound, dominating operator"):
         for scenario, records in ((q_scenario, q_records), (u_scenario, u_records)):
             assert records[-1].entropy_gap <= 5e-3
-            rho = scenario.state()
-            h = scenario.hamiltonian()
-            curve = scenario.curve()
+            rho, h, curve = scenario.state, scenario.hamiltonian, scenario.curve
             cb = curve_bounds(curve, h)
-            weights = np.asarray(scenario.state_weights, dtype=float)
+            weights = scenario.state_weights
             s_rho = von_neumann_entropy(rho)
             sigma = dominating_operator(weights, cb.energy_sups, cb.lipschitz, curve, scenario.tau)
             s_sigma = float(np.sum(entr(np.clip(np.linalg.eigvalsh(sigma), 0.0, None))))
             kernel_sums = float(np.sum(entr(cb.energy_sups**2)) + np.sum(entr(cb.lipschitz**2)))
             assert s_sigma <= s_rho + kernel_sums + 1e-9
-            for record, partition in zip(records, scenario.partitions()):
+            for record, partition in zip(records, scenario.partitions):
                 result = run_measurement(rho, h, curve, partition)
                 rho_tau = DensityMatrix.from_weights(weights, curve.evaluate(scenario.tau))
                 fb = fannes_bound(result.rho_final, rho_tau)

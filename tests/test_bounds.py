@@ -411,6 +411,8 @@ class TestCheckInputsOverArrays:
             for a in x.constants:
                 exponent = -a * ((xis[k] ** 2 + 2 * xis[k] * etas[k]) * p.sumsq - 2.0 * x.drifts[k])
                 assert x.gamma_lbs[a][k] == pytest.approx(math.exp(exponent), rel=4 * np.finfo(float).eps)
+                scalar = weight_error_bound(x.weights[k], xis[k], etas[k], a, p, x.drifts[k])
+                assert x.weight_error_bounds[a][k] == pytest.approx(scalar, rel=4 * np.finfo(float).eps)
 
     def test_gated_pairs_are_k_major(self):
         x = generated_inputs(dim=5, n=16)

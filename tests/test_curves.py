@@ -315,6 +315,7 @@ class TestSampledCurve:
             (np.eye(3, dtype=complex), r"frame 2 has shape \(3, 3\)"),
             (np.full((2, 2), np.nan, dtype=complex), "frame 2 contains non-finite entries"),
             (np.diag([1.0, 1.5]).astype(complex), "frame 2 is not orthonormal"),
+            ([[1, 0], [0]], "frame 2 is a ragged nested list"),
         ],
     )
     def test_names_the_first_bad_frame(self, bad, message):

@@ -308,9 +308,10 @@ class TestLeakage:
         rho, h, curve = qubit_static()
         partition = uniform_partition(1.0, n)
         result = run_measurement(rho, h, curve, partition)
+        brute = leakage_by_path_enumeration([0.7, 0.3], curve, h, partition)
+        assert brute.shape == (2,)
         for k in range(2):
-            brute = leakage_by_path_enumeration([0.7, 0.3], curve, h, partition, k)
-            assert abs(brute - result.leakage[k]) <= 1e-10
+            assert abs(brute[k] - result.leakage[k]) <= 1e-10
 
 
 class TestTargetState:

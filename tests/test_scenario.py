@@ -1,13 +1,23 @@
 """Scenario-file loading and validation tests."""
 
 import json
+import math
+import os
+import shutil
 
 import numpy as np
 import pytest
 
 from zenolab.curves import GeneratedCurve, SampledCurve, StaticCurve
+from zenolab.cli import main
 from zenolab.errors import SchemaError
 from zenolab.scenario import load_scenario
+from zenolab.states import DensityMatrix
+from zenolab.sweep import run_sweep
+
+SCENARIOS = os.path.join(os.path.dirname(__file__), "..", "scenarios")
+DATA = os.path.join(os.path.dirname(__file__), "data")
+SHIPPED = ["qubit_static", "unitary_approx", "zeno_diagonal", "sampled_rotation"]
 
 
 def write_json(path, payload):
@@ -33,9 +43,9 @@ class TestLoadScenario:
         scenario = load_scenario(minimal_zeno(tmp_path))
         assert scenario.dim == 2
         assert scenario.tau == 1.0
-        assert isinstance(scenario.curve(), StaticCurve)
-        assert [p.n for p in scenario.partitions()] == [1, 4]
-        np.testing.assert_allclose(scenario.state().matrix, np.diag([0.7, 0.3]), atol=1e-12)
+        assert isinstance(scenario.curve, StaticCurve)
+        assert [p.n for p in scenario.partitions] == [1, 4]
+        np.testing.assert_allclose(scenario.state.matrix, np.diag([0.7, 0.3]), atol=1e-12)
 
     def test_underscore_keys_ignored(self, tmp_path):
         path = minimal_zeno(tmp_path, _comment="ignored", _note=["also", "ignored"])
@@ -80,9 +90,9 @@ class TestLoadScenario:
 
     def test_random_partition_plan(self, tmp_path):
         path = minimal_zeno(tmp_path, partitions={"random": {"n": [1, 7], "seed": 3}})
-        parts = load_scenario(path).partitions()
+        parts = load_scenario(path).partitions
         assert [p.n for p in parts] == [1, 7]
-        again = load_scenario(path).partitions()
+        again = load_scenario(path).partitions
         np.testing.assert_array_equal(parts[1].times, again[1].times)
 
 
@@ -96,25 +106,23 @@ class TestOperatorSpecs:
     def test_diagonal_and_dense_literals(self, tmp_path):
         dense = [[[0.0, 0.0], [1.0, 0.0]], [[1.0, 0.0], [0.0, 0.0]]]
         path = minimal_zeno(tmp_path, hamiltonian={"dense": dense})
-        h = load_scenario(path).hamiltonian()
+        h = load_scenario(path).hamiltonian
         np.testing.assert_allclose(h, np.array([[0, 1], [1, 0]]), atol=1e-14)
         path = minimal_zeno(tmp_path, hamiltonian={"diagonal": [0.5, 1.5]})
-        np.testing.assert_allclose(load_scenario(path).hamiltonian(), np.diag([0.5, 1.5]), atol=1e-14)
+        np.testing.assert_allclose(load_scenario(path).hamiltonian, np.diag([0.5, 1.5]), atol=1e-14)
 
     def test_seeded_random_with_norm(self, tmp_path):
         path = minimal_zeno(tmp_path, hamiltonian={"random": {"seed": 7, "norm": 1.0}})
-        h = load_scenario(path).hamiltonian()
+        h = load_scenario(path).hamiltonian
         assert np.max(np.abs(np.linalg.eigvalsh(h))) == pytest.approx(1.0, abs=1e-12)
 
     def test_generated_curve_spec(self, tmp_path):
         path = minimal_zeno(tmp_path, curve={"generated": {"generator": "pauli_y"}})
-        assert isinstance(load_scenario(path).curve(), GeneratedCurve)
+        assert isinstance(load_scenario(path).curve, GeneratedCurve)
 
 
 class TestSampledCurveSpecs:
     def frames_payload(self, rotate=True):
-        import math
-
         times = [0.0, 0.5, 1.0]
         frames = []
         for t in times:
@@ -131,8 +139,9 @@ class TestSampledCurveSpecs:
             partitions={"uniform": [2]},
         )
         scenario = load_scenario(path)
-        assert isinstance(scenario.curve(), SampledCurve)
-        scenario.state()
+        assert isinstance(scenario.curve, SampledCurve)
+        expected = DensityMatrix.from_weights([0.7, 0.3], scenario.curve.base)
+        np.testing.assert_array_equal(scenario.state.matrix, expected.matrix)
 
     def test_underscore_keys_in_curve_spec_and_frames_file_ignored(self, tmp_path):
         payload = {"_note": "frames of a rotation", **self.frames_payload()}
@@ -144,8 +153,10 @@ class TestSampledCurveSpecs:
             partitions={"uniform": [2]},
         )
         scenario = load_scenario(path)
-        assert scenario.curve_spec == {"sampled": {"file": "frames.json"}}
-        assert scenario.curve().times.tolist() == payload["times"]
+        assert isinstance(scenario.curve, SampledCurve)
+        assert scenario.curve.times.tolist() == payload["times"]
+        c, s = math.cos(0.5), math.sin(0.5)
+        np.testing.assert_allclose(scenario.curve.frames[1], [[c, -s], [s, c]])
 
     def test_non_orthonormal_frame_rejected(self, tmp_path):
         payload = self.frames_payload()
@@ -190,13 +201,23 @@ class TestSampledCurveSpecs:
 
 
 class TestShippedExamples:
-    @pytest.mark.parametrize(
-        "name",
-        ["qubit_static.json", "unitary_approx.json", "zeno_diagonal.json", "sampled_rotation.json"],
-    )
+    @pytest.mark.parametrize("name", [f"{name}.json" for name in SHIPPED])
     def test_example_scenarios_load(self, name):
-        import os
-
-        here = os.path.join(os.path.dirname(__file__), "..", "scenarios", name)
-        scenario = load_scenario(here)
+        scenario = load_scenario(os.path.join(SCENARIOS, name))
         assert scenario.dim >= 2
+
+    @pytest.mark.parametrize("name", SHIPPED)
+    def test_run_output_matches_golden(self, name, tmp_path, monkeypatch, capsys):
+        # Two scenarios write their CSV relative to the working directory.
+        monkeypatch.chdir(tmp_path)
+        assert main(["run", os.path.join(SCENARIOS, f"{name}.json")]) == 0
+        with open(os.path.join(DATA, f"run_{name}.txt")) as fh:
+            assert capsys.readouterr().out == fh.read()
+
+    def test_sweep_reads_no_file_after_load(self, tmp_path):
+        for name in ("sampled_rotation.json", "rotation_frames.json"):
+            shutil.copy(os.path.join(SCENARIOS, name), tmp_path / name)
+        scenario = load_scenario(str(tmp_path / "sampled_rotation.json"))
+        (tmp_path / "rotation_frames.json").unlink()
+        expected = run_sweep(load_scenario(os.path.join(SCENARIOS, "sampled_rotation.json")))
+        assert run_sweep(scenario) == expected

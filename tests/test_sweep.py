@@ -141,7 +141,7 @@ class TestRunSweep:
         poison = {
             "leakage_bound": (bounds_mod, "leakage_upper_bound", lambda xi, eta, p: np.full(np.shape(xi), -1.0)),
             "survival_lower_bound": (bounds_mod, "survival_lower_bound", lambda xi, *args: np.full(np.shape(xi), 2.0)),
-            "weight_error_bound": (bounds_mod, "weight_error_bound", lambda *args: -1.0),
+            "weight_error_bound": (bounds_mod, "weight_error_bound", lambda w, *args: np.full(np.shape(w), -1.0)),
             "trace_distance_bound": (bounds_mod, "trace_distance_bound", lambda w, g: -1.0),
             "fannes_bound": (bounds_mod, "fannes_bound_at", lambda t, d: FannesBound(t, True, -1.0)),
             "sigma_domination": (bounds_mod, "dominating_operator", lambda *args: np.zeros((2, 2))),
