@@ -7,9 +7,11 @@ convergence-condition reports, the dominating operator and the entropy
 reports) are pure computations; the four bound formulas take xi, eta,
 drift and weight as scalars or as (d,) arrays over the basis index k.
 CHECKS is the only place the inequalities are asserted: each row has a
-name, the scenario "checks" key that enables it in a sweep (None for
-corpus-only rows) and a tolerance, and yields one outcome per comparison
-it makes on a CheckInputs.
+name and a tolerance, and yields one outcome per comparison it makes on a
+CheckInputs. Sweeps and the corpus run the whole table; a row whose
+precondition does not hold (path enumeration beyond d = 2 and N <= 6, the
+uniform-partition drift decay, the witness off generated curves, and the
+mesh, Fannes and sigma gates) makes no comparison.
 """
 
 from __future__ import annotations
@@ -340,7 +342,6 @@ class Check(NamedTuple):
     """A row of the table: compare(inputs, tol) yields one (passed, fields) pair per comparison."""
 
     name: str
-    key: str | None
     tol: float
     compare: Callable
 
@@ -461,36 +462,28 @@ def _entropy_tail_monotone(x: CheckInputs, tol: float):
 # The three entropy-report rows reach entropy_condition_report through its
 # module-level tolerances; every other row compares with its own tol.
 CHECKS = (
-    Check("projection_family", None, FAMILY_TOL, _projection_family),
-    Check("trace_distance_equals_weight_gap", None, 1e-8, _weight_gap_identity),
-    Check("trace_distance_bound", "trace_bound", 1e-9, _trace_distance_bound),
-    Check("per_index_gap_below_distance", None, 1e-9, _per_index_gap),
-    Check("weight_split_identity", None, 1e-9, _weight_split),
-    Check("leakage_path_enumeration", None, 1e-10, _leakage_path_enumeration),
-    Check("leakage_bound", "leakage_bound", 1e-9, _leakage_bound),
-    Check("survival_lower_bound", "survival_bounds", 1e-12, _survival_lower_bound),
-    Check("weight_error_bound", "survival_bounds", 1e-9, _weight_error_bound),
-    Check("drift_nonpositive", None, 1e-12, _drift_nonpositive),
-    Check("drift_identity", None, 1e-10, _drift_identity),
-    Check("drift_bound", "drift", 1e-9, _drift_bound),
-    Check("drift_decay_bound_uniform", None, 1e-9, _drift_bound_uniform),
-    Check("lipschitz_witness", None, 1e-9, _lipschitz_witness),
-    Check("fannes_bound", "fannes", 1e-9, _fannes),
-    Check("sigma_domination", "sigma", 1e-8, _sigma_domination),
-    Check("entropy_subadditivity", None, SUBADDITIVITY_TOL, lambda x, tol: [(x.entropy_report.subadditivity_ok, {})]),
-    Check("dominator_entropy", "sigma", DOMINATOR_ENTROPY_TOL,
-          lambda x, tol: [(x.entropy_report.dominator_entropy_ok, {})]),
-    Check("entropy_tail_monotone", None, TAIL_MONOTONE_TOL, _entropy_tail_monotone),
+    Check("projection_family", FAMILY_TOL, _projection_family),
+    Check("trace_distance_equals_weight_gap", 1e-8, _weight_gap_identity),
+    Check("trace_distance_bound", 1e-9, _trace_distance_bound),
+    Check("per_index_gap_below_distance", 1e-9, _per_index_gap),
+    Check("weight_split_identity", 1e-9, _weight_split),
+    Check("leakage_path_enumeration", 1e-10, _leakage_path_enumeration),
+    Check("leakage_bound", 1e-9, _leakage_bound),
+    Check("survival_lower_bound", 1e-12, _survival_lower_bound),
+    Check("weight_error_bound", 1e-9, _weight_error_bound),
+    Check("drift_nonpositive", 1e-12, _drift_nonpositive),
+    Check("drift_identity", 1e-10, _drift_identity),
+    Check("drift_bound", 1e-9, _drift_bound),
+    Check("drift_decay_bound_uniform", 1e-9, _drift_bound_uniform),
+    Check("lipschitz_witness", 1e-9, _lipschitz_witness),
+    Check("fannes_bound", 1e-9, _fannes),
+    Check("sigma_domination", 1e-8, _sigma_domination),
+    Check("entropy_subadditivity", SUBADDITIVITY_TOL, lambda x, tol: [(x.entropy_report.subadditivity_ok, {})]),
+    Check("dominator_entropy", DOMINATOR_ENTROPY_TOL, lambda x, tol: [(x.entropy_report.dominator_entropy_ok, {})]),
+    Check("entropy_tail_monotone", TAIL_MONOTONE_TOL, _entropy_tail_monotone),
 )
 
 
-def run_checks(inputs: CheckInputs, keys=None) -> list[tuple[str, bool, dict]]:
-    """(name, passed, fields) for each comparison of every row in table order
-    or, given scenario checks keys, of the rows those keys enable; rows left
-    out are never evaluated."""
-    return [
-        (c.name, bool(ok), fields)
-        for c in CHECKS
-        if keys is None or c.key in keys
-        for ok, fields in c.compare(inputs, c.tol)
-    ]
+def run_checks(inputs: CheckInputs) -> list[tuple[str, bool, dict]]:
+    """(name, passed, fields) for each comparison of every row, in table order."""
+    return [(c.name, bool(ok), fields) for c in CHECKS for ok, fields in c.compare(inputs, c.tol)]

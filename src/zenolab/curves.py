@@ -3,13 +3,13 @@ regularity quantities.
 
 Three variants exist. A static curve never moves. A generated curve rotates
 its base basis by e^{-itA} for a fixed Hermitian generator A. A sampled
-curve is known only at its grid times and is evaluated by nearest grid
-point; it never interpolates, so time partitions used against it must be
-subsets of its grid.
+curve is known only at its grid times and never interpolates: evaluating it
+off its grid raises, so time partitions used against it must be subsets of
+its grid.
 
 frames_at(times), the frames at an array of times as one (n, d, d) stack,
-is the evaluation primitive and evaluate(t) its one-time case; only a
-sampled curve differs, rejecting off-grid times there but not in evaluate.
+is the evaluation primitive; evaluate(t) is frames_at(t)[0] on every
+variant, so an off-grid time raises there too.
 
 Regularity quantities are (d,) vectors over the basis index k, each one
 pass over a frame stack:
@@ -138,8 +138,8 @@ class GeneratedCurve(BasisCurve):
 class SampledCurve(BasisCurve):
     """Curve known at finitely many grid times, one orthonormal frame each.
 
-    Evaluation is exact at grid times and nearest-grid-point elsewhere.
-    Partitions combined with this curve must stay inside its grid.
+    Evaluation is exact at grid times and raises elsewhere, so partitions
+    combined with this curve must stay inside its grid.
     """
 
     def __init__(self, times, frames):
@@ -176,27 +176,21 @@ class SampledCurve(BasisCurve):
         self.times.flags.writeable = False
         self.frames = stack
 
-    def _nearest_indices(self, t: np.ndarray) -> np.ndarray:
-        # The closer of the two neighbouring grid times, ties to the lower index.
-        grid = self.times
-        i = np.clip(np.searchsorted(grid, t), 1, grid.shape[0] - 1)
-        return i - (t - grid[i - 1] <= grid[i] - t)
-
-    def evaluate(self, t: float) -> np.ndarray:
-        return self.frames[int(self._nearest_indices(self._check_times(t))[0])]
-
     def frames_at(self, times) -> np.ndarray:
         """Frames at grid times only; an off-grid time raises (no interpolation)."""
         t = self._check_times(times)
-        i = self._nearest_indices(t)
-        off = np.abs(self.times[i] - t) > 1e-12 * max(1.0, self.tau)
+        # The closer of the two neighbouring grid times, ties to the lower index.
+        grid = self.times
+        i = np.clip(np.searchsorted(grid, t), 1, grid.shape[0] - 1)
+        i -= t - grid[i - 1] <= grid[i] - t
+        off = np.abs(grid[i] - t) > 1e-12 * max(1.0, self.tau)
         if np.any(off):
             raise ValidationError(f"time {float(t[off][0])} is not on the sampled grid (no interpolation)")
         return self.frames[i]
 
     def sup_frames(self, hamiltonian: np.ndarray, grid_points: int) -> np.ndarray:
-        # The curve is piecewise constant under nearest-point evaluation, so
-        # the exact sup is the max over its own grid frames.
+        # The curve exists only at its grid times, so the exact sup is the
+        # max over its own grid frames.
         return self.frames
 
     def lipschitz(self) -> np.ndarray:

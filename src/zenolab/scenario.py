@@ -2,9 +2,9 @@
 
 A scenario fixes the dimension, the Hamiltonian, the initial state as an
 eigenvalue list over a basis, the basis curve, the horizon tau, a plan of
-partitions to sweep, the bound constant a, and which optional checks to
-enforce. Keys beginning with an underscore are ignored everywhere, which is
-how the shipped example files carry comments.
+partitions to sweep, the bound constant a and an optional CSV output path.
+Any other top-level field is an error. Keys beginning with an underscore are
+ignored everywhere, which is how the shipped example files carry comments.
 
 load_scenario builds and validates every piece once and returns them as a
 Scenario: a sampled curve's frames file is read there, relative to the
@@ -27,7 +27,7 @@ import numpy as np
 
 from .curves import BasisCurve, GeneratedCurve, SampledCurve, StaticCurve
 from .errors import SchemaError, ValidationError
-from .linalg import operator_norm_hermitian, require_cons, seeded_cons, seeded_hermitian
+from .linalg import operator_norm_hermitian, require_cons, require_hermitian, seeded_cons, seeded_hermitian
 from .measurement import Partition, random_partition, uniform_partition
 from .states import DensityMatrix
 
@@ -37,7 +37,8 @@ PAULI = {
     "pauli_z": np.array([[1, 0], [0, -1]], dtype=complex),
 }
 
-ALL_CHECKS = ("leakage_bound", "survival_bounds", "trace_bound", "fannes", "sigma", "drift")
+# The top-level fields a scenario file may set.
+FIELDS = ("dim", "tau", "state", "hamiltonian", "curve", "partitions", "a", "output")
 
 
 @dataclass(frozen=True, eq=False)
@@ -51,7 +52,6 @@ class Scenario:
     curve: BasisCurve
     partitions: tuple
     a: float = 2.0
-    checks: tuple = ALL_CHECKS
     output: str | None = None
     label: str = "scenario"
 
@@ -171,7 +171,7 @@ def load_scenario(path: str) -> Scenario:
     if not isinstance(data, dict):
         raise SchemaError([f"{path}: top level must be an object"])
 
-    problems: list[str] = []
+    problems = [f"unknown field {key!r}" for key in data if key not in FIELDS]
 
     def grab(key, default=None, required=False):
         if key not in data:
@@ -221,10 +221,6 @@ def load_scenario(path: str) -> Scenario:
     if not (isinstance(a, (int, float)) and a > 1):
         problems.append(f"a must be a number greater than 1, got {a!r}")
 
-    checks = grab("checks", default=list(ALL_CHECKS))
-    if not isinstance(checks, list) or any(c not in ALL_CHECKS for c in checks):
-        problems.append(f"checks must be a subset of {list(ALL_CHECKS)}, got {checks!r}")
-
     output = grab("output")
     if output is not None and not isinstance(output, str):
         problems.append(f"output must be a path string, got {output!r}")
@@ -238,6 +234,7 @@ def load_scenario(path: str) -> Scenario:
     field = "hamiltonian"
     try:
         hamiltonian = build_operator(hamiltonian_spec, dim)
+        require_hermitian(hamiltonian, name="hamiltonian")  # a check only: the matrix is kept as written
         field = "state"
         basis = None if basis_spec == "curve" else build_basis(basis_spec, dim)
         field = "curve"
@@ -253,5 +250,5 @@ def load_scenario(path: str) -> Scenario:
     except (KeyError, TypeError, ValueError) as exc:
         detail = f"missing key {exc.args[0]!r}" if isinstance(exc, KeyError) else str(exc)
         raise SchemaError([f"malformed {field} spec: {detail}"]) from exc
-    return Scenario(hamiltonian, weights, rho, curve, partitions, a=float(a), checks=tuple(checks),
-                    output=output, label=os.path.basename(path))
+    return Scenario(hamiltonian, weights, rho, curve, partitions, a=float(a), output=output,
+                    label=os.path.basename(path))

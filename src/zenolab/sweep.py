@@ -85,8 +85,9 @@ def csv_columns(dim: int) -> list[str]:
 def run_sweep(scenario: Scenario) -> list[SweepRecord]:
     """One record per partition in the plan, ordered by step count.
 
-    Deterministic for a fixed scenario, including any seeded pieces. The
-    first failing enabled check raises, labelled with the scenario and N.
+    Deterministic for a fixed scenario, including any seeded pieces. Every
+    row of the check table runs on every partition; the first failing
+    comparison raises, labelled with the scenario and N.
     """
     curve, hamiltonian, weights = scenario.curve, scenario.hamiltonian, scenario.state_weights
     bounds = curve_bounds(curve, hamiltonian)
@@ -99,7 +100,7 @@ def run_sweep(scenario: Scenario) -> list[SweepRecord]:
         except InvariantViolation as exc:
             raise InvariantViolation(exc.name, scenario=label, **exc.details) from exc
         inputs = CheckInputs(result, weights, curve, hamiltonian, partition, xis, etas, constants=(scenario.a,))
-        for name, passed, fields in run_checks(inputs, scenario.checks):
+        for name, passed, fields in run_checks(inputs):
             if not passed:
                 raise InvariantViolation(name, scenario=label, **fields)
         records.append(

@@ -28,7 +28,6 @@ from zenolab.curves import GeneratedCurve, SampledCurve, StaticCurve, curve_boun
 from zenolab.errors import ValidationError
 from zenolab.linalg import gram_schmidt_complete, hermitian_eigendecompose, seeded_cons, seeded_hermitian
 from zenolab.measurement import run_measurement, target_state, uniform_partition
-from zenolab.scenario import ALL_CHECKS
 from zenolab.states import DensityMatrix, entr, von_neumann_entropy
 
 from conftest import PAULI_X
@@ -443,10 +442,9 @@ class TestEntropySemicontinuityAlongSweeps:
 
 
 class TestCheckTable:
-    def test_names_unique_and_keys_are_scenario_keys(self):
+    def test_names_unique(self):
         names = [c.name for c in CHECKS]
         assert len(set(names)) == len(names)
-        assert {c.key for c in CHECKS} - {None} == set(ALL_CHECKS)
 
     def test_readme_table_matches_the_code(self):
         readme = os.path.join(os.path.dirname(__file__), "..", "README.md")
@@ -454,8 +452,7 @@ class TestCheckTable:
             section = fh.read().split("## Checks", 1)[1].split("\n## ", 1)[0]
         rows = []
         for line in section.splitlines():
-            m = re.match(r"\| `(\w+)`[^|]*\| (\S+)[^|]*\| ([^|]+) \|$", line)
+            m = re.match(r"\| `(\w+)`[^|]*\| (\S+)[^|]* \|$", line)
             if m:
-                key = None if m.group(3) == "corpus only" else m.group(3).strip("`")
-                rows.append((m.group(1), float(m.group(2)), key))
-        assert rows == [(c.name, c.tol, c.key) for c in CHECKS]
+                rows.append((m.group(1), float(m.group(2))))
+        assert rows == [(c.name, c.tol) for c in CHECKS]

@@ -80,6 +80,10 @@ MALFORMED_INPUTS = {
     "random_hamiltonian_without_seed": (_run_with(hamiltonian={"random": {}}), "hamiltonian"),
     "generated_curve_without_generator": (_run_with(curve={"generated": {}}), "'generator'"),
     "dense_entries_not_pairs": (_run_with(hamiltonian={"dense": [[1, 2], [3, 4]]}), "hamiltonian"),
+    "non_hermitian_hamiltonian": (
+        _run_with(hamiltonian={"dense": [[[0, 0], [1, 0]], [[0, 0], [0, 0]]]}), "hamiltonian is not Hermitian"),
+    "unknown_field": (_run_with(ouput="x.csv"), "unknown field 'ouput'"),
+    "removed_checks_field": (_run_with(checks=["fannes"]), "unknown field 'checks'"),
     "uniform_plan_with_a_string": (_run_with(partitions={"uniform": ["x"]}), "partitions"),
     "random_plan_without_seed": (_run_with(partitions={"random": {"n": [4]}}), "'seed'"),
     "random_basis_without_seed": (

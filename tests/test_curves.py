@@ -114,11 +114,9 @@ class TestFramesAt:
         grid = curve.times
         with pytest.raises(ValidationError, match="not on the sampled grid"):
             curve.frames_at([grid[0], 0.5 * (grid[1] + grid[2]), grid[-1]])
-
-    def test_sampled_nearest_breaks_ties_low_like_evaluate(self):
-        curve = SampledCurve([0.0, 0.5, 1.0], [np.eye(2, dtype=complex)] * 2 + [PAULI_X])
-        assert curve._nearest_indices(np.array([0.25, 0.75, 1.0])).tolist() == [0, 1, 2]
-        np.testing.assert_array_equal(curve.evaluate(0.75), curve.frames[1])
+        # evaluate is frames_at at one time: no nearest-frame fallback.
+        with pytest.raises(ValidationError, match="not on the sampled grid"):
+            curve.evaluate(grid[1] + 1e-6)
 
 
 def energy_sups(curve, h, *grid_points):
@@ -298,12 +296,6 @@ class TestSampledCurve:
         gen = y_curve(tau=1.0)
         times = np.linspace(0.0, 1.0, 5)
         return SampledCurve(times, [gen.evaluate(t) for t in times]), gen
-
-    def test_exact_at_grid_nearest_elsewhere(self):
-        curve, gen = self.make()
-        np.testing.assert_array_equal(curve.evaluate(0.25), curve.frames[1])
-        np.testing.assert_array_equal(curve.evaluate(0.26), curve.frames[1])
-        np.testing.assert_array_equal(curve.evaluate(0.49), curve.frames[2])
 
     def test_rejects_non_orthonormal_frame(self):
         with pytest.raises(ValidationError, match="orthonormal"):

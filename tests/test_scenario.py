@@ -1,5 +1,6 @@
 """Scenario-file loading and validation tests."""
 
+import glob
 import json
 import math
 import os
@@ -17,7 +18,8 @@ from zenolab.sweep import run_sweep
 
 SCENARIOS = os.path.join(os.path.dirname(__file__), "..", "scenarios")
 DATA = os.path.join(os.path.dirname(__file__), "data")
-SHIPPED = ["qubit_static", "unitary_approx", "zeno_diagonal", "sampled_rotation"]
+# A shipped scenario is pinned by its golden `zenolab run` output, tests/data/run_<name>.txt.
+SHIPPED = sorted(os.path.basename(p)[len("run_"):-len(".txt")] for p in glob.glob(os.path.join(DATA, "run_*.txt")))
 
 
 def write_json(path, payload):
@@ -50,6 +52,12 @@ class TestLoadScenario:
     def test_underscore_keys_ignored(self, tmp_path):
         path = minimal_zeno(tmp_path, _comment="ignored", _note=["also", "ignored"])
         assert load_scenario(path).dim == 2
+
+    def test_unknown_fields_are_named_together(self, tmp_path):
+        path = minimal_zeno(tmp_path, ouput="x.csv", checks=["fannes"], _comment="ignored")
+        with pytest.raises(SchemaError) as excinfo:
+            load_scenario(path)
+        assert excinfo.value.problems == ["unknown field 'ouput'", "unknown field 'checks'"]
 
     def test_bad_eigenvalue_sum_names_field(self, tmp_path):
         path = minimal_zeno(tmp_path, state={"eigenvalues": [0.6, 0.3]})
@@ -108,8 +116,17 @@ class TestOperatorSpecs:
         path = minimal_zeno(tmp_path, hamiltonian={"dense": dense})
         h = load_scenario(path).hamiltonian
         np.testing.assert_allclose(h, np.array([[0, 1], [1, 0]]), atol=1e-14)
+        # Hermitian within tolerance is accepted and stored as written, not symmetrized.
+        dense = [[[0.3, 0.0], [0.1, -0.7]], [[0.1, 0.7 + 1e-13], [-1.9, 0.0]]]
+        h = load_scenario(minimal_zeno(tmp_path, hamiltonian={"dense": dense})).hamiltonian
+        np.testing.assert_array_equal(h, np.array([[0.3, 0.1 - 0.7j], [0.1 + (0.7 + 1e-13) * 1j, -1.9]]))
         path = minimal_zeno(tmp_path, hamiltonian={"diagonal": [0.5, 1.5]})
         np.testing.assert_allclose(load_scenario(path).hamiltonian, np.diag([0.5, 1.5]), atol=1e-14)
+
+    def test_non_hermitian_dense_rejected_at_load(self, tmp_path):
+        path = minimal_zeno(tmp_path, hamiltonian={"dense": [[[0, 0], [1, 0]], [[0, 0], [0, 0]]]})
+        with pytest.raises(SchemaError, match="hamiltonian is not Hermitian"):
+            load_scenario(path)
 
     def test_seeded_random_with_norm(self, tmp_path):
         path = minimal_zeno(tmp_path, hamiltonian={"random": {"seed": 7, "norm": 1.0}})

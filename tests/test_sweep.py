@@ -91,53 +91,40 @@ class TestRunSweep:
         b = run_sweep(scenario)
         assert a == b
 
-    def test_disabled_checks_are_skipped(self, tmp_path, monkeypatch):
-        import json
-
-        import zenolab.bounds as bounds_mod
-
-        path = tmp_path / "nochecks.json"
-        path.write_text(
-            json.dumps(
-                {
-                    "dim": 2,
-                    "hamiltonian": "pauli_x",
-                    "state": {"eigenvalues": [0.7, 0.3], "basis": "standard"},
-                    "curve": {"static": {}},
-                    "tau": 1.0,
-                    "partitions": {"uniform": [4]},
-                    "checks": [],
-                }
-            )
-        )
-        # A poisoned bound would fail the sweep if the check were evaluated.
-        monkeypatch.setattr(bounds_mod, "trace_distance_bound", lambda w, g: -1.0)
-        monkeypatch.setattr(bounds_mod, "dominating_operator", lambda *args: pytest.fail("sigma row evaluated"))
-        records = run_sweep(load_scenario(str(path)))
-        assert records[0].trace_bound == -1.0
-
+    # Each id names the row's bound family, then the row.
     @pytest.mark.parametrize(
-        "key, name",
+        "name",
         [
-            ("leakage_bound", "leakage_bound"),
-            ("survival_bounds", "survival_lower_bound"),
-            ("survival_bounds", "weight_error_bound"),
-            ("trace_bound", "trace_distance_bound"),
-            ("fannes", "fannes_bound"),
-            ("sigma", "sigma_domination"),
-            ("sigma", "dominator_entropy"),
-            ("drift", "drift_bound"),
+            pytest.param("leakage_bound", id="leakage_bound-leakage_bound"),
+            pytest.param("survival_lower_bound", id="survival_bounds-survival_lower_bound"),
+            pytest.param("weight_error_bound", id="survival_bounds-weight_error_bound"),
+            pytest.param("trace_distance_bound", id="trace_bound-trace_distance_bound"),
+            pytest.param("fannes_bound", id="fannes-fannes_bound"),
+            pytest.param("sigma_domination", id="sigma-sigma_domination"),
+            pytest.param("dominator_entropy", id="sigma-dominator_entropy"),
+            pytest.param("drift_bound", id="drift-drift_bound"),
         ],
     )
-    def test_violated_bound_aborts_with_named_diagnostic(self, tmp_path, monkeypatch, key, name):
+    def test_violated_bound_aborts_with_named_diagnostic(self, tmp_path, monkeypatch, name):
         import dataclasses
 
         import zenolab.bounds as bounds_mod
+        import zenolab.sweep as sweep_mod
+        from zenolab.curves import GeneratedCurve
         from zenolab.errors import InvariantViolation
         from zenolab.states import FannesBound
 
         report = bounds_mod.entropy_condition_report
-        # One poisoned formula per named inequality; only the key under test is enabled.
+        measure = sweep_mod.run_measurement
+
+        def moving_frames(rho, h, curve, partition):
+            # Frames of a rotating curve under a static one: the drift identity
+            # still holds for them, but the static curve's eta = 0 bounds the drift by 0.
+            rotating = GeneratedCurve(np.array([[0, -1j], [1j, 0]]), curve.base, curve.tau)
+            result = measure(rho, h, curve, partition)
+            return dataclasses.replace(result, frames=rotating.frames_at(partition.times))
+
+        # One poisoned formula per named inequality; every earlier row still passes.
         poison = {
             "leakage_bound": (bounds_mod, "leakage_upper_bound", lambda xi, eta, p: np.full(np.shape(xi), -1.0)),
             "survival_lower_bound": (bounds_mod, "survival_lower_bound", lambda xi, *args: np.full(np.shape(xi), 2.0)),
@@ -150,12 +137,26 @@ class TestRunSweep:
                 "entropy_condition_report",
                 lambda *args: dataclasses.replace(report(*args), dominator_entropy_ok=False),
             ),
-            "drift_bound": (bounds_mod, "drift_sums", lambda frames: np.full(frames.shape[2], -1.0)),
+            "drift_bound": (sweep_mod, "run_measurement", moving_frames),
         }
         monkeypatch.setattr(*poison[name])
-        scenario = dataclasses.replace(small_qubit_scenario(tmp_path, ns=(4,)), checks=(key,))
         with pytest.raises(InvariantViolation, match=name) as excinfo:
-            run_sweep(scenario)
+            run_sweep(small_qubit_scenario(tmp_path, ns=(4,)))
+        assert excinfo.value.name == name
+        assert "N=4" in str(excinfo.value)
+
+    @pytest.mark.parametrize("name", ["projection_family", "leakage_path_enumeration"])
+    def test_sweep_runs_the_rows_the_corpus_runs(self, tmp_path, monkeypatch, name):
+        import zenolab.bounds as bounds_mod
+        from zenolab.errors import InvariantViolation
+
+        poison = {
+            "projection_family": ("orthonormality_defect", lambda frame: 1.0),
+            "leakage_path_enumeration": ("leakage_by_path_enumeration", lambda *args: np.array([0.5, 0.5])),
+        }
+        monkeypatch.setattr(bounds_mod, *poison[name])
+        with pytest.raises(InvariantViolation, match=name) as excinfo:
+            run_sweep(small_qubit_scenario(tmp_path, ns=(4,)))
         assert excinfo.value.name == name
         assert "N=4" in str(excinfo.value)
 
