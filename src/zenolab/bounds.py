@@ -8,9 +8,10 @@ reports) are pure computations; the four bound formulas take xi, eta,
 drift and weight as scalars or as (d,) arrays over the basis index k.
 CHECKS is the only place the inequalities are asserted: each row has a
 name and a tolerance, and yields one outcome per comparison it makes on a
-CheckInputs. Sweeps and the corpus run the whole table; a row whose
-precondition does not hold (path enumeration beyond d = 2 and N <= 6, the
-uniform-partition drift decay, the witness off generated curves, and the
+CheckInputs, reading the weights, partition and frames the run itself
+used. Sweeps and the corpus run the whole table; a row whose precondition
+does not hold (path enumeration beyond d = 2 and N <= 6, the drift decay
+off uniform_partition grids, the witness off generated curves, and the
 mesh, Fannes and sigma gates) makes no comparison.
 """
 
@@ -27,7 +28,8 @@ from .channels import FAMILY_TOL
 from .curves import BasisCurve, GeneratedCurve, curve_bounds, drift_sums, partition_lipschitz_estimate
 from .errors import ValidationError
 from .linalg import hermitian_eigendecompose, orthonormality_defect, require_cons
-from .measurement import MeasurementResult, Partition, leakage_by_path_enumeration, trace_distance_bound
+from .measurement import (PROOF_IDENTITY_TOL, TRACE_BOUND_TOL, MeasurementResult, Partition,
+                          leakage_by_path_enumeration, trace_distance_bound)
 from .states import entr, fannes_bound_at, von_neumann_entropy
 
 MONOTONE_REGION = 1.0 / math.e
@@ -126,12 +128,12 @@ def convergence_conditions_report(
     )
 
 
-def dominating_operator(weights, xis, etas, curve: BasisCurve, t: float) -> np.ndarray:
-    """sum_k (w_k + xi_k^2 + eta_k^2) |Psi_k(t)><Psi_k(t)|, the psd majorant
-    of every sufficiently refined posterior state."""
+def dominating_operator(weights, xis, etas, frame) -> np.ndarray:
+    """sum_k (w_k + xi_k^2 + eta_k^2) |Psi_k><Psi_k| over the columns of frame,
+    the curve at tau: the psd majorant of every sufficiently refined posterior state."""
     w = np.asarray(weights, dtype=float)
     diag = w + np.asarray(xis, dtype=float) ** 2 + np.asarray(etas, dtype=float) ** 2
-    basis = require_cons(curve.evaluate(t))
+    basis = require_cons(frame)
     return (basis * diag) @ basis.conj().T
 
 
@@ -270,25 +272,22 @@ def jensen_check(hamiltonian, curve: BasisCurve, k: int, grid_points: int = 257)
 
 @dataclass(frozen=True, eq=False)
 class CheckInputs:
-    """One protocol run as the check table sees it. Derived values are
-    computed on first use and shared by the rows and the sweep record;
-    curve quantities along the partition come from the run's own frames;
-    constants are the values of a that the survival rows try."""
+    """One protocol run as the check table sees it: weights, partition and
+    frames are the run's own, read from result. Derived values are computed
+    on first use and shared by the rows and the sweep record; constants are
+    the values of a that the survival rows try."""
 
     result: MeasurementResult
-    weights: np.ndarray
     curve: BasisCurve
     hamiltonian: np.ndarray
-    partition: Partition
     xis: np.ndarray
     etas: np.ndarray
     constants: tuple
-    uniform: bool = False
     seed: int = 0
 
     @property
     def dim(self) -> int:
-        return self.weights.shape[0]
+        return self.result.weights.shape[0]
 
     @cached_property
     def drifts(self) -> np.ndarray:
@@ -296,28 +295,29 @@ class CheckInputs:
 
     @cached_property
     def eps_bounds(self) -> np.ndarray:
-        return leakage_upper_bound(self.xis, self.etas, self.partition)
+        return leakage_upper_bound(self.xis, self.etas, self.result.partition)
 
     @cached_property
     def gamma_lbs(self) -> dict:
         """Survival lower bounds per index for each constant a, mesh condition or not."""
-        return {a: survival_lower_bound(self.xis, self.etas, a, self.partition, self.drifts) for a in self.constants}
+        p = self.result.partition
+        return {a: survival_lower_bound(self.xis, self.etas, a, p, self.drifts) for a in self.constants}
 
     @cached_property
     def weight_error_bounds(self) -> dict:
         """Weight error bounds per index for each constant a, mesh condition or not."""
-        w, xis, etas, p = self.weights, self.xis, self.etas, self.partition
+        w, xis, etas, p = self.result.weights, self.xis, self.etas, self.result.partition
         return {a: weight_error_bound(w, xis, etas, a, p, self.drifts) for a in self.constants}
 
     @cached_property
     def gated(self) -> list:
         """(k, a) pairs whose mesh condition holds, k-major: where the survival bounds are asserted."""
-        holds = {a: mesh_condition(self.xis, self.etas, a, self.partition.mesh) for a in self.constants}
+        holds = {a: mesh_condition(self.xis, self.etas, a, self.result.partition.mesh) for a in self.constants}
         return [(k, a) for k in range(self.dim) for a in self.constants if holds[a][k]]
 
     @cached_property
     def trace_bound(self) -> float:
-        return trace_distance_bound(self.weights, self.result.survivals)
+        return trace_distance_bound(self.result.weights, self.result.survivals)
 
     @cached_property
     def fannes(self):
@@ -335,7 +335,7 @@ class CheckInputs:
 
     @cached_property
     def entropy_report(self) -> EntropyConditionReport:
-        return entropy_condition_report(self.weights, self.xis, self.etas)
+        return entropy_condition_report(self.result.weights, self.xis, self.etas)
 
 
 class Check(NamedTuple):
@@ -357,7 +357,7 @@ def _projection_family(x: CheckInputs, tol: float):
 # bound; the next rows re-derive them so a regression there cannot hide.
 def _weight_gap_identity(x: CheckInputs, tol: float):
     distance = x.result.trace_distance_to_target
-    gap = float(np.sum(np.abs(x.result.weights_out - x.weights)))
+    gap = float(np.sum(np.abs(x.result.weights_out - x.result.weights)))
     yield abs(distance - gap) <= tol, {"distance": distance, "weight_gap": gap}
 
 
@@ -368,21 +368,22 @@ def _trace_distance_bound(x: CheckInputs, tol: float):
 
 def _per_index_gap(x: CheckInputs, tol: float):
     distance = x.result.trace_distance_to_target
-    worst = float(np.max(np.abs(x.result.weights_out - x.weights)))
+    worst = float(np.max(np.abs(x.result.weights_out - x.result.weights)))
     yield worst <= distance + tol, {"worst_gap": worst, "distance": distance}
 
 
 def _weight_split(x: CheckInputs, tol: float):
     r = x.result
-    residual = float(np.max(np.abs(r.weights_out - (x.weights * r.survivals + r.leakage))))
+    residual = float(np.max(np.abs(r.weights_out - (r.weights * r.survivals + r.leakage))))
     yield residual <= tol, {"residual": residual}
 
 
 def _leakage_path_enumeration(x: CheckInputs, tol: float):
-    if x.dim == 2 and x.partition.n <= PATH_ORACLE_MAX_STEPS:
-        brute = leakage_by_path_enumeration(x.weights, x.curve, x.hamiltonian, x.partition)
+    r = x.result
+    if x.dim == 2 and r.partition.n <= PATH_ORACLE_MAX_STEPS:
+        brute = leakage_by_path_enumeration(r.weights, x.curve, x.hamiltonian, r.partition)
         for k in range(x.dim):
-            leakage = float(x.result.leakage[k])
+            leakage = float(r.leakage[k])
             yield abs(brute[k] - leakage) <= tol, {"k": k + 1, "brute": brute[k], "leakage": leakage}
 
 
@@ -401,7 +402,7 @@ def _survival_lower_bound(x: CheckInputs, tol: float):
 def _weight_error_bound(x: CheckInputs, tol: float):
     for k, a in x.gated:
         bound = float(x.weight_error_bounds[a][k])
-        error = float(abs(x.result.weights_out[k] - x.weights[k]))
+        error = float(abs(x.result.weights_out[k] - x.result.weights[k]))
         yield error <= bound + tol, {"k": k + 1, "a": a, "error": error, "bound": bound}
 
 
@@ -419,13 +420,13 @@ def _drift_identity(x: CheckInputs, tol: float):
 
 def _drift_bound(x: CheckInputs, tol: float):
     for k in range(x.dim):
-        drift, bound = float(x.drifts[k]), float(0.5 * x.etas[k] ** 2 * x.partition.sumsq)
+        drift, bound = float(x.drifts[k]), float(0.5 * x.etas[k] ** 2 * x.result.partition.sumsq)
         yield abs(drift) <= bound + tol, {"k": k + 1, "drift": drift, "bound": bound}
 
 
 def _drift_bound_uniform(x: CheckInputs, tol: float):
-    if x.uniform:
-        p = x.partition
+    p = x.result.partition
+    if p.uniform:
         for k in range(x.dim):
             drift, bound = float(x.drifts[k]), float(x.etas[k]) ** 2 * p.tau**2 / (2 * p.n)
             yield abs(drift) <= bound + tol, {"k": k + 1, "drift": drift, "bound": bound}
@@ -448,9 +449,10 @@ def _fannes(x: CheckInputs, tol: float):
 
 def _sigma_domination(x: CheckInputs, tol: float):
     # Domination is promised only once the partition is fine enough.
-    if x.partition.sumsq < 0.5:
-        sigma = dominating_operator(x.weights, x.xis, x.etas, x.curve, x.partition.tau)
-        min_eig = float(np.min(np.linalg.eigvalsh(sigma - x.result.rho_final.matrix)))
+    r = x.result
+    if r.partition.sumsq < 0.5:
+        sigma = dominating_operator(r.weights, x.xis, x.etas, r.frames[-1])
+        min_eig = float(np.min(np.linalg.eigvalsh(sigma - r.rho_final.matrix)))
         yield min_eig >= -tol, {"min_eig": min_eig}
 
 
@@ -463,8 +465,8 @@ def _entropy_tail_monotone(x: CheckInputs, tol: float):
 # module-level tolerances; every other row compares with its own tol.
 CHECKS = (
     Check("projection_family", FAMILY_TOL, _projection_family),
-    Check("trace_distance_equals_weight_gap", 1e-8, _weight_gap_identity),
-    Check("trace_distance_bound", 1e-9, _trace_distance_bound),
+    Check("trace_distance_equals_weight_gap", PROOF_IDENTITY_TOL, _weight_gap_identity),
+    Check("trace_distance_bound", TRACE_BOUND_TOL, _trace_distance_bound),
     Check("per_index_gap_below_distance", 1e-9, _per_index_gap),
     Check("weight_split_identity", 1e-9, _weight_split),
     Check("leakage_path_enumeration", 1e-10, _leakage_path_enumeration),

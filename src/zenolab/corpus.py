@@ -137,10 +137,7 @@ def run_battery(scenario: CorpusScenario) -> ScenarioReport:
         return ScenarioReport(scenario=s, checks_run=1, failures=(("run_measurement", str(exc)),))
 
     b = curve_bounds(s.curve, s.hamiltonian)
-    inputs = CheckInputs(
-        result, s.weights, s.curve, s.hamiltonian, s.partition, b.energy_sups, b.lipschitz, BOUND_CONSTANTS,
-        uniform=s.partition_kind == "uniform", seed=s.seed,
-    )
+    inputs = CheckInputs(result, s.curve, s.hamiltonian, b.energy_sups, b.lipschitz, BOUND_CONSTANTS, seed=s.seed)
     outcomes = run_checks(inputs)
     failures = tuple(
         (name, " ".join(f"{k}={v!r}" for k, v in fields.items())) for name, passed, fields in outcomes if not passed

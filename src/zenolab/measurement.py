@@ -60,9 +60,11 @@ TRANSFER_BLOCK = 256
 
 @dataclass(frozen=True, eq=False)
 class Partition:
-    """Ordered time grid 0 = t_0 < ... < t_N = tau."""
+    """Ordered time grid 0 = t_0 < ... < t_N = tau. uniform, set only by
+    uniform_partition, requires every step within 2 eps tau of tau/N."""
 
     times: np.ndarray
+    uniform: bool = False
 
     def __post_init__(self):
         t = np.asarray(self.times, dtype=float)
@@ -74,6 +76,8 @@ class Partition:
             raise ValidationError("partition must start at 0")
         if np.any(np.diff(t) <= 0):
             raise ValidationError("partition times must be strictly ascending")
+        if self.uniform and np.max(np.abs(np.diff(t) - t[-1] / (t.shape[0] - 1))) > 2 * np.finfo(float).eps * t[-1]:
+            raise ValidationError("partition marked uniform has unequal steps")
         t = t.copy()
         t.flags.writeable = False
         object.__setattr__(self, "times", t)
@@ -106,7 +110,7 @@ def uniform_partition(tau: float, n: int) -> Partition:
         raise ValidationError("n must be at least 1")
     if not tau > 0:
         raise ValidationError("tau must be positive")
-    return Partition(np.linspace(0.0, float(tau), n + 1))
+    return Partition(np.linspace(0.0, float(tau), n + 1), uniform=True)
 
 
 def random_partition(tau: float, n: int, seed: int) -> Partition:
@@ -308,8 +312,9 @@ class MeasurementResult:
     weights_out are the coefficients of the final state in the basis at tau,
     survivals the per-index stay probabilities, leakage the nonnegative
     remainder, and trace_distance_to_target the trace-norm distance between
-    the final state and the moving reference state at tau. frames is the
-    read-only (N+1, d, d) frame stack both routes read, kept for the checks.
+    the final state and the moving reference state at tau. weights (the
+    clipped base-frame coefficients both routes start from), frames (the
+    (N+1, d, d) stack both routes read) and partition are kept for the checks.
     """
 
     rho_final: DensityMatrix
@@ -318,6 +323,8 @@ class MeasurementResult:
     leakage: np.ndarray
     trace_distance_to_target: float
     frames: np.ndarray
+    weights: np.ndarray
+    partition: Partition
 
 
 def _transfer_route(weights: np.ndarray, frames, unitaries) -> tuple[np.ndarray, np.ndarray]:
@@ -372,7 +379,7 @@ def run_measurement(rho: DensityMatrix, hamiltonian, curve: BasisCurve, partitio
     if distance > bound + TRACE_BOUND_TOL:
         raise InvariantViolation("trace_distance_bound", distance=distance, bound=bound)
 
-    for a in (weights_out, survivals, leakage, frames):
+    for a in (weights_out, survivals, leakage, frames, weights):
         a.flags.writeable = False
     return MeasurementResult(
         rho_final=rho_final,
@@ -381,4 +388,6 @@ def run_measurement(rho: DensityMatrix, hamiltonian, curve: BasisCurve, partitio
         leakage=leakage,
         trace_distance_to_target=distance,
         frames=frames,
+        weights=weights,
+        partition=partition,
     )

@@ -44,10 +44,11 @@ FIELDS = ("dim", "tau", "state", "hamiltonian", "curve", "partitions", "a", "out
 @dataclass(frozen=True, eq=False)
 class Scenario:
     """A built and validated experiment: the operators, state, curve and
-    partitions (sorted by N) that every sweep of it runs on."""
+    partitions (sorted by N) that every sweep of it runs on. The state's
+    eigenvalues live in the state itself; run_measurement recovers them
+    in the curve's base basis."""
 
     hamiltonian: np.ndarray
-    state_weights: np.ndarray
     state: DensityMatrix
     curve: BasisCurve
     partitions: tuple
@@ -250,5 +251,5 @@ def load_scenario(path: str) -> Scenario:
     except (KeyError, TypeError, ValueError) as exc:
         detail = f"missing key {exc.args[0]!r}" if isinstance(exc, KeyError) else str(exc)
         raise SchemaError([f"malformed {field} spec: {detail}"]) from exc
-    return Scenario(hamiltonian, weights, rho, curve, partitions, a=float(a), output=output,
+    return Scenario(hamiltonian, rho, curve, partitions, a=float(a), output=output,
                     label=os.path.basename(path))

@@ -23,6 +23,9 @@ from .scenario import Scenario
 from .states import fannes_bound_at
 
 
+# The scalar columns of a record, (SweepRecord field, CSV column), in column order; N comes first.
+SCALARS = (("n", "N"), ("mesh", "mesh"), ("sumsq", "sumsq"), ("trace_distance", "trace_distance"),
+           ("trace_bound", "trace_bound"), ("entropy", "entropy"), ("entropy_gap", "entropy_gap"))
 # The per-index blocks of a record, (SweepRecord field, CSV column stem), in column order.
 BLOCKS = (("lambdas", "lambda"), ("gammas", "gamma"), ("eps", "eps"),
           ("eps_bounds", "eps_bound"), ("gamma_lbs", "gamma_lb"), ("a3s", "a3"))
@@ -55,17 +58,9 @@ class SweepRecord:
 
 def record_column(record: SweepRecord, name: str) -> float:
     """Value of a CSV column on a record; per-index names are 1-based."""
-    scalars = {
-        "N": float(record.n),
-        "mesh": record.mesh,
-        "sumsq": record.sumsq,
-        "trace_distance": record.trace_distance,
-        "trace_bound": record.trace_bound,
-        "entropy": record.entropy,
-        "entropy_gap": record.entropy_gap,
-    }
+    scalars = {column: field for field, column in SCALARS}
     if name in scalars:
-        return scalars[name]
+        return float(getattr(record, scalars[name]))
     blocks = {stem: getattr(record, field) for field, stem in BLOCKS}
     stem, _, index = name.rpartition("_")
     if stem in blocks and index.isdigit():
@@ -76,10 +71,7 @@ def record_column(record: SweepRecord, name: str) -> float:
 
 
 def csv_columns(dim: int) -> list[str]:
-    cols = ["N", "mesh", "sumsq", "trace_distance", "trace_bound", "entropy", "entropy_gap"]
-    for k in range(1, dim + 1):
-        cols += [f"{stem}_{k}" for _, stem in BLOCKS]
-    return cols
+    return [column for _, column in SCALARS] + [f"{stem}_{k}" for k in range(1, dim + 1) for _, stem in BLOCKS]
 
 
 def run_sweep(scenario: Scenario) -> list[SweepRecord]:
@@ -89,7 +81,7 @@ def run_sweep(scenario: Scenario) -> list[SweepRecord]:
     row of the check table runs on every partition; the first failing
     comparison raises, labelled with the scenario and N.
     """
-    curve, hamiltonian, weights = scenario.curve, scenario.hamiltonian, scenario.state_weights
+    curve, hamiltonian = scenario.curve, scenario.hamiltonian
     bounds = curve_bounds(curve, hamiltonian)
     xis, etas = bounds.energy_sups, bounds.lipschitz
     records = []
@@ -99,7 +91,7 @@ def run_sweep(scenario: Scenario) -> list[SweepRecord]:
             result = run_measurement(scenario.state, hamiltonian, curve, partition)
         except InvariantViolation as exc:
             raise InvariantViolation(exc.name, scenario=label, **exc.details) from exc
-        inputs = CheckInputs(result, weights, curve, hamiltonian, partition, xis, etas, constants=(scenario.a,))
+        inputs = CheckInputs(result, curve, hamiltonian, xis, etas, constants=(scenario.a,))
         for name, passed, fields in run_checks(inputs):
             if not passed:
                 raise InvariantViolation(name, scenario=label, **fields)
@@ -166,16 +158,11 @@ def read_csv(path: str) -> list[SweepRecord]:
                 raise ValidationError(f"{where}: {len(row)} fields, the header has {len(header)}")
             values = dict(zip(header, row))
             try:
-                t = float(values["trace_distance"])
-                fannes = fannes_bound_at(t, dim)
+                scalars = {field: float(values[column]) for field, column in SCALARS[1:]}
+                fannes = fannes_bound_at(scalars["trace_distance"], dim)
                 record = SweepRecord(
                     n=int(values["N"]),
-                    mesh=float(values["mesh"]),
-                    sumsq=float(values["sumsq"]),
-                    trace_distance=t,
-                    trace_bound=float(values["trace_bound"]),
-                    entropy=float(values["entropy"]),
-                    entropy_gap=float(values["entropy_gap"]),
+                    **scalars,
                     fannes_applicable=fannes.applicable,
                     fannes_bound=fannes.bound,
                     **{f: tuple(float(values[f"{stem}_{k}"]) for k in range(1, dim + 1)) for f, stem in BLOCKS},

@@ -198,9 +198,10 @@ def test_criterion_4_static_qubit_first_order_convergence(qubit_sweep):
         slope = fit_rate(records, "trace_distance").slope
         assert -1.15 <= slope <= -0.85
         rho, curve, h = scenario.state, scenario.curve, scenario.hamiltonian
+        weights = np.real(np.diag(curve.base.conj().T @ rho.matrix @ curve.base))
         for record, partition in zip(records, scenario.partitions):
             result = run_measurement(rho, h, curve, partition)
-            weight_gap = float(np.sum(np.abs(result.weights_out - scenario.state_weights)))
+            weight_gap = float(np.sum(np.abs(result.weights_out - weights)))
             assert abs(result.trace_distance_to_target - weight_gap) <= 1e-8
             assert record.trace_distance <= record.trace_bound + 1e-9
         assert elapsed < 10.0
@@ -251,9 +252,9 @@ def test_criterion_7_entropy_convergence_and_domination(qubit_sweep, unitary_swe
             assert records[-1].entropy_gap <= 5e-3
             rho, h, curve = scenario.state, scenario.hamiltonian, scenario.curve
             cb = curve_bounds(curve, h)
-            weights = scenario.state_weights
+            weights = np.real(np.diag(curve.base.conj().T @ rho.matrix @ curve.base))
             s_rho = von_neumann_entropy(rho)
-            sigma = dominating_operator(weights, cb.energy_sups, cb.lipschitz, curve, scenario.tau)
+            sigma = dominating_operator(weights, cb.energy_sups, cb.lipschitz, curve.evaluate(scenario.tau))
             s_sigma = float(np.sum(entr(np.clip(np.linalg.eigvalsh(sigma), 0.0, None))))
             kernel_sums = float(np.sum(entr(cb.energy_sups**2)) + np.sum(entr(cb.lipschitz**2)))
             assert s_sigma <= s_rho + kernel_sums + 1e-9

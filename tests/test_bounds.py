@@ -188,12 +188,12 @@ class TestConvergenceConditionsReport:
 class TestDominatingOperator:
     def test_frozen_case_reduces_to_target(self):
         curve = StaticCurve(np.eye(2, dtype=complex), 1.0)
-        sigma = dominating_operator([0.7, 0.3], [0.0, 0.0], [0.0, 0.0], curve, 1.0)
+        sigma = dominating_operator([0.7, 0.3], [0.0, 0.0], [0.0, 0.0], curve.evaluate(1.0))
         np.testing.assert_allclose(sigma, np.diag([0.7, 0.3]), atol=1e-14)
 
     def test_static_qubit_majorant(self):
         rho, h, curve = qubit_static()
-        sigma = dominating_operator([0.7, 0.3], [1.0, 1.0], [0.0, 0.0], curve, 1.0)
+        sigma = dominating_operator([0.7, 0.3], [1.0, 1.0], [0.0, 0.0], curve.evaluate(1.0))
         np.testing.assert_allclose(sigma, np.diag([1.7, 1.3]), atol=1e-14)
         result = run_measurement(rho, h, curve, uniform_partition(1.0, 4))
         assert np.min(np.linalg.eigvalsh(sigma - result.rho_final.matrix)) >= -1e-10
@@ -207,7 +207,7 @@ class TestDominatingOperator:
         w /= w.sum()
         xis = rng.uniform(0.0, 1.0, size=dim)
         etas = rng.uniform(0.0, 1.0, size=dim)
-        sigma = dominating_operator(w, xis, etas, curve, 0.8)
+        sigma = dominating_operator(w, xis, etas, curve.evaluate(0.8))
         expected = 1.0 + float(np.sum(xis**2 + etas**2))
         assert np.trace(sigma).real == pytest.approx(expected, abs=1e-10)
         assert np.min(np.linalg.eigvalsh(sigma)) >= -1e-12
@@ -339,10 +339,9 @@ def generated_inputs(dim=3, n=8, seed=0, constants=(1.5, 2.0, 4.0)) -> CheckInpu
     h = seeded_hermitian(dim, 11)
     curve = GeneratedCurve(seeded_hermitian(dim, 12), seeded_cons(dim, 13), 1.0)
     weights = np.linspace(1.0, 2.0, dim) / np.linspace(1.0, 2.0, dim).sum()
-    partition = uniform_partition(1.0, n)
-    result = run_measurement(DensityMatrix.from_weights(weights, curve.base), h, curve, partition)
+    result = run_measurement(DensityMatrix.from_weights(weights, curve.base), h, curve, uniform_partition(1.0, n))
     b = curve_bounds(curve, h)
-    return CheckInputs(result, weights, curve, h, partition, b.energy_sups, b.lipschitz, constants, seed=seed)
+    return CheckInputs(result, curve, h, b.energy_sups, b.lipschitz, constants, seed=seed)
 
 
 def row_outcomes(inputs: CheckInputs, name: str) -> list:
@@ -381,7 +380,7 @@ class TestCheckRowsReadTheRun:
 
     def test_entropy_gap_is_the_distance_to_the_target_entropy(self):
         x = generated_inputs(dim=4)
-        target = von_neumann_entropy(target_state(x.curve, x.weights, x.partition.tau))
+        target = von_neumann_entropy(target_state(x.curve, x.result.weights, x.result.partition.tau))
         delta = 4 * np.finfo(float).eps
         assert x.entropy_gap == pytest.approx(abs(x.entropy - target), rel=0, abs=4 * delta * (1 - math.log(delta)))
         [(passed, fields)] = row_outcomes(x, "fannes_bound")
@@ -404,13 +403,13 @@ class TestCheckRowsReadTheRun:
 class TestCheckInputsOverArrays:
     def test_vectors_match_the_scalar_formulas(self):
         x = generated_inputs(dim=5, n=3)
-        xis, etas, p = x.xis, x.etas, x.partition
+        xis, etas, p = x.xis, x.etas, x.result.partition
         for k in range(x.dim):
             assert x.eps_bounds[k] == leakage_upper_bound(float(xis[k]), float(etas[k]), p)
             for a in x.constants:
                 exponent = -a * ((xis[k] ** 2 + 2 * xis[k] * etas[k]) * p.sumsq - 2.0 * x.drifts[k])
                 assert x.gamma_lbs[a][k] == pytest.approx(math.exp(exponent), rel=4 * np.finfo(float).eps)
-                scalar = weight_error_bound(x.weights[k], xis[k], etas[k], a, p, x.drifts[k])
+                scalar = weight_error_bound(x.result.weights[k], xis[k], etas[k], a, p, x.drifts[k])
                 assert x.weight_error_bounds[a][k] == pytest.approx(scalar, rel=4 * np.finfo(float).eps)
 
     def test_gated_pairs_are_k_major(self):
@@ -419,7 +418,7 @@ class TestCheckInputsOverArrays:
             (k, a)
             for k in range(x.dim)
             for a in x.constants
-            if mesh_condition(float(x.xis[k]), float(x.etas[k]), a, x.partition.mesh)
+            if mesh_condition(float(x.xis[k]), float(x.etas[k]), a, x.result.partition.mesh)
         ]
         assert 0 < len(expected) < x.dim * len(x.constants)
         assert x.gated == expected

@@ -89,6 +89,22 @@ class TestPartitions:
         with pytest.raises(ValidationError, match="start at 0"):
             Partition(np.array([0.1, 1.0]))
 
+    def test_only_uniform_partition_sets_the_uniform_flag(self):
+        # The flag tolerates 2 eps tau per step; linspace grids stay under eps tau.
+        for tau in np.geomspace(1e-3, 1e3, 13):
+            assert all(uniform_partition(tau, n).uniform for n in (1, 3, 1023, 99991))
+        assert not random_partition(1.0, 1, seed=3).uniform
+        assert not Partition(np.linspace(0.0, 1.0, 5)).uniform
+
+    def test_uniform_flag_rejects_unequal_steps(self):
+        times = np.linspace(0.0, 1.0, 5)
+        assert Partition(times, uniform=True).uniform
+        times[2] += 4 * np.finfo(float).eps
+        with pytest.raises(ValidationError, match="unequal steps"):
+            Partition(times, uniform=True)
+        with pytest.raises(ValidationError, match="unequal steps"):
+            Partition(np.array([0.0, 0.4, 1.0]), uniform=True)
+
     @pytest.mark.parametrize("times, bad", [([0.0, math.nan, 1.0], "nan"), ([0.0, 1.0, math.inf], "inf")])
     def test_rejects_non_finite_time(self, times, bad):
         with pytest.raises(ValidationError, match=f"partition time {bad} is not finite"):
@@ -372,6 +388,15 @@ class TestRunMeasurement:
         result = run_measurement(rho, h, curve, uniform_partition(1.0, 2))
         with pytest.raises(ValueError):
             result.weights_out[0] = 0.0
+
+    def test_result_carries_the_weights_and_partition_it_ran_on(self):
+        rho, h, curve, partition = four_level_run()
+        result = run_measurement(rho, h, curve, partition)
+        in_base = np.real(np.diag(curve.base.conj().T @ rho.matrix @ curve.base))
+        np.testing.assert_array_equal(result.weights, np.clip(in_base, 0.0, None))
+        assert result.partition is partition
+        with pytest.raises(ValueError, match="read-only"):
+            result.weights[0] = 0.5
 
     def test_scheduling_independence(self):
         # Two identical runs are bitwise equal; nothing stateful leaks across.

@@ -22,7 +22,7 @@ from zenolab.sweep import (
 SCENARIOS = os.path.join(os.path.dirname(__file__), "..", "scenarios")
 
 
-def rotated_scenario(tmp_path):
+def rotated_scenario(tmp_path, plan=None):
     """d=4 generated curve over a random basis: the state is diagonal there only up to rounding."""
     import json
 
@@ -35,7 +35,7 @@ def rotated_scenario(tmp_path):
                 "state": {"eigenvalues": [0.4, 0.3, 0.2, 0.1], "basis": {"random": {"seed": 2}}},
                 "curve": {"generated": {"generator": {"random": {"seed": 3, "norm": 1.0}}}},
                 "tau": 1.0,
-                "partitions": {"uniform": [2, 4, 8]},
+                "partitions": plan or {"uniform": [2, 4, 8]},
             }
         )
     )
@@ -84,6 +84,24 @@ class TestRunSweep:
         assert r.lambdas[0] + r.lambdas[1] == pytest.approx(1.0, abs=1e-9)
         assert r.eps_bounds[0] == pytest.approx(0.5, abs=1e-12)
         assert r.a3s == (0.0, 0.0)
+
+    @pytest.mark.parametrize(
+        "plan, per_partition", [({"uniform": [2, 4, 8]}, 4), ({"random": {"seed": 5, "n": [2, 4, 8]}}, 0)]
+    )
+    def test_drift_decay_row_compares_on_uniform_plans_only(self, tmp_path, monkeypatch, plan, per_partition):
+        import zenolab.sweep as sweep_mod
+
+        run_checks = sweep_mod.run_checks
+        counts = []
+
+        def counting(inputs):
+            outcomes = run_checks(inputs)
+            counts.append(sum(name == "drift_decay_bound_uniform" for name, _, _ in outcomes))
+            return outcomes
+
+        monkeypatch.setattr(sweep_mod, "run_checks", counting)
+        run_sweep(rotated_scenario(tmp_path, plan))
+        assert counts == [per_partition] * 3
 
     def test_deterministic_across_runs(self, tmp_path):
         scenario = small_qubit_scenario(tmp_path)
