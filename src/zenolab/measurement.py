@@ -8,8 +8,12 @@ U_j = e^{-i dt_j H} per step, from one HermitianEigen.propagator call. Each
 route forms its own products from these, in blocks of TRANSFER_BLOCK steps.
 
   channel route   a dense lab-frame state. With X_j = F_j* U_j, one step is
-                  p_a = Re sum_k (X_j rho)_ak conj(X_j)_ak, then
-                  rho = F_j diag(p) F_j*, that is U rho U* dephased in F_j.
+                  p = Re diag(X_j rho X_j*), then rho = F_j diag(p) F_j*,
+                  that is U rho U* dephased in F_j. Up to d = KRON_MAX_DIM
+                  the step is two mat-vecs on v = vec(rho) through
+                  per-step d x d^2 and d^2 x d matrices built from X_j and
+                  F_j (d^3 entries each); above it, five d x d array
+                  operations.
   transfer route  T_j = |(F_j* U_j) F_{j-1}|^2, doubly stochastic;
                   weights_out = (T_N ... T_1) weights, the product taken as
                   a pairwise tree of depth ceil(log2 N).
@@ -54,8 +58,14 @@ WEIGHT_SUM_TOL = 1e-9
 LEAKAGE_FLOOR = -1e-10
 PROOF_IDENTITY_TOL = 1e-8
 TRACE_BOUND_TOL = 1e-9
-# Steps per gathered block in either route: caps the temporaries at a few frames' worth at any N.
+# Steps per gathered block in either route: caps the temporaries at any N. A
+# block holds a few frames' worth, plus the channel route's 2 d^3 complex
+# entries per step at d <= KRON_MAX_DIM (1.8 MB at d = 6).
 TRANSFER_BLOCK = 256
+# Largest d at which the channel route steps vec(rho) through two per-step
+# mat-vecs. Their matrices hold d^3 entries each, so from d = 8 on the d x d
+# matrix step is faster (per-d timings in README.md).
+KRON_MAX_DIM = 6
 
 
 @dataclass(frozen=True, eq=False)
@@ -184,22 +194,44 @@ def _channel_route(m: np.ndarray, frames: np.ndarray, unitaries: np.ndarray) -> 
     """The channel route's own composition on the dense lab-frame state.
 
     One step is U rho U* followed by dephasing in the frame F = F_j. With
-    X = F* U, the new state is F diag(p) F* where p_a = (X rho X*)_aa =
-    Re sum_k (X rho)_ak conj(X)_ak. Each block of TRANSFER_BLOCK steps
-    forms its own X_j = F_j* U_j and contiguous F_j*, so a step is five
-    array operations. One (rho + rho*)/2 at the end restores exact
-    Hermitian symmetry. The route reads frames and unitaries only, never a
-    transfer matrix or a weight.
+    X = F* U, the new state is F diag(p) F* where p_a = (X rho X*)_aa. Each
+    block of TRANSFER_BLOCK steps forms its own X_j = F_j* U_j, and then
+    the step takes one of two forms, chosen by d alone:
+
+    d <= KRON_MAX_DIM  the state is v = vec(rho), row-major. The block
+                       builds K_j[a, (k, l)] = X_ak conj(X_al) and
+                       G_j[(i, k), a] = F_ia conj(F_ka), each from step j's
+                       own data, so a step is the two mat-vecs
+                       v = G_j Re(K_j v). The loop applies K_j after G_{j-1}
+                       and never forms their product, which would be the
+                       transfer matrix T_j.
+    larger d           the state stays a matrix: p = Re sum_k (X_j rho)_ak
+                       conj(X_j)_ak, then rho = (F_j * p) @ F_j*, five array
+                       operations on d x d arrays.
+
+    One (rho + rho*)/2 at the end restores exact Hermitian symmetry. The
+    route reads frames and unitaries only, never a transfer matrix or a
+    weight.
     """
-    n = unitaries.shape[0]
+    n, d = unitaries.shape[:2]
+    kron = d <= KRON_MAX_DIM
+    if kron:
+        m = m.reshape(d * d)
     for start in range(0, n, TRANSFER_BLOCK):
         stop = min(start + TRANSFER_BLOCK, n)
         f = frames[start + 1:stop + 1]
         f_adj = np.ascontiguousarray(f.conj().transpose(0, 2, 1))
         x = f_adj @ unitaries[start:stop]
-        for f_j, f_j_adj, x_j, x_j_conj in zip(f, f_adj, x, x.conj()):
-            p = ((x_j @ m) * x_j_conj).sum(axis=1).real
-            m = (f_j * p) @ f_j_adj
+        if kron:
+            k = (x[:, :, :, None] * x.conj()[:, :, None, :]).reshape(-1, d, d * d)
+            g = (f[:, :, None, :] * f.conj()[:, None, :, :]).reshape(-1, d * d, d)
+            for k_j, g_j in zip(k, g):
+                m = g_j @ (k_j @ m).real
+        else:
+            for f_j, f_j_adj, x_j, x_j_conj in zip(f, f_adj, x, x.conj()):
+                p = ((x_j @ m) * x_j_conj).sum(axis=1).real
+                m = (f_j * p) @ f_j_adj
+    m = m.reshape(d, d)
     return (m + m.conj().T) / 2
 
 

@@ -194,7 +194,7 @@ def load_scenario(path: str) -> Scenario:
     state = grab("state", required=True)
     weights = None
     basis_spec = "standard"
-    if state is not None:
+    if "state" in data:
         if not isinstance(state, dict) or "eigenvalues" not in state:
             problems.append('state must be an object with an "eigenvalues" list')
         else:
@@ -248,7 +248,7 @@ def load_scenario(path: str) -> Scenario:
                 curve.frames_at(partition.times)
     except ValidationError as exc:
         raise SchemaError([str(exc)]) from exc
-    except (KeyError, TypeError, ValueError) as exc:
+    except (KeyError, TypeError, ValueError, OverflowError) as exc:
         detail = f"missing key {exc.args[0]!r}" if isinstance(exc, KeyError) else str(exc)
         raise SchemaError([f"malformed {field} spec: {detail}"]) from exc
     return Scenario(hamiltonian, rho, curve, partitions, a=float(a), output=output,

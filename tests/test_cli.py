@@ -1,6 +1,7 @@
 """Command-line interface tests: subcommands, exit codes, determinism."""
 
 import json
+import math
 import os
 
 import pytest
@@ -88,6 +89,9 @@ MALFORMED_INPUTS = {
     "random_plan_without_seed": (_run_with(partitions={"random": {"n": [4]}}), "'seed'"),
     "random_basis_without_seed": (
         _run_with(state={"eigenvalues": [0.7, 0.3], "basis": {"random": {}}}), "malformed state spec"),
+    "null_state": (_run_with(state=None), "state must be an object"),
+    "infinite_random_seed": (_run_with(hamiltonian={"random": {"seed": math.inf}}), "malformed hamiltonian spec"),
+    "infinite_uniform_n": (_run_with(partitions={"uniform": [4, math.inf]}), "malformed partitions spec"),
     "csv_row_with_a_non_number": (_rate_with_row(lambda f: f[:3] + ["x"] + f[4:]), "line 3"),
     "csv_row_with_too_few_fields": (_rate_with_row(lambda f: f[:3]), "line 3"),
     "csv_without_header": (_csv_file("#schema=1\n"), "columns do not match"),

@@ -244,6 +244,17 @@ class TestEvolveByChannels:
         for partition in (uniform_partition(1.0, 1), uniform_partition(1.0, 16), random_partition(1.0, 9, 2)):
             out = evolve_by_channels(rho, h, curve, partition)
             assert np.max(np.abs(out.matrix - rho.matrix)) <= 1e-12
+        # Long runs in a rotated base, with H diagonal in that base, on both
+        # step forms (d = 3 and 6 up to KRON_MAX_DIM, d = 8 above it). Error
+        # model: about d * eps of rounding per contracting step, N steps.
+        n = 10_000
+        for dim in (3, 6, 8):
+            base = seeded_cons(dim, dim)
+            curve = StaticCurve(base, 1.0)
+            rho = DensityMatrix.from_weights(np.arange(1.0, dim + 1) / (dim * (dim + 1) / 2), base)
+            h = (base * np.linspace(0.3, 2.4, dim)) @ base.conj().T
+            out = evolve_by_channels(rho, h, curve, uniform_partition(1.0, n))
+            assert np.max(np.abs(out.matrix - rho.matrix)) <= n * dim * np.finfo(float).eps
 
     def test_qubit_single_step_matches_oracle(self):
         rho, h, curve = qubit_static()
@@ -299,6 +310,29 @@ class TestEvolveByChannels:
             state = apply_unitary_channel(unitary_exponential(h, dt), state)
             state = apply_projection_channel(rank1_family(curve.evaluate(float(partition.times[j]))), state)
         np.testing.assert_allclose(one_pass.matrix, state.matrix, rtol=0, atol=n * dim * np.finfo(float).eps)
+
+    @pytest.mark.parametrize("kind", ["uniform", "random"])
+    @pytest.mark.parametrize("dim", [2, 3, 5, 6, 8])
+    def test_both_step_forms_agree(self, dim, kind, monkeypatch):
+        # The same trajectory through the two mat-vecs and through the d x d
+        # step. Error model as in test_stepwise_equals_one_pass: about
+        # d * eps of rounding per contracting step in each form.
+        import zenolab.measurement as measurement_mod
+        from zenolab.measurement import _channel_route, _partition_trajectory
+
+        n = 300
+        base = seeded_cons(dim, 4)
+        w = np.random.default_rng(dim).exponential(size=dim)
+        rho = DensityMatrix.from_weights(w / w.sum(), base)
+        curve = GeneratedCurve(seeded_hermitian(dim, 5), base, 1.0)
+        partition = uniform_partition(1.0, n) if kind == "uniform" else random_partition(1.0, n, seed=3)
+        trajectory = _partition_trajectory(curve, seeded_hermitian(dim, 6), partition)
+
+        monkeypatch.setattr(measurement_mod, "KRON_MAX_DIM", dim)
+        kron = _channel_route(rho.matrix, *trajectory)
+        monkeypatch.setattr(measurement_mod, "KRON_MAX_DIM", dim - 1)
+        square = _channel_route(rho.matrix, *trajectory)
+        np.testing.assert_allclose(kron, square, rtol=0, atol=n * dim * np.finfo(float).eps)
 
 
 class TestLeakage:

@@ -67,7 +67,10 @@ class TestRunSweep:
         records = run_sweep(scenario)
         assert [r.n for r in records] == [1, 7, 100]
         for r in records:
-            assert r.trace_distance <= 1e-10
+            # Exact freezing makes the distance 0. Error model: each channel
+            # step rounds the state by about d * eps, and the steps are
+            # contractions, so the residual stays below N * d * eps.
+            assert r.trace_distance <= r.n * r.dim * np.finfo(float).eps
             assert r.entropy_gap <= 1e-10
 
     def test_qubit_distances_strictly_decreasing(self, tmp_path):
