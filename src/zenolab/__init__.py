@@ -9,26 +9,14 @@ conditions under which the von Neumann entropy converges along the way.
 """
 
 from .bounds import (
-    ConvergenceReport,
     EntropyConditionReport,
-    JensenReport,
-    convergence_conditions_report,
     dominating_operator,
     entropy_condition_report,
-    jensen_check,
     leakage_upper_bound,
     mesh_condition,
     survival_lower_bound,
     trace_distance_bound,
     weight_error_bound,
-)
-from .channels import (
-    FamilyDiagnostics,
-    ProjectionFamily,
-    apply_projection_channel,
-    apply_unitary_channel,
-    rank1_family,
-    validate_projection_family,
 )
 from .corpus import CorpusScenario, build_scenario, check_suite, run_battery, scenario_seeds
 from .curves import (
@@ -42,34 +30,24 @@ from .curves import (
 from .errors import InvariantViolation, SchemaError, ValidationError, ZenolabError
 from .linalg import (
     HermitianEigen,
-    gram_schmidt_complete,
     hermitian_eigendecompose,
     seeded_cons,
     seeded_hermitian,
     trace_norm,
-    unitary_exponential,
 )
 from .measurement import (
     MeasurementResult,
     Partition,
-    evolve_by_channels,
     leakage_by_path_enumeration,
-    propagate_weights,
     random_partition,
     run_measurement,
-    step_transition_matrix,
-    survival_probability,
-    target_state,
     uniform_partition,
 )
 from .scenario import Scenario, load_scenario
 from .states import (
     DensityMatrix,
     FannesBound,
-    SpectralDecomposition,
     entr,
-    fannes_bound,
-    spectral_decompose,
     von_neumann_entropy,
 )
 from .sweep import RateFit, SweepRecord, fit_loglog, fit_rate, read_csv, run_sweep, write_csv

@@ -2,10 +2,10 @@
 asserts them.
 
 The formulas (leakage and survival estimates, the trace-distance bound,
-which lives in measurement because run_measurement asserts it too,
-convergence-condition reports, the dominating operator and the entropy
-reports) are pure computations; the four bound formulas take xi, eta,
-drift and weight as scalars or as (d,) arrays over the basis index k.
+which lives in measurement because run_measurement asserts it too, the
+dominating operator and the entropy condition report) are pure
+computations; the four bound formulas take xi, eta, drift and weight as
+scalars or as (d,) arrays over the basis index k.
 CHECKS is the only place the inequalities are asserted: each row has a
 name and a tolerance, and yields one outcome per comparison it makes on a
 CheckInputs, reading the weights, partition and frames the run itself
@@ -18,16 +18,16 @@ mesh, Fannes and sigma gates) makes no comparison.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import cached_property
 from typing import Callable, NamedTuple
 
 import numpy as np
 
 from .channels import FAMILY_TOL
-from .curves import BasisCurve, GeneratedCurve, curve_bounds, drift_sums, partition_lipschitz_estimate
+from .curves import BasisCurve, GeneratedCurve, drift_sums
 from .errors import ValidationError
-from .linalg import hermitian_eigendecompose, orthonormality_defect, require_cons
+from .linalg import orthonormality_defect, require_cons
 from .measurement import (PROOF_IDENTITY_TOL, TRACE_BOUND_TOL, MeasurementResult, Partition,
                           leakage_by_path_enumeration, trace_distance_bound)
 from .states import entr, fannes_bound_at, von_neumann_entropy
@@ -69,62 +69,6 @@ def weight_error_bound(weight, xi, eta, a: float, partition: Partition, drift):
     """weight * (1 - survival lower bound) + leakage upper bound."""
     return weight * (1.0 - survival_lower_bound(xi, eta, a, partition, drift)) + leakage_upper_bound(
         xi, eta, partition
-    )
-
-
-@dataclass(frozen=True)
-class ConvergenceReport:
-    """Regularity of one basis index across a refinement family of partitions.
-
-    drift_values and lipschitz_estimates carry one entry per partition, in
-    the given order. The pass flag requires the final drift to be small on
-    the scale 1e-3 * eta^2 * tau^2 and the per-partition Lipschitz estimates
-    not to blow up between the last two refinements (a blow-up is the
-    footprint of a discontinuous curve).
-    """
-
-    k: int
-    energy_sup: float
-    lipschitz: float
-    partition_sizes: list[int]
-    drift_values: list[float]
-    lipschitz_estimates: list[float]
-    drift_ok: bool
-    lipschitz_stable: bool
-
-    @property
-    def passed(self) -> bool:
-        return self.drift_ok and self.lipschitz_stable
-
-
-def convergence_conditions_report(
-    curve: BasisCurve, hamiltonian, k: int, partitions: list[Partition], grid_points: int = 257
-) -> ConvergenceReport:
-    """Check the finite-sample footprint of the pointwise convergence conditions."""
-    if not partitions:
-        raise ValidationError("need at least one partition")
-    cb = curve_bounds(curve, hamiltonian, grid_points)
-    xi, eta = float(cb.energy_sups[k]), float(cb.lipschitz[k])
-    drifts, estimates = [], []
-    for p in partitions:
-        frames = curve.frames_at(p.times)
-        drifts.append(float(drift_sums(frames)[k]))
-        estimates.append(float(partition_lipschitz_estimate(frames, p.steps)[k]))
-    threshold = 1e-3 * eta**2 * curve.tau**2
-    drift_ok = abs(drifts[-1]) <= threshold + 1e-15
-    if len(estimates) >= 2 and estimates[-2] > 1e-12:
-        lipschitz_stable = estimates[-1] <= 1.5 * estimates[-2]
-    else:
-        lipschitz_stable = True
-    return ConvergenceReport(
-        k=k,
-        energy_sup=xi,
-        lipschitz=eta,
-        partition_sizes=[p.n for p in partitions],
-        drift_values=drifts,
-        lipschitz_estimates=estimates,
-        drift_ok=drift_ok,
-        lipschitz_stable=lipschitz_stable,
     )
 
 
@@ -214,59 +158,6 @@ def entropy_condition_report(weights, xis, etas, truncation_length: int | None =
         tail_index=tail_index,
         tail_ok=tail_ok,
         decay_proxy_ok=decay,
-    )
-
-
-@dataclass(frozen=True)
-class JensenReport:
-    """Concavity check of the entropy kernel against the spectral weights of
-    the Hamiltonian along one basis index.
-
-    At each sampled time, entr(||H Psi_k(t)||^2) must dominate the spectrally
-    weighted sum of entr(x^2); the assertion is made only when the squared
-    energy sup lies in the kernel's monotone region, mirroring how the bound
-    is actually used.
-    """
-
-    k: int
-    applicable: bool
-    energy_sup_sq: float
-    worst_gap: float
-    chained_ok: bool | None
-    weighted_kernel_sums: list[float] = field(repr=False)
-    kernel_trace: float = 0.0
-
-    @property
-    def ok(self) -> bool:
-        if not self.applicable:
-            return True
-        return self.worst_gap <= 1e-9 and bool(self.chained_ok)
-
-
-def jensen_check(hamiltonian, curve: BasisCurve, k: int, grid_points: int = 257) -> JensenReport:
-    """Verify the concavity inequality on a time grid for basis index k. The grid goes
-    through one frames_at, so on a sampled curve it must lie on the curve's own grid."""
-    eig = hermitian_eigendecompose(hamiltonian)
-    kernel_of_spectrum = entr(eig.values**2)
-    xi = float(curve_bounds(curve, hamiltonian, grid_points).energy_sups[k])
-    applicable = xi**2 <= MONOTONE_REGION
-
-    # Row i holds |V* Psi_k(t_i)|^2, the spectral weights at grid time t_i.
-    psi = curve.frames_at(np.linspace(0.0, curve.tau, grid_points))[:, :, k]
-    spectral_weights = np.abs(psi @ eig.vectors.conj()) ** 2
-    lhs = entr(spectral_weights @ eig.values**2)
-    rhs = spectral_weights @ kernel_of_spectrum
-    chained = None
-    if applicable:
-        chained = entr(xi**2) >= float(np.max(lhs)) - 1e-9
-    return JensenReport(
-        k=k,
-        applicable=applicable,
-        energy_sup_sq=xi**2,
-        worst_gap=float(np.max(rhs - lhs)),
-        chained_ok=chained,
-        weighted_kernel_sums=rhs.tolist(),
-        kernel_trace=float(np.sum(kernel_of_spectrum)),
     )
 
 

@@ -1,5 +1,5 @@
 """Dense complex-matrix kernel: Hermitian eigendecomposition, spectral
-functions, trace norm, and orthonormalization.
+functions, trace norm, orthonormality checks and seeded fixtures.
 
 Everything here is pure, deterministic, and sized for dense double-precision
 work at small dimension (d <= 32). Structural checks use 1e-10, composed
@@ -15,7 +15,6 @@ import numpy as np
 from .errors import ValidationError
 
 HERMITIAN_TOL = 1e-10
-ORTHO_TOL = 1e-10
 
 
 def as_complex_matrix(m, name: str = "matrix") -> np.ndarray:
@@ -101,11 +100,6 @@ def hermitian_eigendecompose(m, tol: float = HERMITIAN_TOL) -> HermitianEigen:
     return HermitianEigen(values=values, vectors=vectors)
 
 
-def unitary_exponential(h, t: float) -> np.ndarray:
-    """e^{-i t H} for Hermitian H, via the spectral decomposition."""
-    return hermitian_eigendecompose(h).propagator(float(t))
-
-
 def trace_norm(t) -> float:
     """Sum of absolute eigenvalues of a Hermitian operator.
 
@@ -131,59 +125,6 @@ def commutator_norm(a, h) -> float:
     """
     c = a @ h - h @ a
     return operator_norm_hermitian(1j * c)
-
-
-def _orthonormalize_in_order(columns: list[np.ndarray], tol: float) -> list[np.ndarray]:
-    """Modified Gram-Schmidt with one reorthogonalization sweep."""
-    out: list[np.ndarray] = []
-    for raw in columns:
-        v = np.asarray(raw, dtype=complex).reshape(-1)
-        original_norm = np.linalg.norm(v)
-        for _ in range(2):
-            for u in out:
-                v = v - np.vdot(u, v) * u
-        norm = np.linalg.norm(v)
-        if norm <= tol * max(1.0, original_norm):
-            raise ValidationError(
-                f"vector {len(out)} is linearly dependent on its predecessors "
-                f"(residual norm {norm:.3e})"
-            )
-        out.append(v / norm)
-    return out
-
-
-def gram_schmidt_complete(partial, dim: int) -> np.ndarray:
-    """Orthonormalize `partial` in order and complete it to a full basis.
-
-    Completion candidates are the standard basis vectors taken in index
-    order, so the result is deterministic. Returns a d x d matrix whose
-    columns form the orthonormal system.
-    """
-    if dim <= 0:
-        raise ValidationError("dimension must be positive")
-    vectors = [np.asarray(v, dtype=complex).reshape(-1) for v in partial]
-    for v in vectors:
-        if v.shape[0] != dim:
-            raise ValidationError(f"vector length {v.shape[0]} does not match dim {dim}")
-    if len(vectors) > dim:
-        raise ValidationError(f"{len(vectors)} vectors cannot be independent in dim {dim}")
-
-    basis = _orthonormalize_in_order(vectors, ORTHO_TOL)
-    for i in range(dim):
-        if len(basis) == dim:
-            break
-        e = np.zeros(dim, dtype=complex)
-        e[i] = 1.0
-        v = e
-        for _ in range(2):
-            for u in basis:
-                v = v - np.vdot(u, v) * u
-        norm = np.linalg.norm(v)
-        if norm > 1e-8:
-            basis.append(v / norm)
-    if len(basis) != dim:
-        raise ValidationError("failed to complete the basis from the standard vectors")
-    return np.column_stack(basis)
 
 
 def orthonormality_defect(cons: np.ndarray):

@@ -144,19 +144,15 @@ def random_partition(tau: float, n: int, seed: int) -> Partition:
     raise ValidationError(f"could not place {n - 1} distinct interior points in (0, {tau})")
 
 
-def _trajectory(curve: BasisCurve, hamiltonian, times) -> tuple:
+def _partition_trajectory(curve: BasisCurve, hamiltonian, partition: Partition) -> tuple:
     """What both routes read, the inputs validated once: the (N+1, d, d) frame
     stack and the (N, d, d) stack of step unitaries U_j = e^{-i dt_j H}."""
+    if abs(partition.tau - curve.tau) > 1e-12 * max(1.0, curve.tau):
+        raise ValidationError(f"partition horizon {partition.tau} differs from curve horizon {curve.tau}")
     h = require_hermitian(hamiltonian, name="hamiltonian")
     if h.shape[0] != curve.dim:
         raise ValidationError(f"hamiltonian dimension {h.shape[0]} does not match the curve")
-    return curve.frames_at(times), hermitian_eigendecompose(h).propagator(np.diff(times))
-
-
-def _partition_trajectory(curve: BasisCurve, hamiltonian, partition: Partition) -> tuple:
-    if abs(partition.tau - curve.tau) > 1e-12 * max(1.0, curve.tau):
-        raise ValidationError(f"partition horizon {partition.tau} differs from curve horizon {curve.tau}")
-    return _trajectory(curve, hamiltonian, partition.times)
+    return curve.frames_at(partition.times), hermitian_eigendecompose(h).propagator(partition.steps)
 
 
 def _transfer_matrices(frames: np.ndarray, unitaries: np.ndarray) -> np.ndarray:
@@ -235,41 +231,6 @@ def _channel_route(m: np.ndarray, frames: np.ndarray, unitaries: np.ndarray) -> 
     return (m + m.conj().T) / 2
 
 
-def step_transition_matrix(curve: BasisCurve, hamiltonian, t_prev: float, t_next: float) -> np.ndarray:
-    """Doubly stochastic matrix of one evolve-then-measure step.
-
-    Entry (a, b) is the probability |<Psi_a(t_next), e^{-i dt H} Psi_b(t_prev)>|^2
-    of landing on index a when starting from index b.
-    """
-    if not t_next > t_prev:
-        raise ValidationError("step requires t_prev < t_next")
-    return _transfer_matrices(*_trajectory(curve, hamiltonian, [t_prev, t_next]))[0]
-
-
-def propagate_weights(weights, curve: BasisCurve, hamiltonian, partition: Partition) -> np.ndarray:
-    """Push the weight vector through the chain of step matrices."""
-    w = np.asarray(weights, dtype=float)
-    if abs(w.sum() - 1.0) > WEIGHT_SUM_TOL:
-        raise ValidationError(f"weights sum to {w.sum()!r}, expected 1")
-    return _transfer_route(w, *_partition_trajectory(curve, hamiltonian, partition))[0]
-
-
-def survival_probability(curve: BasisCurve, hamiltonian, partition: Partition, k: int) -> float:
-    """Product over steps of the stay probability of index k."""
-    return float(_survivals(_transfer_matrices(*_partition_trajectory(curve, hamiltonian, partition)))[k])
-
-
-def evolve_by_channels(rho: DensityMatrix, hamiltonian, curve: BasisCurve, partition: Partition) -> DensityMatrix:
-    """Posterior state after alternating evolution and measurement.
-
-    The state must be diagonal in the curve's base basis; the protocol is
-    tied to that choice of decomposition, so a degenerate state needs the
-    caller to fix the basis explicitly.
-    """
-    _require_diagonal_in_base(rho, curve)
-    return DensityMatrix(_channel_route(rho.matrix, *_partition_trajectory(curve, hamiltonian, partition)))
-
-
 def _in_basis(matrix: np.ndarray, basis: np.ndarray) -> tuple[np.ndarray, float]:
     """Real diagonal and largest off-diagonal modulus of basis* matrix basis."""
     c = basis.conj().T @ matrix @ basis
@@ -319,14 +280,6 @@ def leakage_by_path_enumeration(weights, curve: BasisCurve, hamiltonian, partiti
             weight *= mats[j][indices[j + 1], indices[j]]
         totals[k] += weight
     return totals
-
-
-def target_state(curve: BasisCurve, weights, t: float) -> DensityMatrix:
-    """The moving reference state sum_n w_n |Psi_n(t)><Psi_n(t)|."""
-    w = np.asarray(weights, dtype=float)
-    if abs(w.sum() - 1.0) > WEIGHT_SUM_TOL:
-        raise ValidationError(f"weights sum to {w.sum()!r}, expected 1")
-    return DensityMatrix.from_weights(w, curve.evaluate(t))
 
 
 def trace_distance_bound(weights, survivals) -> float:

@@ -39,6 +39,9 @@ PAULI = {
 
 # The top-level fields a scenario file may set.
 FIELDS = ("dim", "tau", "state", "hamiltonian", "curve", "partitions", "a", "output")
+# Largest (N+1) * d^2 a partition plan may ask for: one complex (N+1, d, d)
+# stack of this many entries takes 1 GiB, and a run holds a few such stacks.
+MAX_STACK_ENTRIES = 2**26
 
 
 @dataclass(frozen=True, eq=False)
@@ -145,14 +148,27 @@ def build_curve(curve_spec, basis, dim: int, tau: float, base_dir: str = ".") ->
     raise ValidationError(f"unknown curve kind {kind!r}")
 
 
-def build_partitions(plan, tau: float) -> list[Partition]:
+def _require_stack_fits(sizes: list[int], dim: int) -> None:
+    """Reject a size whose (N+1, d, d) frame stack would exceed MAX_STACK_ENTRIES, before any allocation."""
+    for n in sizes:
+        if (n + 1) * dim * dim > MAX_STACK_ENTRIES:
+            raise ValidationError(
+                f"partitions: N = {n} at dim {dim} needs a frame stack of {(n + 1) * dim * dim} "
+                f"entries, more than {MAX_STACK_ENTRIES}"
+            )
+
+
+def build_partitions(plan, tau: float, dim: int) -> list[Partition]:
     if isinstance(plan, dict) and "uniform" in plan:
         sizes = [int(n) for n in plan["uniform"]]
+        _require_stack_fits(sizes, dim)
         return [uniform_partition(tau, n) for n in sizes]
     if isinstance(plan, dict) and "random" in plan:
         params = plan["random"]
         seed = int(params["seed"])
-        return [random_partition(tau, int(n), seed + i) for i, n in enumerate(params["n"])]
+        sizes = [int(n) for n in params["n"]]
+        _require_stack_fits(sizes, dim)
+        return [random_partition(tau, n, seed + i) for i, n in enumerate(sizes)]
     raise ValidationError(f"unrecognized partition plan {plan!r}")
 
 
@@ -181,13 +197,14 @@ def load_scenario(path: str) -> Scenario:
             return default
         return data[key]
 
+    # A null or boolean dim or tau is present but not a number; bool is an int subclass.
     dim = grab("dim", required=True)
-    if dim is not None and (not isinstance(dim, int) or dim < 1):
+    if "dim" in data and (isinstance(dim, bool) or not isinstance(dim, int) or dim < 1):
         problems.append(f"dim must be a positive integer, got {dim!r}")
         dim = None
 
     tau = grab("tau", required=True)
-    if tau is not None and not (isinstance(tau, (int, float)) and tau > 0):
+    if "tau" in data and (isinstance(tau, bool) or not (isinstance(tau, (int, float)) and tau > 0)):
         problems.append(f"tau must be a positive number, got {tau!r}")
         tau = None
 
@@ -242,7 +259,7 @@ def load_scenario(path: str) -> Scenario:
         curve = build_curve(curve_spec, basis, dim, float(tau), os.path.dirname(os.path.abspath(path)))
         rho = DensityMatrix.from_weights(weights, curve.base if basis is None else basis)
         field = "partitions"
-        partitions = tuple(sorted(build_partitions(plan, float(tau)), key=lambda p: p.n))
+        partitions = tuple(sorted(build_partitions(plan, float(tau), dim), key=lambda p: p.n))
         if isinstance(curve, SampledCurve):
             for partition in partitions:
                 curve.frames_at(partition.times)

@@ -1,5 +1,5 @@
-"""Density matrices, their spectral (Schatten) decompositions, and the
-von Neumann entropy with its trace-norm continuity bound.
+"""Density matrices, the entropy kernel, and the von Neumann entropy with
+its trace-norm continuity bound.
 
 All entropies use the natural logarithm. Eigenvalues that drift slightly
 negative under channel composition (down to -1e-10) are clamped to zero and
@@ -14,14 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ValidationError
-from .linalg import (
-    as_complex_matrix,
-    hermitian_eigendecompose,
-    hermiticity_defect,
-    require_cons,
-    seeded_cons,
-    trace_norm,
-)
+from .linalg import as_complex_matrix, hermiticity_defect, require_cons, seeded_cons
 
 STATE_TOL = 1e-10
 EIGENVALUE_FLOOR = -1e-10
@@ -90,25 +83,6 @@ class DensityMatrix:
         return cls.from_weights(w, seeded_cons(dim, seed + 1))
 
 
-@dataclass(frozen=True)
-class SpectralDecomposition:
-    """Eigen-expansion rho = sum_n w_n |b_n><b_n| with a full orthonormal basis.
-
-    Zero weights are kept so the basis always spans; the ordering follows the
-    eigensolver (ascending) rather than any decreasing convention.
-    """
-
-    weights: np.ndarray
-    basis: np.ndarray
-
-    @property
-    def dim(self) -> int:
-        return self.weights.shape[0]
-
-    def reconstruct(self) -> np.ndarray:
-        return (self.basis * self.weights) @ self.basis.conj().T
-
-
 def clean_spectrum(values: np.ndarray) -> np.ndarray:
     """Clamp tiny negative eigenvalues to zero and renormalize to unit sum."""
     v = np.asarray(values, dtype=float)
@@ -120,14 +94,6 @@ def clean_spectrum(values: np.ndarray) -> np.ndarray:
     if total <= 0:
         raise ValidationError("spectrum sums to zero")
     return v / total
-
-
-def spectral_decompose(rho: DensityMatrix) -> SpectralDecomposition:
-    """Spectral decomposition of a state, with the clamp-and-renormalize policy."""
-    eig = hermitian_eigendecompose(rho.matrix)
-    weights = clean_spectrum(eig.values)
-    weights.flags.writeable = False
-    return SpectralDecomposition(weights=weights, basis=eig.vectors)
 
 
 def entr(x):
@@ -175,9 +141,3 @@ def fannes_bound_at(t: float, dim: int) -> FannesBound:
     """Entropy-continuity bound T ln d + entr(T) at trace-norm distance T."""
     return FannesBound(trace_distance=t, applicable=t <= FANNES_THRESHOLD, bound=float(t * math.log(dim) + entr(t)))
 
-
-def fannes_bound(rho1: DensityMatrix, rho2: DensityMatrix) -> FannesBound:
-    """Entropy-continuity bound T ln d + entr(T), T the trace-norm distance."""
-    if rho1.dim != rho2.dim:
-        raise ValidationError(f"dimension mismatch: {rho1.dim} vs {rho2.dim}")
-    return fannes_bound_at(trace_norm(rho1.matrix - rho2.matrix), rho1.dim)

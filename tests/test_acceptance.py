@@ -35,18 +35,16 @@ from zenolab.bounds import (
 from zenolab.cli import main
 from zenolab.corpus import CorpusScenario, build_scenario, scenario_seeds
 from zenolab.curves import GeneratedCurve, StaticCurve, curve_bounds, drift_sums
-from zenolab.linalg import seeded_cons, unitary_exponential
+from zenolab.linalg import hermitian_eigendecompose, seeded_cons, trace_norm
 from zenolab.measurement import (
     MeasurementResult,
-    evolve_by_channels,
     leakage_by_path_enumeration,
-    propagate_weights,
     random_partition,
     run_measurement,
     uniform_partition,
 )
 from zenolab.scenario import load_scenario
-from zenolab.states import DensityMatrix, entr, fannes_bound, von_neumann_entropy
+from zenolab.states import DensityMatrix, entr, fannes_bound_at, von_neumann_entropy
 from zenolab.sweep import fit_rate, run_sweep
 
 SCENARIOS = os.path.join(os.path.dirname(__file__), "..", "scenarios")
@@ -71,7 +69,6 @@ class CorpusRun:
     result: MeasurementResult
     evolve_diag: np.ndarray
     offdiag_residual: float
-    transfer: np.ndarray
     xis: np.ndarray
     etas: np.ndarray
     drifts: np.ndarray
@@ -80,12 +77,10 @@ class CorpusRun:
 
 def _run_one(scenario: CorpusScenario) -> CorpusRun:
     rho = DensityMatrix.from_weights(scenario.weights, scenario.basis)
-    final = evolve_by_channels(rho, scenario.hamiltonian, scenario.curve, scenario.partition)
-    basis_tau = scenario.curve.evaluate(scenario.tau)
-    coords = basis_tau.conj().T @ final.matrix @ basis_tau
-    offdiag = float(np.max(np.abs(coords - np.diag(np.diag(coords)))))
-    transfer = propagate_weights(scenario.weights, scenario.curve, scenario.hamiltonian, scenario.partition)
     result = run_measurement(rho, scenario.hamiltonian, scenario.curve, scenario.partition)
+    basis_tau = scenario.curve.evaluate(scenario.tau)
+    coords = basis_tau.conj().T @ result.rho_final.matrix @ basis_tau
+    offdiag = float(np.max(np.abs(coords - np.diag(np.diag(coords)))))
     cb = curve_bounds(scenario.curve, scenario.hamiltonian)
 
     dim = scenario.dim
@@ -106,7 +101,6 @@ def _run_one(scenario: CorpusScenario) -> CorpusRun:
         result=result,
         evolve_diag=np.real(np.diag(coords)),
         offdiag_residual=offdiag,
-        transfer=transfer,
         xis=cb.energy_sups,
         etas=cb.lipschitz,
         drifts=drifts,
@@ -147,7 +141,7 @@ def test_criterion_1_dual_oracle_equivalence(corpus):
         assert dims == set(range(2, 9))
         assert all(1 <= r.scenario.partition.n <= 64 for r in runs)
         for run in runs:
-            assert float(np.max(np.abs(run.transfer - run.evolve_diag))) <= 1e-9
+            assert float(np.max(np.abs(run.result.weights_out - run.evolve_diag))) <= 1e-9
             assert run.offdiag_residual <= 1e-9
         assert elapsed < 60.0
 
@@ -210,12 +204,10 @@ def test_criterion_4_static_qubit_first_order_convergence(qubit_sweep):
 def test_criterion_5_unitary_channel_approximation(unitary_sweep):
     scenario, records = unitary_sweep
     with criterion(5, "generated curve approximates the target unitary conjugation"):
-        target_u = unitary_exponential(scenario.curve.generator, scenario.tau)
+        target_u = hermitian_eigendecompose(scenario.curve.generator).propagator(scenario.tau)
         rho = scenario.state
         conjugated = target_u @ rho.matrix @ target_u.conj().T
-        final = evolve_by_channels(rho, scenario.hamiltonian, scenario.curve, scenario.partitions[-1])
-        from zenolab.linalg import trace_norm
-
+        final = run_measurement(rho, scenario.hamiltonian, scenario.curve, scenario.partitions[-1]).rho_final
         direct = trace_norm(final.matrix - conjugated)
         assert abs(direct - records[-1].trace_distance) <= 1e-9
         assert records[-1].trace_distance <= 5e-3
@@ -261,7 +253,7 @@ def test_criterion_7_entropy_convergence_and_domination(qubit_sweep, unitary_swe
             for record, partition in zip(records, scenario.partitions):
                 result = run_measurement(rho, h, curve, partition)
                 rho_tau = DensityMatrix.from_weights(weights, curve.evaluate(scenario.tau))
-                fb = fannes_bound(result.rho_final, rho_tau)
+                fb = fannes_bound_at(trace_norm(result.rho_final.matrix - rho_tau.matrix), rho_tau.dim)
                 assert abs(fb.trace_distance - record.trace_distance) <= 1e-9
                 if fb.applicable:
                     gap = abs(von_neumann_entropy(result.rho_final) - von_neumann_entropy(rho_tau))

@@ -14,20 +14,19 @@ import pytest
 from zenolab.bounds import (
     CHECKS,
     CheckInputs,
-    convergence_conditions_report,
     dominating_operator,
     entropy_condition_report,
-    jensen_check,
     leakage_upper_bound,
     mesh_condition,
     survival_lower_bound,
     trace_distance_bound,
     weight_error_bound,
 )
-from zenolab.curves import GeneratedCurve, SampledCurve, StaticCurve, curve_bounds
+from zenolab.curves import (GeneratedCurve, SampledCurve, StaticCurve, curve_bounds, drift_sums,
+                            partition_lipschitz_estimate)
 from zenolab.errors import ValidationError
-from zenolab.linalg import gram_schmidt_complete, hermitian_eigendecompose, seeded_cons, seeded_hermitian
-from zenolab.measurement import run_measurement, target_state, uniform_partition
+from zenolab.linalg import seeded_cons, seeded_hermitian
+from zenolab.measurement import run_measurement, uniform_partition
 from zenolab.states import DensityMatrix, entr, von_neumann_entropy
 
 from conftest import PAULI_X
@@ -147,22 +146,33 @@ class TestTraceDistanceBound:
 
 
 class TestConvergenceConditionsReport:
+    """The finite-sample footprint of the convergence conditions along a
+    refinement family: drift sums that vanish, and per-partition Lipschitz
+    estimates that settle instead of growing with N."""
+
+    @staticmethod
+    def refine(curve, k, sizes):
+        partitions = [uniform_partition(curve.tau, n) for n in sizes]
+        frames = [curve.frames_at(p.times) for p in partitions]
+        drifts = [float(drift_sums(f)[k]) for f in frames]
+        estimates = [float(partition_lipschitz_estimate(f, p.steps)[k]) for f, p in zip(frames, partitions)]
+        return drifts, estimates
+
     def test_static_curve_passes_with_zero_drift(self):
         curve = StaticCurve(seeded_cons(3, 1), 1.0)
-        partitions = [uniform_partition(1.0, n) for n in (2, 8, 32)]
-        report = convergence_conditions_report(curve, seeded_hermitian(3, 2), 0, partitions)
-        assert report.passed
-        assert report.lipschitz == 0.0
-        assert all(v == 0.0 for v in report.drift_values)
+        drifts, estimates = self.refine(curve, 0, (2, 8, 32))
+        assert curve_bounds(curve, seeded_hermitian(3, 2)).lipschitz[0] == 0.0
+        assert all(v == 0.0 for v in drifts)
+        assert all(v == 0.0 for v in estimates)
 
     def test_generated_curve_passes_at_fine_refinement(self):
         curve = GeneratedCurve(seeded_hermitian(3, 5), seeded_cons(3, 6), 1.0)
-        partitions = [uniform_partition(1.0, n) for n in (2, 8, 32, 128, 512)]
-        report = convergence_conditions_report(curve, seeded_hermitian(3, 7), 1, partitions)
-        assert report.passed
+        eta = float(curve_bounds(curve, seeded_hermitian(3, 7)).lipschitz[1])
+        drifts, estimates = self.refine(curve, 1, (2, 8, 32, 128, 512))
+        assert abs(drifts[-1]) <= 1e-3 * eta**2 * curve.tau**2
+        assert estimates[-1] <= 1.5 * estimates[-2]
         # drift shrinks roughly like lipschitz^2 tau^2 / (2 N)
-        eta = report.lipschitz
-        assert abs(report.drift_values[-1]) <= eta**2 / (2 * 512) + 1e-9
+        assert abs(drifts[-1]) <= eta**2 / (2 * 512) + 1e-9
 
     def test_discontinuous_sampled_curve_is_flagged(self):
         # A basis swap at t = 1/2: the per-partition Lipschitz estimates
@@ -172,17 +182,8 @@ class TestConvergenceConditionsReport:
         after = np.array([[0, 1], [1, 0]], dtype=complex)
         frames = [before if t < 0.5 else after for t in grid]
         curve = SampledCurve(grid, frames)
-        partitions = [uniform_partition(1.0, n) for n in (4, 16, 64, 256)]
-        report = convergence_conditions_report(curve, PAULI_X, 0, partitions)
-        assert not report.lipschitz_stable
-        assert not report.passed
-        estimates = report.lipschitz_estimates
+        _, estimates = self.refine(curve, 0, (4, 16, 64, 256))
         assert estimates[-1] > 3 * estimates[-2] / 2
-
-    def test_requires_at_least_one_partition(self):
-        curve = StaticCurve(np.eye(2, dtype=complex), 1.0)
-        with pytest.raises(ValidationError):
-            convergence_conditions_report(curve, PAULI_X, 0, [])
 
 
 class TestDominatingOperator:
@@ -254,87 +255,6 @@ class TestEntropyConditionReport:
         assert not report.decay_proxy_ok
 
 
-class TestJensenCheck:
-    def test_eigenvector_gives_equality(self):
-        h = np.diag([0.1, 0.2, 0.3]).astype(complex)
-        curve = StaticCurve(np.eye(3, dtype=complex), 1.0)
-        report = jensen_check(h, curve, 1, grid_points=9)
-        assert report.applicable
-        assert report.ok
-        # equality: entr(x^2) on both sides
-        assert abs(report.worst_gap) <= 1e-12
-
-    def test_uniform_superposition_example(self):
-        h = np.diag([0.1, 0.2, 0.3]).astype(complex)
-        base = gram_schmidt_complete([np.ones(3) / math.sqrt(3)], 3)
-        curve = StaticCurve(base, 1.0)
-        report = jensen_check(h, curve, 0, grid_points=5)
-        assert report.applicable and report.ok
-        lhs = entr((0.01 + 0.04 + 0.09) / 3)
-        rhs = (entr(0.01) + entr(0.04) + entr(0.09)) / 3
-        assert lhs == pytest.approx(0.14302050676857733, abs=1e-12)
-        assert rhs == pytest.approx(0.13050727987775915, abs=1e-12)
-        assert report.weighted_kernel_sums[0] == pytest.approx(rhs, abs=1e-12)
-        assert report.worst_gap == pytest.approx(rhs - lhs, abs=1e-12)
-
-    def test_large_energy_not_applicable(self):
-        curve = StaticCurve(np.eye(2, dtype=complex), 1.0)
-        report = jensen_check(2.0 * PAULI_X, curve, 0, grid_points=5)
-        assert not report.applicable
-        assert report.ok
-
-    def test_eigenvector_family_sums_to_kernel_trace(self):
-        # over a full eigenbasis the weighted sums add up to sum entr(x^2)
-        h = np.diag([0.05, 0.15, 0.25, 0.35]).astype(complex)
-        curve = StaticCurve(np.eye(4, dtype=complex), 1.0)
-        total = 0.0
-        for k in range(4):
-            report = jensen_check(h, curve, k, grid_points=3)
-            total += report.weighted_kernel_sums[0]
-        expected = float(np.sum(entr(np.diag(h).real ** 2)))
-        assert total == pytest.approx(expected, abs=1e-9)
-        assert jensen_check(h, curve, 0, grid_points=3).kernel_trace == pytest.approx(expected, abs=1e-12)
-
-
-def jensen_by_time(h, curve, k, grid_points):
-    """The per-time loop jensen_check replaces: (worst_gap, largest lhs, weighted sums)."""
-    eig = hermitian_eigendecompose(h)
-    kernel = entr(eig.values**2)
-    gaps, lhss, sums = [], [], []
-    for t in np.linspace(0.0, curve.tau, grid_points):
-        weights = np.abs(eig.vectors.conj().T @ curve.evaluate(float(t))[:, k]) ** 2
-        lhs = entr(float(np.sum(weights * eig.values**2)))
-        rhs = float(np.sum(weights * kernel))
-        gaps.append(rhs - lhs)
-        lhss.append(lhs)
-        sums.append(rhs)
-    return max(gaps), max(lhss), sums
-
-
-class TestJensenOnePass:
-    @pytest.mark.parametrize("variant", ["static", "generated", "sampled"])
-    @pytest.mark.parametrize("dim", [2, 5])
-    def test_matches_the_per_time_loop(self, variant, dim):
-        # The same sums in another association: d * eps of rounding on
-        # weights and kernel values that are at most 1.
-        tau, grid_points = 1.3, 33
-        h = 0.1 * seeded_hermitian(dim, 7)
-        generated = GeneratedCurve(seeded_hermitian(dim, 8), seeded_cons(dim, 9), tau)
-        grid = np.linspace(0.0, tau, grid_points)
-        curve = {
-            "static": StaticCurve(seeded_cons(dim, 9), tau),
-            "generated": generated,
-            "sampled": SampledCurve(grid, generated.frames_at(grid)),
-        }[variant]
-        tol = dim * np.finfo(float).eps
-        for k in range(dim):
-            report = jensen_check(h, curve, k, grid_points=grid_points)
-            worst_gap, lhs_max, sums = jensen_by_time(h, curve, k, grid_points)
-            assert report.worst_gap == pytest.approx(worst_gap, rel=0, abs=tol)
-            np.testing.assert_allclose(report.weighted_kernel_sums, sums, rtol=0, atol=tol)
-            assert report.chained_ok == (entr(report.energy_sup_sq) >= lhs_max - 1e-9 if report.applicable else None)
-
-
 def generated_inputs(dim=3, n=8, seed=0, constants=(1.5, 2.0, 4.0)) -> CheckInputs:
     h = seeded_hermitian(dim, 11)
     curve = GeneratedCurve(seeded_hermitian(dim, 12), seeded_cons(dim, 13), 1.0)
@@ -375,12 +295,12 @@ class TestCheckRowsReadTheRun:
             if seed % 2:
                 w[seed % dim] = 0.0
             w = w / w.sum()
-            target = von_neumann_entropy(target_state(curve, w, 0.7))
+            target = von_neumann_entropy(DensityMatrix.from_weights(w, curve.evaluate(0.7)))
             assert abs(target - float(np.sum(entr(w)))) <= tol
 
     def test_entropy_gap_is_the_distance_to_the_target_entropy(self):
         x = generated_inputs(dim=4)
-        target = von_neumann_entropy(target_state(x.curve, x.result.weights, x.result.partition.tau))
+        target = von_neumann_entropy(DensityMatrix.from_weights(x.result.weights, x.result.frames[-1]))
         delta = 4 * np.finfo(float).eps
         assert x.entropy_gap == pytest.approx(abs(x.entropy - target), rel=0, abs=4 * delta * (1 - math.log(delta)))
         [(passed, fields)] = row_outcomes(x, "fannes_bound")

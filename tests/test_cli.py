@@ -92,6 +92,10 @@ MALFORMED_INPUTS = {
     "null_state": (_run_with(state=None), "state must be an object"),
     "infinite_random_seed": (_run_with(hamiltonian={"random": {"seed": math.inf}}), "malformed hamiltonian spec"),
     "infinite_uniform_n": (_run_with(partitions={"uniform": [4, math.inf]}), "malformed partitions spec"),
+    "null_dim": (_run_with(dim=None), "dim must be a positive integer, got None"),
+    "null_tau": (_run_with(tau=None), "tau must be a positive number, got None"),
+    "boolean_tau": (_run_with(tau=True), "tau must be a positive number, got True"),
+    "oversized_uniform_n": (_run_with(partitions={"uniform": [4, 10**12]}), "partitions: N = 1000000000000"),
     "csv_row_with_a_non_number": (_rate_with_row(lambda f: f[:3] + ["x"] + f[4:]), "line 3"),
     "csv_row_with_too_few_fields": (_rate_with_row(lambda f: f[:3]), "line 3"),
     "csv_without_header": (_csv_file("#schema=1\n"), "columns do not match"),

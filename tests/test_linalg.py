@@ -1,5 +1,5 @@
 """Dense kernel tests: eigendecomposition, spectral exponential, trace norm,
-and basis completion, checked against closed forms and seeded properties."""
+and orthonormality defects, checked against closed forms and seeded properties."""
 
 import math
 
@@ -8,14 +8,12 @@ import pytest
 
 from zenolab.errors import ValidationError
 from zenolab.linalg import (
-    gram_schmidt_complete,
     hermitian_eigendecompose,
     operator_norm_hermitian,
     orthonormality_defect,
     seeded_cons,
     seeded_hermitian,
     trace_norm,
-    unitary_exponential,
 )
 
 from conftest import PAULI_X, overlap_is_unit
@@ -78,17 +76,19 @@ class TestEigendecompose:
 
 
 class TestUnitaryExponential:
+    """e^{-i t H} as HermitianEigen.propagator, the one spectral exponential."""
+
     def test_time_zero_is_identity(self):
         h = seeded_hermitian(4, 2)
-        np.testing.assert_allclose(unitary_exponential(h, 0.0), np.eye(4), atol=1e-14)
+        np.testing.assert_allclose(hermitian_eigendecompose(h).propagator(0.0), np.eye(4), atol=1e-14)
 
     def test_pauli_x_quarter_turn(self):
         # e^{-i theta X} = cos(theta) I - i sin(theta) X; theta = pi/2.
-        u = unitary_exponential(PAULI_X, math.pi / 2)
+        u = hermitian_eigendecompose(PAULI_X).propagator(math.pi / 2)
         np.testing.assert_allclose(u, np.array([[0, -1j], [-1j, 0]]), atol=1e-12)
 
     def test_unitarity(self):
-        u = unitary_exponential(seeded_hermitian(5, 9), 0.7)
+        u = hermitian_eigendecompose(seeded_hermitian(5, 9)).propagator(0.7)
         np.testing.assert_allclose(u @ u.conj().T, np.eye(5), atol=1e-10)
 
     @pytest.mark.parametrize("dim", [2, 3, 8, 32])
@@ -105,8 +105,9 @@ class TestUnitaryExponential:
         dim = int(rng.integers(2, 9))
         h = seeded_hermitian(dim, seed + 100)
         s, t = rng.uniform(-2, 2, size=2)
-        lhs = unitary_exponential(h, s + t)
-        rhs = unitary_exponential(h, s) @ unitary_exponential(h, t)
+        eig = hermitian_eigendecompose(h)
+        lhs = eig.propagator(s + t)
+        rhs = eig.propagator(s) @ eig.propagator(t)
         assert np.max(np.abs(lhs - rhs)) <= 1e-9
 
 
@@ -136,36 +137,8 @@ class TestTraceNorm:
         a = seeded_hermitian(dim, seed)
         b = seeded_hermitian(dim, seed + 50)
         assert trace_norm(a + b) <= trace_norm(a) + trace_norm(b) + 1e-9
-        u = unitary_exponential(seeded_hermitian(dim, seed + 99), 0.8)
+        u = hermitian_eigendecompose(seeded_hermitian(dim, seed + 99)).propagator(0.8)
         assert abs(trace_norm(u @ a @ u.conj().T) - trace_norm(a)) <= 1e-9
-
-
-class TestGramSchmidtComplete:
-    def test_empty_input_gives_standard_basis(self):
-        basis = gram_schmidt_complete([], 3)
-        np.testing.assert_allclose(basis, np.eye(3), atol=1e-14)
-
-    def test_two_dim_complement(self):
-        basis = gram_schmidt_complete([np.array([1.0, 1.0])], 2)
-        plus = np.array([1.0, 1.0]) / math.sqrt(2)
-        minus = np.array([1.0, -1.0]) / math.sqrt(2)
-        assert overlap_is_unit(basis[:, 0], plus, tol=1e-12)
-        assert overlap_is_unit(basis[:, 1], minus, tol=1e-12)
-
-    def test_seeded_partial_set(self):
-        rng = np.random.default_rng(7)
-        partial = [rng.standard_normal(5) + 1j * rng.standard_normal(5) for _ in range(3)]
-        basis = gram_schmidt_complete(partial, 5)
-        assert orthonormality_defect(basis) <= 1e-10
-        # The first three columns span the same space as the input.
-        proj = basis[:, :3] @ basis[:, :3].conj().T
-        for v in partial:
-            np.testing.assert_allclose(proj @ v, v, atol=1e-9)
-
-    def test_rank_deficiency_rejected(self):
-        v = np.array([1.0, 2.0, 0.0])
-        with pytest.raises(ValidationError, match="dependent"):
-            gram_schmidt_complete([v, 2 * v], 3)
 
 
 class TestOrthonormalityDefect:

@@ -13,17 +13,15 @@ import pytest
 
 from zenolab.curves import GeneratedCurve, SampledCurve, StaticCurve
 from zenolab.errors import InvariantViolation, ValidationError
-from zenolab.linalg import seeded_cons, seeded_hermitian
+from zenolab.linalg import hermitian_eigendecompose, seeded_cons, seeded_hermitian, trace_norm
 from zenolab.measurement import (
     Partition,
-    evolve_by_channels,
+    _channel_route,
+    _partition_trajectory,
+    _transfer_matrices,
     leakage_by_path_enumeration,
-    propagate_weights,
     random_partition,
     run_measurement,
-    step_transition_matrix,
-    survival_probability,
-    target_state,
     uniform_partition,
 )
 from zenolab.states import DensityMatrix
@@ -40,6 +38,25 @@ def qubit_static():
     rho = DensityMatrix.diagonal([0.7, 0.3])
     curve = StaticCurve(np.eye(2, dtype=complex), 1.0)
     return rho, PAULI_X, curve
+
+
+def step_matrix(curve, hamiltonian, t0, t1):
+    """The transfer route's matrix of the one step from t0 to t1."""
+    unitary = hermitian_eigendecompose(hamiltonian).propagator([t1 - t0])
+    return _transfer_matrices(curve.frames_at([t0, t1]), unitary)[0]
+
+
+def stepwise_channels(rho, hamiltonian, curve, partition):
+    """The channel composition one step at a time, a reference apart from the
+    route: U rho U* with U = e^{-i dt H}, then dephasing in the frame at t."""
+    eig = hermitian_eigendecompose(hamiltonian)
+    m = rho.matrix
+    times = [float(t) for t in partition.times]
+    for t0, t1 in zip(times, times[1:]):
+        u, f = eig.propagator(t1 - t0), curve.evaluate(t1)
+        m = u @ m @ u.conj().T
+        m = (f * np.real(np.diag(f.conj().T @ m @ f))) @ f.conj().T
+    return m
 
 
 class TestPartitions:
@@ -114,19 +131,19 @@ class TestPartitions:
 class TestStepTransitionMatrix:
     def test_free_hamiltonian_static_curve(self):
         curve = StaticCurve(np.eye(3, dtype=complex), 1.0)
-        m = step_transition_matrix(curve, np.zeros((3, 3), dtype=complex), 0.0, 0.5)
+        m = step_matrix(curve, np.zeros((3, 3), dtype=complex), 0.0, 0.5)
         np.testing.assert_allclose(m, np.eye(3), atol=1e-14)
 
     def test_qubit_closed_form(self):
         _, h, curve = qubit_static()
-        m = step_transition_matrix(curve, h, 0.0, 1.0)
+        m = step_matrix(curve, h, 0.0, 1.0)
         np.testing.assert_allclose(m, [[COS2, SIN2], [SIN2, COS2]], atol=1e-12)
 
     @pytest.mark.parametrize("seed", range(5))
     def test_doubly_stochastic(self, seed):
         dim = 5
         curve = GeneratedCurve(seeded_hermitian(dim, seed), seeded_cons(dim, seed + 1), 1.0)
-        m = step_transition_matrix(curve, seeded_hermitian(dim, seed + 2), 0.2, 0.9)
+        m = step_matrix(curve, seeded_hermitian(dim, seed + 2), 0.2, 0.9)
         np.testing.assert_allclose(m.sum(axis=0), np.ones(dim), atol=1e-9)
         np.testing.assert_allclose(m.sum(axis=1), np.ones(dim), atol=1e-9)
         assert np.all(m >= 0)
@@ -135,9 +152,6 @@ class TestStepTransitionMatrix:
 class TestBatchedTransfer:
     @pytest.mark.parametrize("partition", [uniform_partition(1.0, 12), random_partition(1.0, 12, seed=4)])
     def test_equals_stepwise_loop_bit_for_bit(self, partition):
-        from zenolab.linalg import hermitian_eigendecompose
-        from zenolab.measurement import _partition_trajectory, _transfer_matrices
-
         curve = GeneratedCurve(seeded_hermitian(4, 3), seeded_cons(4, 1), 1.0)
         h = seeded_hermitian(4, 2)
         eig = hermitian_eigendecompose(h)
@@ -154,9 +168,6 @@ class TestBatchedTransfer:
         ids=["uniform-64", "uniform-100", "uniform-1000", "uniform-3000", "random-300"],
     )
     def test_one_unitary_per_step_from_its_own_length(self, partition):
-        from zenolab.linalg import hermitian_eigendecompose
-        from zenolab.measurement import _partition_trajectory
-
         curve = StaticCurve(seeded_cons(3, 1), 1.0)
         h = seeded_hermitian(3, 2)
         unitaries = _partition_trajectory(curve, h, partition)[1]
@@ -167,14 +178,15 @@ class TestBatchedTransfer:
 
 class TestPropagateWeights:
     def test_single_step_matches_closed_form(self):
-        _, h, curve = qubit_static()
-        out = propagate_weights([0.7, 0.3], curve, h, uniform_partition(1.0, 1))
+        rho, h, curve = qubit_static()
+        out = run_measurement(rho, h, curve, uniform_partition(1.0, 1)).weights_out
         np.testing.assert_allclose(out, [LAM1, 1 - LAM1], atol=1e-12)
 
     def test_free_hamiltonian_keeps_weights(self):
         curve = StaticCurve(seeded_cons(4, 2), 1.0)
         w = [0.4, 0.3, 0.2, 0.1]
-        out = propagate_weights(w, curve, np.zeros((4, 4), dtype=complex), uniform_partition(1.0, 7))
+        rho = DensityMatrix.from_weights(w, curve.base)
+        out = run_measurement(rho, np.zeros((4, 4), dtype=complex), curve, uniform_partition(1.0, 7)).weights_out
         np.testing.assert_allclose(out, w, atol=1e-12)
 
     @pytest.mark.parametrize("seed", range(4))
@@ -184,14 +196,16 @@ class TestPropagateWeights:
         curve = GeneratedCurve(seeded_hermitian(dim, seed + 5), seeded_cons(dim, seed), 1.0)
         w = rng.exponential(size=dim)
         w /= w.sum()
-        out = propagate_weights(w, curve, seeded_hermitian(dim, seed + 9), uniform_partition(1.0, 12))
+        rho = DensityMatrix.from_weights(w, curve.base)
+        out = run_measurement(rho, seeded_hermitian(dim, seed + 9), curve, uniform_partition(1.0, 12)).weights_out
         assert np.all(out >= 0)
         assert out.sum() == pytest.approx(1.0, abs=1e-9)
 
     def test_rejects_unnormalized_weights(self):
+        # Weights reach a run only as the spectrum of a state, which must have unit trace.
         _, h, curve = qubit_static()
-        with pytest.raises(ValidationError, match="sum"):
-            propagate_weights([0.7, 0.7], curve, h, uniform_partition(1.0, 1))
+        with pytest.raises(ValidationError, match="trace"):
+            run_measurement(DensityMatrix.diagonal([0.7, 0.7]), h, curve, uniform_partition(1.0, 1))
 
     @pytest.mark.parametrize(
         "partition",
@@ -205,31 +219,30 @@ class TestPropagateWeights:
         dim = 3
         curve = GeneratedCurve(seeded_hermitian(dim, 5), seeded_cons(dim, 6), 1.0)
         h = seeded_hermitian(dim, 7)
-        w = np.array([0.5, 0.3, 0.2])
-        loop = w
-        for t0, t1 in zip(partition.times, partition.times[1:]):
-            loop = step_transition_matrix(curve, h, float(t0), float(t1)) @ loop
-        np.testing.assert_allclose(
-            propagate_weights(w, curve, h, partition), loop, rtol=0, atol=partition.n * dim * np.finfo(float).eps
-        )
+        result = run_measurement(DensityMatrix.from_weights([0.5, 0.3, 0.2], curve.base), h, curve, partition)
+        loop = result.weights
+        for mat in _transfer_matrices(*_partition_trajectory(curve, h, partition)):
+            loop = mat @ loop
+        np.testing.assert_allclose(result.weights_out, loop, rtol=0, atol=partition.n * dim * np.finfo(float).eps)
 
 
 class TestSurvival:
     def test_commuting_case_is_one(self):
         curve = StaticCurve(np.eye(2, dtype=complex), 1.0)
         h = np.diag([0.3, 1.7]).astype(complex)
-        assert survival_probability(curve, h, uniform_partition(1.0, 5), 0) == pytest.approx(1.0, abs=1e-12)
+        result = run_measurement(DensityMatrix.diagonal([0.7, 0.3]), h, curve, uniform_partition(1.0, 5))
+        assert result.survivals[0] == pytest.approx(1.0, abs=1e-12)
 
     def test_qubit_two_steps(self):
-        _, h, curve = qubit_static()
-        got = survival_probability(curve, h, uniform_partition(1.0, 2), 0)
+        rho, h, curve = qubit_static()
+        got = run_measurement(rho, h, curve, uniform_partition(1.0, 2)).survivals[0]
         assert got == pytest.approx(0.5931327983656772, abs=1e-12)
 
     def test_monotone_toward_one_under_refinement(self):
         # cos^2(1) < cos^4(1/2) < cos^8(1/4): more frequent measurement
         # freezes the state harder.
-        _, h, curve = qubit_static()
-        values = [survival_probability(curve, h, uniform_partition(1.0, n), 0) for n in (1, 2, 4)]
+        rho, h, curve = qubit_static()
+        values = [run_measurement(rho, h, curve, uniform_partition(1.0, n)).survivals[0] for n in (1, 2, 4)]
         assert values[0] < values[1] < values[2]
         np.testing.assert_allclose(
             values, [COS2, 0.5931327983656772, 0.7767409281794002], atol=1e-12
@@ -242,37 +255,37 @@ class TestEvolveByChannels:
         rho = DensityMatrix.diagonal([0.7, 0.3])
         h = np.diag([0.5, 2.5]).astype(complex)
         for partition in (uniform_partition(1.0, 1), uniform_partition(1.0, 16), random_partition(1.0, 9, 2)):
-            out = evolve_by_channels(rho, h, curve, partition)
+            out = run_measurement(rho, h, curve, partition).rho_final
             assert np.max(np.abs(out.matrix - rho.matrix)) <= 1e-12
         # Long runs in a rotated base, with H diagonal in that base, on both
         # step forms (d = 3 and 6 up to KRON_MAX_DIM, d = 8 above it). Error
         # model: about d * eps of rounding per contracting step, N steps.
+        # The channel route runs alone here: at this N run_measurement's fixed
+        # 1e-12 survival_above_one tolerance is below the survivals' rounding.
         n = 10_000
         for dim in (3, 6, 8):
             base = seeded_cons(dim, dim)
             curve = StaticCurve(base, 1.0)
             rho = DensityMatrix.from_weights(np.arange(1.0, dim + 1) / (dim * (dim + 1) / 2), base)
             h = (base * np.linspace(0.3, 2.4, dim)) @ base.conj().T
-            out = evolve_by_channels(rho, h, curve, uniform_partition(1.0, n))
-            assert np.max(np.abs(out.matrix - rho.matrix)) <= n * dim * np.finfo(float).eps
+            out = _channel_route(rho.matrix, *_partition_trajectory(curve, h, uniform_partition(1.0, n)))
+            assert np.max(np.abs(out - rho.matrix)) <= n * dim * np.finfo(float).eps
 
     def test_qubit_single_step_matches_oracle(self):
         rho, h, curve = qubit_static()
-        out = evolve_by_channels(rho, h, curve, uniform_partition(1.0, 1))
+        out = run_measurement(rho, h, curve, uniform_partition(1.0, 1)).rho_final
         np.testing.assert_allclose(out.matrix, np.diag([LAM1, 1 - LAM1]), atol=1e-12)
 
     def test_matches_transfer_route_tightly(self):
         rho, h, curve = qubit_static()
-        partition = uniform_partition(1.0, 1)
-        out = evolve_by_channels(rho, h, curve, partition)
-        via_transfer = propagate_weights([0.7, 0.3], curve, h, partition)
-        np.testing.assert_allclose(np.diag(out.matrix).real, via_transfer, atol=1e-12)
+        result = run_measurement(rho, h, curve, uniform_partition(1.0, 1))
+        np.testing.assert_allclose(np.diag(result.rho_final.matrix).real, result.weights_out, atol=1e-12)
 
     def test_rejects_state_not_diagonal_in_base(self):
         rho = DensityMatrix.pure([1.0, 1.0])
         curve = StaticCurve(np.eye(2, dtype=complex), 1.0)
         with pytest.raises(ValidationError, match="diagonal in the curve"):
-            evolve_by_channels(rho, PAULI_X, curve, uniform_partition(1.0, 1))
+            run_measurement(rho, PAULI_X, curve, uniform_partition(1.0, 1))
 
     def test_sampled_curve_requires_partition_on_grid(self):
         gen = GeneratedCurve(seeded_hermitian(2, 1), np.eye(2, dtype=complex), 1.0)
@@ -280,7 +293,7 @@ class TestEvolveByChannels:
         curve = SampledCurve(times, [gen.evaluate(t) for t in times])
         rho = DensityMatrix.diagonal([0.7, 0.3])
         with pytest.raises(ValidationError, match="grid"):
-            evolve_by_channels(rho, PAULI_X, curve, uniform_partition(1.0, 3))
+            run_measurement(rho, PAULI_X, curve, uniform_partition(1.0, 3))
 
     @pytest.mark.parametrize("kind", ["uniform", "random"])
     @pytest.mark.parametrize("dim", [2, 3, 8])
@@ -290,9 +303,6 @@ class TestEvolveByChannels:
         # entries bounded by 1, about d * eps of rounding per step, and the
         # channels are contractions, so the errors add over the N steps.
         # N = 300 leaves a partial second block of steps.
-        from zenolab.channels import apply_projection_channel, apply_unitary_channel, rank1_family
-        from zenolab.linalg import unitary_exponential
-
         n = 300
         rng = np.random.default_rng(12)
         base = seeded_cons(dim, 1)
@@ -303,13 +313,9 @@ class TestEvolveByChannels:
         curve = GeneratedCurve(seeded_hermitian(dim, 3), base, 1.0)
         partition = uniform_partition(1.0, n) if kind == "uniform" else random_partition(1.0, n, seed=7)
 
-        one_pass = evolve_by_channels(rho, h, curve, partition)
-        state = rho
-        for j in range(1, len(partition.times)):
-            dt = float(partition.times[j] - partition.times[j - 1])
-            state = apply_unitary_channel(unitary_exponential(h, dt), state)
-            state = apply_projection_channel(rank1_family(curve.evaluate(float(partition.times[j]))), state)
-        np.testing.assert_allclose(one_pass.matrix, state.matrix, rtol=0, atol=n * dim * np.finfo(float).eps)
+        one_pass = run_measurement(rho, h, curve, partition).rho_final
+        stepwise = stepwise_channels(rho, h, curve, partition)
+        np.testing.assert_allclose(one_pass.matrix, stepwise, rtol=0, atol=n * dim * np.finfo(float).eps)
 
     @pytest.mark.parametrize("kind", ["uniform", "random"])
     @pytest.mark.parametrize("dim", [2, 3, 5, 6, 8])
@@ -318,7 +324,6 @@ class TestEvolveByChannels:
         # step. Error model as in test_stepwise_equals_one_pass: about
         # d * eps of rounding per contracting step in each form.
         import zenolab.measurement as measurement_mod
-        from zenolab.measurement import _channel_route, _partition_trajectory
 
         n = 300
         base = seeded_cons(dim, 4)
@@ -365,31 +370,33 @@ class TestLeakage:
 
 
 class TestTargetState:
+    """The target of trace_distance_to_target is sum_k w_k |Psi_k(tau)><Psi_k(tau)|."""
+
     def test_static_target_is_initial_state(self):
         curve = StaticCurve(seeded_cons(3, 4), 1.0)
-        w = [0.5, 0.3, 0.2]
-        rho = DensityMatrix.from_weights(w, curve.base)
-        out = target_state(curve, w, 0.7)
-        np.testing.assert_allclose(out.matrix, rho.matrix, atol=1e-12)
+        rho = DensityMatrix.from_weights([0.5, 0.3, 0.2], curve.base)
+        result = run_measurement(rho, seeded_hermitian(3, 5), curve, uniform_partition(1.0, 4))
+        expected = trace_norm(result.rho_final.matrix - rho.matrix)
+        assert expected > 1e-3
+        assert result.trace_distance_to_target == pytest.approx(expected, abs=1e-12)
 
     def test_generated_target_is_conjugated_state(self):
-        from zenolab.linalg import unitary_exponential
-
         a = seeded_hermitian(3, 8)
         base = seeded_cons(3, 9)
         curve = GeneratedCurve(a, base, 1.0)
-        w = [0.6, 0.3, 0.1]
-        rho = DensityMatrix.from_weights(w, base)
-        u = unitary_exponential(a, 1.0)
-        np.testing.assert_allclose(
-            target_state(curve, w, 1.0).matrix, u @ rho.matrix @ u.conj().T, atol=1e-12
-        )
+        rho = DensityMatrix.from_weights([0.6, 0.3, 0.1], base)
+        u = hermitian_eigendecompose(a).propagator(1.0)
+        result = run_measurement(rho, seeded_hermitian(3, 10), curve, uniform_partition(1.0, 4))
+        expected = trace_norm(result.rho_final.matrix - u @ rho.matrix @ u.conj().T)
+        assert result.trace_distance_to_target == pytest.approx(expected, abs=1e-12)
 
     def test_concentrated_weights_give_pure_state(self):
         curve = GeneratedCurve(seeded_hermitian(3, 1), seeded_cons(3, 2), 1.0)
-        out = target_state(curve, [1.0, 0.0, 0.0], 1.0)
+        rho = DensityMatrix.from_weights([1.0, 0.0, 0.0], curve.base)
+        result = run_measurement(rho, seeded_hermitian(3, 3), curve, uniform_partition(1.0, 4))
         psi = curve.evaluate(1.0)[:, 0]
-        np.testing.assert_allclose(out.matrix, np.outer(psi, psi.conj()), atol=1e-12)
+        expected = trace_norm(result.rho_final.matrix - np.outer(psi, psi.conj()))
+        assert result.trace_distance_to_target == pytest.approx(expected, abs=1e-12)
 
 
 class TestRunMeasurement:
@@ -496,7 +503,15 @@ class TestTrajectoryCorruption:
         import zenolab.measurement as measurement_mod
 
         rho, h, curve, partition = four_level_run()
-        before = evolve_by_channels(rho, h, curve, partition)
+        channel_route = measurement_mod._channel_route
+        routes = []
+
+        def recorded(*args):
+            routes.append(channel_route(*args))
+            return routes[-1]
+
+        monkeypatch.setattr(measurement_mod, "_channel_route", recorded)
+        run_measurement(rho, h, curve, partition)
         transfer_matrices = measurement_mod._transfer_matrices
 
         def perturbed(*trajectory):
@@ -509,8 +524,9 @@ class TestTrajectoryCorruption:
         with pytest.raises(InvariantViolation) as excinfo:
             run_measurement(rho, h, curve, partition)
         assert excinfo.value.name == "dual_oracle_agreement"
-        # The channel route never reads the transfer matrices.
-        np.testing.assert_array_equal(evolve_by_channels(rho, h, curve, partition).matrix, before.matrix)
+        # The channel route never reads the transfer matrices: the failed run's state is unchanged.
+        assert len(routes) == 2
+        np.testing.assert_array_equal(routes[1], routes[0])
 
     def test_one_frame_stack_per_run(self, monkeypatch):
         rho, h, curve, partition = four_level_run(n=16)

@@ -15,11 +15,10 @@ from zenolab.measurement import (
     DIAGONAL_TOL,
     LEAKAGE_FLOOR,
     PROOF_IDENTITY_TOL,
-    evolve_by_channels,
-    propagate_weights,
+    _partition_trajectory,
+    _transfer_matrices,
     random_partition,
     run_measurement,
-    step_transition_matrix,
     uniform_partition,
 )
 from zenolab.states import DensityMatrix
@@ -44,13 +43,12 @@ def test_run_measurement_identities(dim, n, seed, kind):
 
     result = run_measurement(rho, h, curve, partition)
 
-    # Route agreement: each route run on its own gives the same final weights.
+    # Route agreement: the channel route's state, read in the frame at tau,
+    # carries the transfer route's weights on its diagonal.
     final_basis = curve.evaluate(1.0)
-    rho_final = evolve_by_channels(rho, h, curve, partition).matrix
-    by_channels = np.real(np.diag(final_basis.conj().T @ rho_final @ final_basis))
-    by_transfer = propagate_weights(w, curve, h, partition)
-    np.testing.assert_allclose(by_channels, by_transfer, rtol=0, atol=DIAGONAL_TOL)
-    np.testing.assert_allclose(result.weights_out, by_transfer, rtol=0, atol=DIAGONAL_TOL)
+    by_channels = np.real(np.diag(final_basis.conj().T @ result.rho_final.matrix @ final_basis))
+    np.testing.assert_allclose(by_channels, result.weights_out, rtol=0, atol=DIAGONAL_TOL)
+    np.testing.assert_allclose(result.weights, w, rtol=0, atol=DIAGONAL_TOL)
 
     # Weight split: weight_out_k = weight_k * survival_k + leakage_k, leakage
     # clamped at 0 from at most -LEAKAGE_FLOOR below.
@@ -63,9 +61,7 @@ def test_run_measurement_identities(dim, n, seed, kind):
     assert abs(result.trace_distance_to_target - gap) <= PROOF_IDENTITY_TOL
 
     # Every step matrix is doubly stochastic.
-    times = partition.times
-    for t0, t1 in zip(times, times[1:]):
-        m = step_transition_matrix(curve, h, float(t0), float(t1))
+    for m in _transfer_matrices(*_partition_trajectory(curve, h, partition)):
         assert np.all(m >= 0.0)
         np.testing.assert_allclose(m.sum(axis=0), 1.0, rtol=0, atol=DIAGONAL_TOL)
         np.testing.assert_allclose(m.sum(axis=1), 1.0, rtol=0, atol=DIAGONAL_TOL)

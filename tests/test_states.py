@@ -9,16 +9,22 @@ import math
 import numpy as np
 import pytest
 
+from zenolab.curves import StaticCurve
 from zenolab.errors import ValidationError
-from zenolab.linalg import seeded_cons, seeded_hermitian, unitary_exponential
-from zenolab.states import (
-    DensityMatrix,
-    clean_spectrum,
-    entr,
-    fannes_bound,
-    spectral_decompose,
-    von_neumann_entropy,
-)
+from zenolab.linalg import hermitian_eigendecompose, seeded_cons, seeded_hermitian, trace_norm
+from zenolab.measurement import run_measurement, uniform_partition
+from zenolab.states import DensityMatrix, clean_spectrum, entr, fannes_bound_at, von_neumann_entropy
+
+
+def fannes_between(rho1, rho2):
+    """The continuity bound at the trace-norm distance of two states of one dimension."""
+    return fannes_bound_at(trace_norm(rho1.matrix - rho2.matrix), rho1.dim)
+
+
+def eigen_expansion(rho):
+    """A state's eigen-expansion: the eigenbasis, with the clamp-and-renormalize policy on the weights."""
+    eig = hermitian_eigendecompose(rho.matrix)
+    return clean_spectrum(eig.values), eig.vectors
 
 
 class TestDensityMatrix:
@@ -41,10 +47,12 @@ class TestDensityMatrix:
             DensityMatrix(m)
 
     def test_clamp_policy_accepts_tiny_negative_drift(self):
+        # von_neumann_entropy applies the policy: the -5e-11 eigenvalue is
+        # clamped to 0, so the state counts as pure.
         rho = DensityMatrix(np.diag([1.0 + 5e-11, -5e-11]).astype(complex))
-        dec = spectral_decompose(rho)
-        assert np.all(dec.weights >= 0)
-        assert dec.weights.sum() == pytest.approx(1.0, abs=1e-15)
+        assert von_neumann_entropy(rho) == 0.0
+        weights = clean_spectrum(np.linalg.eigvalsh(rho.matrix))
+        np.testing.assert_array_equal(weights, [0.0, 1.0])
 
     def test_from_weights_requires_matching_sizes(self):
         with pytest.raises(ValidationError, match="weight count"):
@@ -53,22 +61,22 @@ class TestDensityMatrix:
 
 class TestSpectralDecompose:
     def test_maximally_mixed(self):
-        dec = spectral_decompose(DensityMatrix.maximally_mixed(2))
-        np.testing.assert_allclose(dec.weights, [0.5, 0.5], atol=1e-12)
+        weights, _ = eigen_expansion(DensityMatrix.maximally_mixed(2))
+        np.testing.assert_allclose(weights, [0.5, 0.5], atol=1e-12)
 
     def test_diagonal_input(self):
-        dec = spectral_decompose(DensityMatrix.diagonal([0.7, 0.3]))
-        assert sorted(dec.weights) == pytest.approx([0.3, 0.7], abs=1e-12)
+        weights, basis = eigen_expansion(DensityMatrix.diagonal([0.7, 0.3]))
+        assert sorted(weights) == pytest.approx([0.3, 0.7], abs=1e-12)
         # Basis columns match the standard basis up to phase and order.
-        mags = np.abs(dec.basis)
+        mags = np.abs(basis)
         assert np.max(np.abs(mags - np.eye(2)[:, ::-1])) <= 1e-12 or np.max(np.abs(mags - np.eye(2))) <= 1e-12
 
     @pytest.mark.parametrize("seed", [1, 2, 3])
     def test_seeded_reconstruction(self, seed):
         rho = DensityMatrix.seeded_random(5, seed)
-        dec = spectral_decompose(rho)
-        assert np.max(np.abs(dec.reconstruct() - rho.matrix)) <= 1e-9
-        assert dec.weights.sum() == pytest.approx(1.0, abs=1e-10)
+        weights, basis = eigen_expansion(rho)
+        assert np.max(np.abs((basis * weights) @ basis.conj().T - rho.matrix)) <= 1e-9
+        assert weights.sum() == pytest.approx(1.0, abs=1e-10)
 
     def test_rejects_genuinely_negative_spectrum(self):
         with pytest.raises(ValidationError, match="not a state"):
@@ -130,7 +138,7 @@ class TestVonNeumannEntropy:
         rng = np.random.default_rng(seed)
         dim = int(rng.integers(2, 9))
         rho = DensityMatrix.seeded_random(dim, seed)
-        u = unitary_exponential(seeded_hermitian(dim, seed + 10), 0.9)
+        u = hermitian_eigendecompose(seeded_hermitian(dim, seed + 10)).propagator(0.9)
         rotated = DensityMatrix(u @ rho.matrix @ u.conj().T)
         assert abs(von_neumann_entropy(rotated) - von_neumann_entropy(rho)) <= 1e-9
 
@@ -138,7 +146,7 @@ class TestVonNeumannEntropy:
 class TestFannesBound:
     def test_identical_states(self):
         rho = DensityMatrix.diagonal([0.6, 0.4])
-        fb = fannes_bound(rho, rho)
+        fb = fannes_between(rho, rho)
         assert fb.trace_distance == pytest.approx(0.0, abs=1e-12)
         assert fb.bound == pytest.approx(0.0, abs=1e-10)
         assert fb.applicable
@@ -146,7 +154,7 @@ class TestFannesBound:
     def test_scalar_oracle_pair(self):
         rho1 = DensityMatrix.diagonal([0.7, 0.3])
         rho2 = DensityMatrix.diagonal([0.75, 0.25])
-        fb = fannes_bound(rho1, rho2)
+        fb = fannes_between(rho1, rho2)
         assert fb.trace_distance == pytest.approx(0.1, abs=1e-12)
         assert fb.applicable
         assert fb.bound == pytest.approx(0.2995732273553991, abs=1e-12)
@@ -155,13 +163,16 @@ class TestFannesBound:
         assert gap <= fb.bound
 
     def test_large_distance_not_applicable(self):
-        fb = fannes_bound(DensityMatrix.pure([1.0, 0.0]), DensityMatrix.pure([0.0, 1.0]))
+        fb = fannes_between(DensityMatrix.pure([1.0, 0.0]), DensityMatrix.pure([0.0, 1.0]))
         assert fb.trace_distance == pytest.approx(2.0, abs=1e-9)
         assert not fb.applicable
 
     def test_dimension_mismatch(self):
-        with pytest.raises(ValidationError, match="mismatch"):
-            fannes_bound(DensityMatrix.maximally_mixed(2), DensityMatrix.maximally_mixed(3))
+        # The bound compares a run's final state with its target, which share
+        # the curve's dimension; a state of another dimension is refused by the run.
+        curve = StaticCurve(np.eye(2, dtype=complex), 1.0)
+        with pytest.raises(ValidationError, match="state dimension does not match the curve"):
+            run_measurement(DensityMatrix.maximally_mixed(3), np.eye(2), curve, uniform_partition(1.0, 1))
 
     @pytest.mark.parametrize("seed", range(8))
     def test_holds_on_random_close_pairs(self, seed):
@@ -175,7 +186,7 @@ class TestFannesBound:
         w2 /= w2.sum()
         rho1 = DensityMatrix.from_weights(w1, base)
         rho2 = DensityMatrix.from_weights(w2, base)
-        fb = fannes_bound(rho1, rho2)
+        fb = fannes_between(rho1, rho2)
         if fb.applicable:
             gap = abs(von_neumann_entropy(rho1) - von_neumann_entropy(rho2))
             assert gap <= fb.bound + 1e-9
