@@ -9,9 +9,7 @@ conditions under which the von Neumann entropy converges along the way.
 """
 
 from .bounds import (
-    EntropyConditionReport,
     dominating_operator,
-    entropy_condition_report,
     leakage_upper_bound,
     mesh_condition,
     survival_lower_bound,

@@ -1,18 +1,19 @@
 """The paper's explicit bounds and the one table of named checks that
 asserts them.
 
-The formulas (leakage and survival estimates, the trace-distance bound,
-which lives in measurement because run_measurement asserts it too, the
-dominating operator and the entropy condition report) are pure
-computations; the four bound formulas take xi, eta, drift and weight as
-scalars or as (d,) arrays over the basis index k.
-CHECKS is the only place the inequalities are asserted: each row has a
-name and a tolerance, and yields one outcome per comparison it makes on a
-CheckInputs, reading the weights, partition and frames the run itself
-used. Sweeps and the corpus run the whole table; a row whose precondition
-does not hold (path enumeration beyond d = 2 and N <= 6, the drift decay
-off uniform_partition grids, the witness off generated curves, and the
-mesh, Fannes and sigma gates) makes no comparison.
+The formulas (leakage and survival estimates, the weight-error and
+trace-distance bounds and the dominating operator) are pure computations;
+the leakage and survival formulas take xi, eta and drift as scalars or as
+(d,) arrays over the basis index k.
+CHECKS is the only place the paper's inequalities are asserted: each row
+has a name and a tolerance, and yields one outcome per comparison it makes
+on a CheckInputs, reading the weights, partition and frames the run itself
+used. CheckInputs computes each bound and each entropy term once per run.
+Sweeps and the corpus run the whole table; a row whose precondition does
+not hold (path enumeration beyond d = 2 and N <= 6, the drift decay off
+uniform_partition grids, the witness off generated curves, the entropy
+tail when no tail lies in the monotone region of entr, and the mesh,
+Fannes and sigma gates) makes no comparison.
 """
 
 from __future__ import annotations
@@ -28,14 +29,10 @@ from .channels import FAMILY_TOL
 from .curves import BasisCurve, GeneratedCurve, drift_sums
 from .errors import ValidationError
 from .linalg import orthonormality_defect, require_cons
-from .measurement import (PROOF_IDENTITY_TOL, TRACE_BOUND_TOL, MeasurementResult, Partition,
-                          leakage_by_path_enumeration, trace_distance_bound)
+from .measurement import WEIGHT_SUM_TOL, MeasurementResult, Partition, leakage_by_path_enumeration
 from .states import entr, fannes_bound_at, von_neumann_entropy
 
 MONOTONE_REGION = 1.0 / math.e
-SUBADDITIVITY_TOL = 1e-12
-DOMINATOR_ENTROPY_TOL = 1e-9
-TAIL_MONOTONE_TOL = 1e-12
 PATH_ORACLE_MAX_STEPS = 6
 
 
@@ -65,11 +62,17 @@ def survival_lower_bound(xi, eta, a: float, partition: Partition, drift):
     return np.exp(exponent)
 
 
-def weight_error_bound(weight, xi, eta, a: float, partition: Partition, drift):
+def weight_error_bound(weight, survival_lb, leakage_ub):
     """weight * (1 - survival lower bound) + leakage upper bound."""
-    return weight * (1.0 - survival_lower_bound(xi, eta, a, partition, drift)) + leakage_upper_bound(
-        xi, eta, partition
-    )
+    return weight * (1.0 - survival_lb) + leakage_ub
+
+
+def trace_distance_bound(weights, survivals) -> float:
+    """2 - 2 sum_k weight_k * survival_k, the refinement-driven distance bound."""
+    w = np.asarray(weights, dtype=float)
+    if abs(float(w.sum()) - 1.0) > WEIGHT_SUM_TOL:
+        raise ValidationError(f"weights sum to {w.sum()!r}, expected 1")
+    return 2.0 - 2.0 * float(np.sum(w * np.asarray(survivals, dtype=float)))
 
 
 def dominating_operator(weights, xis, etas, frame) -> np.ndarray:
@@ -79,86 +82,6 @@ def dominating_operator(weights, xis, etas, frame) -> np.ndarray:
     diag = w + np.asarray(xis, dtype=float) ** 2 + np.asarray(etas, dtype=float) ** 2
     basis = require_cons(frame)
     return (basis * diag) @ basis.conj().T
-
-
-@dataclass(frozen=True)
-class EntropyConditionReport:
-    """Scalar entropy-side sums and the inequalities tying them together.
-
-    All sums run over the first truncation_length indices. The tail block
-    applies the monotonicity of the entropy kernel on [0, 1/e]: past
-    tail_index every combined value w + xi^2 + eta^2 sits in the monotone
-    region, making each marginal tail sum dominated by the combined one.
-    tail_index is None when even the last entry is outside the region.
-    """
-
-    truncation_length: int
-    state_entropy: float
-    sum_entr_xi_sq: float
-    sum_entr_eta_sq: float
-    sum_entr_combined: float
-    subadditivity_ok: bool
-    dominator_entropy_ok: bool
-    tail_index: int | None
-    tail_ok: bool | None
-    decay_proxy_ok: bool
-
-
-def entropy_condition_report(weights, xis, etas, truncation_length: int | None = None) -> EntropyConditionReport:
-    """Check the summability inequalities that drive entropy convergence."""
-    w = np.asarray(weights, dtype=float)
-    x2 = np.asarray(xis, dtype=float) ** 2
-    e2 = np.asarray(etas, dtype=float) ** 2
-    d = w.shape[0]
-    kt = d if truncation_length is None else int(truncation_length)
-    if not 1 <= kt <= d:
-        raise ValidationError(f"truncation length {kt} outside [1, {d}]")
-    w, x2, e2 = w[:kt], x2[:kt], e2[:kt]
-
-    s_rho = float(np.sum(entr(w)))
-    s_x = float(np.sum(entr(x2)))
-    s_e = float(np.sum(entr(e2)))
-    combined = w + x2 + e2
-    s_c = float(np.sum(entr(combined)))
-
-    subadd = bool(np.all(entr(combined) <= entr(w) + entr(x2) + entr(e2) + SUBADDITIVITY_TOL))
-    dominator_ok = s_c <= s_rho + s_x + s_e + DOMINATOR_ENTROPY_TOL
-
-    # Tail index: number of leading entries that must be excluded before the
-    # combined values all fall into the monotone region of the kernel.
-    inside = combined <= MONOTONE_REGION
-    if not inside[-1]:
-        tail_index, tail_ok = None, None
-    else:
-        violations = np.nonzero(~inside)[0]
-        tail_index = int(violations[-1]) + 1 if violations.size else 0
-        tw, tx, te, tc = (
-            float(np.sum(entr(v[tail_index:]))) for v in (w, x2, e2, combined)
-        )
-        tail_ok = max(tw, tx, te) <= tc + TAIL_MONOTONE_TOL
-
-    # Finite-dimension stand-in for "the constants decay along the index":
-    # the sequences are nonincreasing and their last quartile is inside the
-    # monotone region. Only scenarios built to satisfy it assert this flag.
-    quartile = max(1, kt // 4)
-    decay = (
-        bool(np.all(np.diff(np.sqrt(x2)) <= 1e-12))
-        and bool(np.all(np.diff(np.sqrt(e2)) <= 1e-12))
-        and bool(np.all(x2[-quartile:] <= MONOTONE_REGION))
-        and bool(np.all(e2[-quartile:] <= MONOTONE_REGION))
-    )
-    return EntropyConditionReport(
-        truncation_length=kt,
-        state_entropy=s_rho,
-        sum_entr_xi_sq=s_x,
-        sum_entr_eta_sq=s_e,
-        sum_entr_combined=s_c,
-        subadditivity_ok=subadd,
-        dominator_entropy_ok=dominator_ok,
-        tail_index=tail_index,
-        tail_ok=tail_ok,
-        decay_proxy_ok=decay,
-    )
 
 
 @dataclass(frozen=True, eq=False)
@@ -197,8 +120,7 @@ class CheckInputs:
     @cached_property
     def weight_error_bounds(self) -> dict:
         """Weight error bounds per index for each constant a, mesh condition or not."""
-        w, xis, etas, p = self.result.weights, self.xis, self.etas, self.result.partition
-        return {a: weight_error_bound(w, xis, etas, a, p, self.drifts) for a in self.constants}
+        return {a: weight_error_bound(self.result.weights, self.gamma_lbs[a], self.eps_bounds) for a in self.constants}
 
     @cached_property
     def gated(self) -> list:
@@ -221,12 +143,25 @@ class CheckInputs:
     @cached_property
     def entropy_gap(self) -> float:
         """|S(rho_final) - S(target)|: the target at tau has the weights as its
-        spectrum, so S(target) = sum_k entr(w_k), the report's state_entropy."""
-        return abs(self.entropy - self.entropy_report.state_entropy)
+        spectrum, so S(target) = sum_k entr(w_k)."""
+        return abs(self.entropy - float(np.sum(self.entropy_terms[0])))
 
     @cached_property
-    def entropy_report(self) -> EntropyConditionReport:
-        return entropy_condition_report(self.result.weights, self.xis, self.etas)
+    def entropy_terms(self) -> tuple:
+        """entr per index of w, xi^2, eta^2 and w + xi^2 + eta^2, the spectrum
+        of dominating_operator: the terms the three entropy rows compare."""
+        w, x2, e2 = self.result.weights, self.xis**2, self.etas**2
+        return tuple(entr(v) for v in (w, x2, e2, w + x2 + e2))
+
+    @cached_property
+    def tail_index(self) -> int | None:
+        """Number of leading indices to drop before every w + xi^2 + eta^2 lies in
+        [0, 1/e], where entr increases; None when even the last one lies outside."""
+        combined = self.result.weights + self.xis**2 + self.etas**2
+        outside = np.flatnonzero(~(combined <= MONOTONE_REGION))
+        if not outside.size:
+            return 0
+        return None if outside[-1] == self.dim - 1 else int(outside[-1]) + 1
 
 
 class Check(NamedTuple):
@@ -244,8 +179,6 @@ def _projection_family(x: CheckInputs, tol: float):
     yield defect <= tol, {"orthonormality_defect": defect}
 
 
-# run_measurement already enforces the weight-gap identity and the trace
-# bound; the next rows re-derive them so a regression there cannot hide.
 def _weight_gap_identity(x: CheckInputs, tol: float):
     distance = x.result.trace_distance_to_target
     gap = float(np.sum(np.abs(x.result.weights_out - x.result.weights)))
@@ -347,17 +280,34 @@ def _sigma_domination(x: CheckInputs, tol: float):
         yield min_eig >= -tol, {"min_eig": min_eig}
 
 
+def _entropy_subadditivity(x: CheckInputs, tol: float):
+    # entr(w + xi^2 + eta^2) <= entr(w) + entr(xi^2) + entr(eta^2) at every index k.
+    ew, ex, ee, ec = x.entropy_terms
+    parts = ew + ex + ee
+    k = int(np.argmin(parts - ec))
+    yield bool(np.all(ec <= parts + tol)), {"k": k + 1, "slack": float(parts[k] - ec[k])}
+
+
+def _dominator_entropy(x: CheckInputs, tol: float):
+    s_w, s_xi, s_eta, s_c = (float(np.sum(v)) for v in x.entropy_terms)
+    yield s_c <= s_w + s_xi + s_eta + tol, {
+        "state_entropy": s_w, "sum_entr_xi_sq": s_xi, "sum_entr_eta_sq": s_eta, "sum_entr_combined": s_c}
+
+
 def _entropy_tail_monotone(x: CheckInputs, tol: float):
-    if x.entropy_report.tail_index is not None:
-        yield x.entropy_report.tail_ok, {"tail_index": x.entropy_report.tail_index}
+    # Past tail_index every combined value lies where entr increases, so each
+    # marginal tail sum is at most the combined one.
+    i = x.tail_index
+    if i is not None:
+        tw, txi, teta, tc = (float(np.sum(v[i:])) for v in x.entropy_terms)
+        yield max(tw, txi, teta) <= tc + tol, {
+            "tail_index": i, "tail_state": tw, "tail_xi_sq": txi, "tail_eta_sq": teta, "tail_combined": tc}
 
 
-# The three entropy-report rows reach entropy_condition_report through its
-# module-level tolerances; every other row compares with its own tol.
 CHECKS = (
     Check("projection_family", FAMILY_TOL, _projection_family),
-    Check("trace_distance_equals_weight_gap", PROOF_IDENTITY_TOL, _weight_gap_identity),
-    Check("trace_distance_bound", TRACE_BOUND_TOL, _trace_distance_bound),
+    Check("trace_distance_equals_weight_gap", 1e-8, _weight_gap_identity),
+    Check("trace_distance_bound", 1e-9, _trace_distance_bound),
     Check("per_index_gap_below_distance", 1e-9, _per_index_gap),
     Check("weight_split_identity", 1e-9, _weight_split),
     Check("leakage_path_enumeration", 1e-10, _leakage_path_enumeration),
@@ -371,9 +321,9 @@ CHECKS = (
     Check("lipschitz_witness", 1e-9, _lipschitz_witness),
     Check("fannes_bound", 1e-9, _fannes),
     Check("sigma_domination", 1e-8, _sigma_domination),
-    Check("entropy_subadditivity", SUBADDITIVITY_TOL, lambda x, tol: [(x.entropy_report.subadditivity_ok, {})]),
-    Check("dominator_entropy", DOMINATOR_ENTROPY_TOL, lambda x, tol: [(x.entropy_report.dominator_entropy_ok, {})]),
-    Check("entropy_tail_monotone", TAIL_MONOTONE_TOL, _entropy_tail_monotone),
+    Check("entropy_subadditivity", 1e-12, _entropy_subadditivity),
+    Check("dominator_entropy", 1e-9, _dominator_entropy),
+    Check("entropy_tail_monotone", 1e-12, _entropy_tail_monotone),
 )
 
 

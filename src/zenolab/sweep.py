@@ -11,6 +11,8 @@ significant digits so a parse reproduces the records bit for bit.
 from __future__ import annotations
 
 import csv
+import math
+import sys
 from dataclasses import dataclass
 
 import numpy as np
@@ -134,12 +136,21 @@ def write_csv(records: list[SweepRecord], path: str):
             writer.writerow(row)
 
 
+def _finite(values: dict, column: str) -> float:
+    x = float(values[column])
+    if not math.isfinite(x):
+        raise ValueError(f"{column} = {x} is not finite")
+    return x
+
+
 def read_csv(path: str) -> list[SweepRecord]:
     """Parse a sweep CSV back into records.
 
-    The two continuity-bound fields are exact functions of trace_distance
-    and the dimension, so they are recomputed rather than stored; the result
-    matches the in-memory originals bit for bit.
+    A file must hold at least one record, every N must be a positive integer
+    in the float range and every other field a finite float. The two
+    continuity-bound fields are exact functions of trace_distance and the
+    dimension, so they are recomputed rather than stored; the result matches
+    the in-memory originals bit for bit.
     """
     with open(path, newline="") as fh:
         first = fh.readline()
@@ -158,18 +169,23 @@ def read_csv(path: str) -> list[SweepRecord]:
                 raise ValidationError(f"{where}: {len(row)} fields, the header has {len(header)}")
             values = dict(zip(header, row))
             try:
-                scalars = {field: float(values[column]) for field, column in SCALARS[1:]}
+                n = int(values["N"])
+                if not 1 <= n <= sys.float_info.max:
+                    raise ValueError(f"N = {n} is not a positive integer in the float range")
+                scalars = {field: _finite(values, column) for field, column in SCALARS[1:]}
                 fannes = fannes_bound_at(scalars["trace_distance"], dim)
                 record = SweepRecord(
-                    n=int(values["N"]),
+                    n=n,
                     **scalars,
                     fannes_applicable=fannes.applicable,
                     fannes_bound=fannes.bound,
-                    **{f: tuple(float(values[f"{stem}_{k}"]) for k in range(1, dim + 1)) for f, stem in BLOCKS},
+                    **{f: tuple(_finite(values, f"{stem}_{k}") for k in range(1, dim + 1)) for f, stem in BLOCKS},
                 )
             except ValueError as exc:
                 raise ValidationError(f"{where}: {exc}") from exc
             records.append(record)
+    if not records:
+        raise ValidationError(f"{path} holds no records")
     return records
 
 
@@ -188,8 +204,8 @@ def fit_loglog(ns, values) -> RateFit:
     v = np.asarray(values, dtype=float)
     if n.shape[0] < 4:
         raise ValidationError(f"need at least 4 records to fit a rate, got {n.shape[0]}")
-    if np.any(v <= 0):
-        raise ValidationError("rate fitting requires strictly positive values")
+    if not (np.all((n > 0) & np.isfinite(n)) and np.all((v > 0) & np.isfinite(v))):
+        raise ValidationError("rate fitting requires finite, strictly positive N and values")
     x, y = np.log(n), np.log(v)
     slope, intercept = np.polyfit(x, y, 1)
     residual = float(np.linalg.norm(y - (slope * x + intercept)))

@@ -4,6 +4,7 @@ Scalar expectations come from independent math.log/exp computations; the
 protocol quantities they dominate come from run_measurement.
 """
 
+import dataclasses
 import math
 import os
 import re
@@ -15,7 +16,6 @@ from zenolab.bounds import (
     CHECKS,
     CheckInputs,
     dominating_operator,
-    entropy_condition_report,
     leakage_upper_bound,
     mesh_condition,
     survival_lower_bound,
@@ -104,14 +104,20 @@ class TestSurvivalLowerBound:
         assert values[-1] == pytest.approx(math.exp(-2 / 64), abs=1e-12)
 
 
+def weight_error_bound_of(weight, xi, eta, a, partition, drift):
+    return weight_error_bound(
+        weight, survival_lower_bound(xi, eta, a, partition, drift), leakage_upper_bound(xi, eta, partition)
+    )
+
+
 class TestWeightErrorBound:
     def test_frozen_case_is_zero(self):
-        bound = weight_error_bound(0.7, 0.0, 0.0, 2.0, uniform_partition(1.0, 4), drift=0.0)
+        bound = weight_error_bound_of(0.7, 0.0, 0.0, 2.0, uniform_partition(1.0, 4), drift=0.0)
         assert bound == pytest.approx(0.0, abs=1e-14)
 
     def test_static_qubit_four_steps(self):
         partition = uniform_partition(1.0, 4)
-        bound = weight_error_bound(0.7, 1.0, 0.0, 2.0, partition, drift=0.0)
+        bound = weight_error_bound_of(0.7, 1.0, 0.0, 2.0, partition, drift=0.0)
         # 0.7 (1 - e^{-1/2}) + 0.5 by scalar oracle
         assert bound == pytest.approx(0.7754285382011565, abs=1e-12)
         rho, h, curve = qubit_static()
@@ -120,7 +126,7 @@ class TestWeightErrorBound:
 
     def test_zero_weight_leaves_leakage_term(self):
         partition = uniform_partition(1.0, 4)
-        bound = weight_error_bound(0.0, 1.0, 0.0, 2.0, partition, drift=0.0)
+        bound = weight_error_bound_of(0.0, 1.0, 0.0, 2.0, partition, drift=0.0)
         assert bound == pytest.approx(leakage_upper_bound(1.0, 0.0, partition), abs=1e-14)
 
 
@@ -215,44 +221,48 @@ class TestDominatingOperator:
 
 
 class TestEntropyConditionReport:
+    """The three entropy rows on chosen weights, xis and etas, against scalar sums."""
+
+    @staticmethod
+    def inputs(w, xis, etas) -> CheckInputs:
+        x = generated_inputs(dim=len(w))
+        w, xis, etas = (np.asarray(v, dtype=float) for v in (w, xis, etas))
+        return dataclasses.replace(x, result=dataclasses.replace(x.result, weights=w), xis=xis, etas=etas)
+
     def test_zero_constants_collapse_to_state_entropy(self):
-        report = entropy_condition_report([0.7, 0.3], [0.0, 0.0], [0.0, 0.0])
-        assert report.sum_entr_combined == pytest.approx(report.state_entropy, abs=1e-14)
-        assert report.dominator_entropy_ok
-        assert report.subadditivity_ok
+        x = self.inputs([0.7, 0.3], [0.0, 0.0], [0.0, 0.0])
+        [(passed, sums)] = row_outcomes(x, "dominator_entropy")
+        assert passed
+        assert sums["sum_entr_combined"] == pytest.approx(sums["state_entropy"], abs=1e-14)
+        assert [passed for passed, _ in row_outcomes(x, "entropy_subadditivity")] == [True]
 
     def test_four_level_example_against_scalar_sums(self):
         w = [0.4, 0.3, 0.2, 0.1]
         xis = [0.1, 0.05, 0.02, 0.01]
         etas = [0.0, 0.0, 0.0, 0.0]
-        report = entropy_condition_report(w, xis, etas)
+        x = self.inputs(w, xis, etas)
         s_rho = -sum(v * math.log(v) for v in w)
-        s_x = -sum((x * x) * math.log(x * x) for x in xis)
-        combined = [v + x * x for v, x in zip(w, xis)]
+        s_x = -sum((xi * xi) * math.log(xi * xi) for xi in xis)
+        combined = [v + xi * xi for v, xi in zip(w, xis)]
         s_c = -sum(c * math.log(c) for c in combined)
-        assert report.state_entropy == pytest.approx(s_rho, abs=1e-12)
-        assert report.sum_entr_xi_sq == pytest.approx(s_x, abs=1e-12)
-        assert report.sum_entr_eta_sq == 0.0
-        assert report.sum_entr_combined == pytest.approx(s_c, abs=1e-12)
-        assert report.subadditivity_ok
-        assert report.dominator_entropy_ok
+        [(passed, sums)] = row_outcomes(x, "dominator_entropy")
+        assert passed
+        assert sums["state_entropy"] == pytest.approx(s_rho, abs=1e-12)
+        assert sums["sum_entr_xi_sq"] == pytest.approx(s_x, abs=1e-12)
+        assert sums["sum_entr_eta_sq"] == 0.0
+        assert sums["sum_entr_combined"] == pytest.approx(s_c, abs=1e-12)
+        assert [passed for passed, _ in row_outcomes(x, "entropy_subadditivity")] == [True]
         # Only the first combined value 0.41 exceeds 1/e.
-        assert report.tail_index == 1
-        assert report.tail_ok
-        assert report.decay_proxy_ok
+        assert x.tail_index == 1
+        [(passed, tail)] = row_outcomes(x, "entropy_tail_monotone")
+        assert passed
+        assert tail["tail_index"] == 1
+        assert tail["tail_combined"] == pytest.approx(-sum(c * math.log(c) for c in combined[1:]), abs=1e-12)
 
     def test_all_arguments_outside_monotone_region(self):
-        report = entropy_condition_report([0.5, 0.5], [1.0, 1.0], [1.0, 1.0])
-        assert report.tail_index is None
-        assert report.tail_ok is None
-
-    def test_truncation_length_validated(self):
-        with pytest.raises(ValidationError):
-            entropy_condition_report([1.0], [0.0], [0.0], truncation_length=2)
-
-    def test_decay_proxy_rejects_increasing_sequence(self):
-        report = entropy_condition_report([0.5, 0.5], [0.1, 0.2], [0.0, 0.0])
-        assert not report.decay_proxy_ok
+        x = self.inputs([0.5, 0.5], [1.0, 1.0], [1.0, 1.0])
+        assert x.tail_index is None
+        assert row_outcomes(x, "entropy_tail_monotone") == []
 
 
 def generated_inputs(dim=3, n=8, seed=0, constants=(1.5, 2.0, 4.0)) -> CheckInputs:
@@ -271,8 +281,6 @@ def row_outcomes(inputs: CheckInputs, name: str) -> list:
 
 class TestCheckRowsReadTheRun:
     def test_projection_family_fails_on_a_scaled_column_of_the_final_frame(self):
-        import dataclasses
-
         x = generated_inputs()
         [(passed, _)] = row_outcomes(x, "projection_family")
         assert passed
@@ -307,8 +315,6 @@ class TestCheckRowsReadTheRun:
         assert fields["gap"] == x.entropy_gap
 
     def test_lipschitz_witness_draws_the_pairs_of_eight_two_time_draws(self):
-        import dataclasses
-
         x = generated_inputs()
         for seed in range(50):
             rng = np.random.default_rng(seed ^ 0x5EED)
@@ -329,7 +335,7 @@ class TestCheckInputsOverArrays:
             for a in x.constants:
                 exponent = -a * ((xis[k] ** 2 + 2 * xis[k] * etas[k]) * p.sumsq - 2.0 * x.drifts[k])
                 assert x.gamma_lbs[a][k] == pytest.approx(math.exp(exponent), rel=4 * np.finfo(float).eps)
-                scalar = weight_error_bound(x.result.weights[k], xis[k], etas[k], a, p, x.drifts[k])
+                scalar = x.result.weights[k] * (1.0 - math.exp(exponent)) + 2.0 * (xis[k] ** 2 + etas[k] ** 2) * p.sumsq
                 assert x.weight_error_bounds[a][k] == pytest.approx(scalar, rel=4 * np.finfo(float).eps)
 
     def test_gated_pairs_are_k_major(self):
@@ -361,6 +367,21 @@ class TestEntropySemicontinuityAlongSweeps:
 
 
 class TestCheckTable:
+    def test_every_row_compares_with_its_own_tol(self):
+        # With tol = -inf no comparison can pass. Every row compares on this run:
+        # d = 2 with N = 6, a uniform plan, a generated curve slow enough for the
+        # mesh gate and a small trace distance, and a last weight that leaves a tail.
+        h = 0.1 * seeded_hermitian(2, 11)
+        curve = GeneratedCurve(0.1 * seeded_hermitian(2, 12), seeded_cons(2, 13), 1.0)
+        rho = DensityMatrix.from_weights([0.9, 0.1], curve.base)
+        result = run_measurement(rho, h, curve, uniform_partition(1.0, 6))
+        b = curve_bounds(curve, h)
+        x = CheckInputs(result, curve, h, b.energy_sups, b.lipschitz, (1.5, 2.0, 4.0))
+        for row in CHECKS:
+            outcomes = list(row.compare(x, row.tol))
+            assert outcomes and all(passed for passed, _ in outcomes), row.name
+            assert not any(passed for passed, _ in row.compare(x, -math.inf)), row.name
+
     def test_names_unique(self):
         names = [c.name for c in CHECKS]
         assert len(set(names)) == len(names)

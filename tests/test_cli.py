@@ -7,6 +7,7 @@ import os
 import pytest
 
 from zenolab.cli import main
+from zenolab.sweep import csv_columns
 
 SCENARIOS = os.path.join(os.path.dirname(__file__), "..", "scenarios")
 
@@ -69,10 +70,10 @@ def _rate_with_row(edit):
     return argv
 
 
-def _csv_file(text):
+def _csv_file(text, command="rate"):
     def argv(tmp_path):
         (tmp_path / "sweep.csv").write_text(text)
-        return ["rate", str(tmp_path / "sweep.csv"), "--column", "trace_distance"]
+        return [command, str(tmp_path / "sweep.csv"), "--column", "trace_distance"]
 
     return argv
 
@@ -99,6 +100,13 @@ MALFORMED_INPUTS = {
     "csv_row_with_a_non_number": (_rate_with_row(lambda f: f[:3] + ["x"] + f[4:]), "line 3"),
     "csv_row_with_too_few_fields": (_rate_with_row(lambda f: f[:3]), "line 3"),
     "csv_without_header": (_csv_file("#schema=1\n"), "columns do not match"),
+    "csv_without_records": (
+        _csv_file("#schema=1\n" + ",".join(csv_columns(2)) + "\n", command="plot-script"), "holds no records"),
+    "csv_row_with_zero_n": (_rate_with_row(lambda f: ["0"] + f[1:]), "line 3"),
+    "csv_row_with_negative_n": (_rate_with_row(lambda f: ["-3"] + f[1:]), "line 3"),
+    "csv_row_with_n_beyond_float_range": (_rate_with_row(lambda f: ["1" + "0" * 400] + f[1:]), "line 3"),
+    "csv_row_with_nan_distance": (_rate_with_row(lambda f: f[:3] + ["nan"] + f[4:]), "line 3: trace_distance"),
+    "csv_row_with_infinite_distance": (_rate_with_row(lambda f: f[:3] + ["inf"] + f[4:]), "line 3: trace_distance"),
 }
 
 

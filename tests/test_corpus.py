@@ -90,6 +90,16 @@ class TestRunBattery:
         assert report.failures[0][1].endswith("bound=-1.0")
         assert "leakage_bound: k=1" in report.render()
 
+    def test_trace_distance_bound_fails_as_its_row_with_every_check_run(self, monkeypatch):
+        import zenolab.bounds as bounds_mod
+
+        scenario = build_scenario(scenario_seeds(3, 1)[0])
+        checks_run = run_battery(scenario).checks_run
+        monkeypatch.setattr(bounds_mod, "trace_distance_bound", lambda weights, survivals: -1.0)
+        report = run_battery(scenario)
+        assert "trace_distance_bound" in [name for name, _ in report.failures]
+        assert report.checks_run == checks_run
+
     def test_suite_result_render_is_stable(self):
         a = check_suite(5, 6).render()
         b = check_suite(5, 6).render()

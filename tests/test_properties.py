@@ -1,5 +1,6 @@
-"""Property test: every identity run_measurement asserts holds on drawn
-protocols, checked here from the outside as well.
+"""Property test: every identity run_measurement asserts, and the weight-gap
+identity of the check table, holds on drawn protocols, checked here from
+the outside as well.
 
 The examples are derandomized and bounded so the tier-1 run stays fast and
 repeatable.
@@ -9,12 +10,12 @@ import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from zenolab.bounds import CHECKS
 from zenolab.curves import GeneratedCurve
 from zenolab.linalg import seeded_cons, seeded_hermitian
 from zenolab.measurement import (
     DIAGONAL_TOL,
     LEAKAGE_FLOOR,
-    PROOF_IDENTITY_TOL,
     _partition_trajectory,
     _transfer_matrices,
     random_partition,
@@ -58,7 +59,8 @@ def test_run_measurement_identities(dim, n, seed, kind):
 
     # The trace distance to the target equals the weight gap.
     gap = float(np.sum(np.abs(result.weights_out - w)))
-    assert abs(result.trace_distance_to_target - gap) <= PROOF_IDENTITY_TOL
+    tol = next(c.tol for c in CHECKS if c.name == "trace_distance_equals_weight_gap")
+    assert abs(result.trace_distance_to_target - gap) <= tol
 
     # Every step matrix is doubly stochastic.
     for m in _transfer_matrices(*_partition_trajectory(curve, h, partition)):

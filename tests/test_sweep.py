@@ -116,6 +116,7 @@ class TestRunSweep:
     @pytest.mark.parametrize(
         "name",
         [
+            pytest.param("trace_distance_equals_weight_gap", id="trace_bound-trace_distance_equals_weight_gap"),
             pytest.param("leakage_bound", id="leakage_bound-leakage_bound"),
             pytest.param("survival_lower_bound", id="survival_bounds-survival_lower_bound"),
             pytest.param("weight_error_bound", id="survival_bounds-weight_error_bound"),
@@ -135,7 +136,6 @@ class TestRunSweep:
         from zenolab.errors import InvariantViolation
         from zenolab.states import FannesBound
 
-        report = bounds_mod.entropy_condition_report
         measure = sweep_mod.run_measurement
 
         def moving_frames(rho, h, curve, partition):
@@ -145,8 +145,15 @@ class TestRunSweep:
             result = measure(rho, h, curve, partition)
             return dataclasses.replace(result, frames=rotating.frames_at(partition.times))
 
+        def shifted_distance(rho, h, curve, partition):
+            result = measure(rho, h, curve, partition)
+            return dataclasses.replace(result, trace_distance_to_target=result.trace_distance_to_target + 1e-6)
+
         # One poisoned formula per named inequality; every earlier row still passes.
+        # dominator_entropy has no formula of its own to poison: per-index
+        # subadditivity within 1e-12 implies the sum within d * 1e-12, so its row is.
         poison = {
+            "trace_distance_equals_weight_gap": (sweep_mod, "run_measurement", shifted_distance),
             "leakage_bound": (bounds_mod, "leakage_upper_bound", lambda xi, eta, p: np.full(np.shape(xi), -1.0)),
             "survival_lower_bound": (bounds_mod, "survival_lower_bound", lambda xi, *args: np.full(np.shape(xi), 2.0)),
             "weight_error_bound": (bounds_mod, "weight_error_bound", lambda w, *args: np.full(np.shape(w), -1.0)),
@@ -155,8 +162,8 @@ class TestRunSweep:
             "sigma_domination": (bounds_mod, "dominating_operator", lambda *args: np.zeros((2, 2))),
             "dominator_entropy": (
                 bounds_mod,
-                "entropy_condition_report",
-                lambda *args: dataclasses.replace(report(*args), dominator_entropy_ok=False),
+                "CHECKS",
+                tuple(c._replace(tol=-np.inf) if c.name == "dominator_entropy" else c for c in bounds_mod.CHECKS),
             ),
             "drift_bound": (sweep_mod, "run_measurement", moving_frames),
         }
@@ -189,10 +196,10 @@ class TestRunSweep:
         scenario = small_qubit_scenario(tmp_path, ns=(4,))
 
         def explode(*args, **kwargs):
-            raise InvariantViolation("trace_distance_bound", distance=1.0, bound=0.5)
+            raise InvariantViolation("dual_oracle_agreement", gap=0.5)
 
         monkeypatch.setattr(sweep_mod, "run_measurement", explode)
-        with pytest.raises(InvariantViolation, match="trace_distance_bound") as excinfo:
+        with pytest.raises(InvariantViolation, match="dual_oracle_agreement") as excinfo:
             run_sweep(scenario)
         assert "N=4" in str(excinfo.value)
 
