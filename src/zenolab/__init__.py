@@ -19,7 +19,6 @@ from .bounds import (
 from .corpus import CorpusScenario, build_scenario, check_suite, run_battery, scenario_seeds
 from .curves import (
     BasisCurve,
-    CurveBounds,
     GeneratedCurve,
     SampledCurve,
     StaticCurve,

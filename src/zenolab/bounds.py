@@ -220,7 +220,7 @@ def _leakage_bound(x: CheckInputs, tol: float):
 def _survival_lower_bound(x: CheckInputs, tol: float):
     for k, a in x.gated:
         survival, lower = float(x.result.survivals[k]), float(x.gamma_lbs[a][k])
-        yield lower <= survival <= 1.0 + tol, {"k": k + 1, "a": a, "survival": survival, "lower": lower}
+        yield lower <= survival + tol, {"k": k + 1, "a": a, "survival": survival, "lower": lower}
 
 
 def _weight_error_bound(x: CheckInputs, tol: float):
@@ -312,7 +312,7 @@ CHECKS = (
     Check("weight_split_identity", 1e-9, _weight_split),
     Check("leakage_path_enumeration", 1e-10, _leakage_path_enumeration),
     Check("leakage_bound", 1e-9, _leakage_bound),
-    Check("survival_lower_bound", 1e-12, _survival_lower_bound),
+    Check("survival_lower_bound", 0.0, _survival_lower_bound),
     Check("weight_error_bound", 1e-9, _weight_error_bound),
     Check("drift_nonpositive", 1e-12, _drift_nonpositive),
     Check("drift_identity", 1e-10, _drift_identity),

@@ -12,9 +12,9 @@ is the evaluation primitive; evaluate(t) is frames_at(t)[0] on every
 variant, so an off-grid time raises there too.
 
 Regularity quantities are (d,) vectors over the basis index k, each one
-pass over a frame stack:
-  xi_k   sup over t of ||H Psi_k(t)||, the max over sup_frames (curve_bounds)
-  eta_k  a Lipschitz constant for t -> Psi_k(t) (lipschitz, in curve_bounds)
+pass over a frame stack; curve_bounds returns the pair (xi, eta):
+  xi_k   sup over t of ||H Psi_k(t)||, the max over sup_frames
+  eta_k  a Lipschitz constant for t -> Psi_k(t) (lipschitz)
   drift  sum over a partition of Re <Psi_k(t_j) - Psi_k(t_{j-1}),
          Psi_k(t_{j-1})>, which equals -1/2 the summed squared increments
          for unit-norm curves (drift_sums)
@@ -22,12 +22,11 @@ pass over a frame stack:
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from .errors import ValidationError
 from .linalg import (
+    CONS_TOL,
     commutator_norm,
     hermitian_eigendecompose,
     orthonormality_defect,
@@ -35,7 +34,7 @@ from .linalg import (
     require_hermitian,
 )
 
-DEFAULT_GRID_POINTS = 257
+GRID_POINTS = 257
 COMMUTING_TOL = 1e-10
 
 
@@ -45,7 +44,7 @@ class BasisCurve:
     def __init__(self, base, tau: float):
         if not (float(tau) > 0):
             raise ValidationError(f"tau must be positive, got {tau!r}")
-        self.base = require_cons(base, tol=1e-9, name="base basis")
+        self.base = require_cons(base, name="base basis")
         self.base.flags.writeable = False
         self.tau = float(tau)
         self.dim = self.base.shape[1]
@@ -66,9 +65,9 @@ class BasisCurve:
         """Frames at every time of a 1-d array, stacked as (len(times), d, d)."""
         raise NotImplementedError
 
-    def sup_frames(self, hamiltonian: np.ndarray, grid_points: int) -> np.ndarray:
+    def sup_frames(self, hamiltonian: np.ndarray) -> np.ndarray:
         """The frame stack over which the largest ||H Psi_k|| is the energy
-        sup xi_k: a single frame when that sup is exact, else M samples."""
+        sup xi_k: a single frame when that sup is exact, else samples."""
         raise NotImplementedError
 
     def lipschitz(self) -> np.ndarray:
@@ -95,7 +94,7 @@ class StaticCurve(BasisCurve):
         t = self._check_times(times)
         return np.broadcast_to(self.base, (t.shape[0],) + self.base.shape)
 
-    def sup_frames(self, hamiltonian: np.ndarray, grid_points: int) -> np.ndarray:
+    def sup_frames(self, hamiltonian: np.ndarray) -> np.ndarray:
         return self.base[None]
 
     def lipschitz(self) -> np.ndarray:
@@ -121,13 +120,11 @@ class GeneratedCurve(BasisCurve):
         frames[t == 0.0] = self.base
         return frames
 
-    def sup_frames(self, hamiltonian: np.ndarray, grid_points: int) -> np.ndarray:
+    def sup_frames(self, hamiltonian: np.ndarray) -> np.ndarray:
         if commutator_norm(self.generator, hamiltonian) <= COMMUTING_TOL:
             # Commuting flow: ||H e^{-itA} psi|| is t-independent.
             return self.base[None]
-        if grid_points < 2:
-            raise ValidationError("grid must contain at least the two endpoints")
-        return self.frames_at(np.linspace(0.0, self.tau, grid_points))
+        return self.frames_at(np.linspace(0.0, self.tau, GRID_POINTS))
 
     def lipschitz(self) -> np.ndarray:
         # ||(e^{-i s A} - 1) psi|| <= |s| ||A psi|| with equality in the limit,
@@ -167,9 +164,9 @@ class SampledCurve(BasisCurve):
         if not np.all(finite):
             raise ValidationError(f"frame {int(np.argmin(finite))} contains non-finite entries")
         defects = orthonormality_defect(stack)
-        if np.any(defects > 1e-9):
-            i = int(np.argmax(defects > 1e-9))
-            raise ValidationError(f"frame {i} is not orthonormal: defect {defects[i]:.3e} > 1.0e-09")
+        if np.any(defects > CONS_TOL):
+            i = int(np.argmax(defects > CONS_TOL))
+            raise ValidationError(f"frame {i} is not orthonormal: defect {defects[i]:.3e} > {CONS_TOL:.1e}")
         stack.flags.writeable = False
         super().__init__(stack[0], tau=times[-1])
         self.times = times
@@ -188,7 +185,7 @@ class SampledCurve(BasisCurve):
             raise ValidationError(f"time {float(t[off][0])} is not on the sampled grid (no interpolation)")
         return self.frames[i]
 
-    def sup_frames(self, hamiltonian: np.ndarray, grid_points: int) -> np.ndarray:
+    def sup_frames(self, hamiltonian: np.ndarray) -> np.ndarray:
         # The curve exists only at its grid times, so the exact sup is the
         # max over its own grid frames.
         return self.frames
@@ -197,27 +194,15 @@ class SampledCurve(BasisCurve):
         return partition_lipschitz_estimate(self.frames, np.diff(self.times))
 
 
-@dataclass(frozen=True)
-class CurveBounds:
-    """Per-index regularity numbers for a whole curve.
+def curve_bounds(curve: BasisCurve, hamiltonian) -> tuple[np.ndarray, np.ndarray]:
+    """The (d,) vectors (xi, eta) of a whole curve, each in one pass.
 
-    method records how the energy sups were obtained: "closed-form" when
-    exact, "grid(M)" when estimated from M curve samples. Grid estimates
-    are maxima, hence monotone nondecreasing in M and lower bounds on the
-    true sup.
+    xi is exact for a static curve, a commuting generator and a sampled
+    curve's own grid; for any other generated curve it is the maximum over
+    GRID_POINTS samples, a lower estimate of the sup.
     """
-
-    energy_sups: np.ndarray
-    lipschitz: np.ndarray
-    method: str
-
-
-def curve_bounds(curve: BasisCurve, hamiltonian, grid_points: int = DEFAULT_GRID_POINTS) -> CurveBounds:
-    """The (d,) vectors xi and eta of a whole curve, each in one pass."""
     h = require_hermitian(hamiltonian, name="hamiltonian")
     if h.shape[0] != curve.dim:
         raise ValidationError(f"hamiltonian dimension {h.shape[0]} does not match the curve")
-    frames = curve.sup_frames(h, grid_points)
-    xis = np.max(np.linalg.norm(h @ frames, axis=1), axis=0)
-    method = "closed-form" if frames.shape[0] == 1 else f"grid({frames.shape[0]})"
-    return CurveBounds(energy_sups=xis, lipschitz=curve.lipschitz(), method=method)
+    xis = np.max(np.linalg.norm(h @ curve.sup_frames(h), axis=1), axis=0)
+    return xis, curve.lipschitz()

@@ -2,8 +2,8 @@
 functions, trace norm, orthonormality checks and seeded fixtures.
 
 Everything here is pure, deterministic, and sized for dense double-precision
-work at small dimension (d <= 32). Structural checks use 1e-10, composed
-computations 1e-9.
+work at small dimension (d <= 32). Hermiticity is checked to HERMITIAN_TOL
+(1e-10), orthonormality to CONS_TOL (1e-9).
 """
 
 from __future__ import annotations
@@ -15,6 +15,7 @@ import numpy as np
 from .errors import ValidationError
 
 HERMITIAN_TOL = 1e-10
+CONS_TOL = 1e-9
 
 
 def as_complex_matrix(m, name: str = "matrix") -> np.ndarray:
@@ -31,15 +32,15 @@ def as_complex_matrix(m, name: str = "matrix") -> np.ndarray:
 
 def hermiticity_defect(m: np.ndarray) -> float:
     """Largest entrywise deviation of m from its own adjoint."""
-    return float(np.max(np.abs(m - m.conj().T))) if m.size else 0.0
+    return float(np.max(np.abs(m - m.conj().T)))
 
 
-def require_hermitian(m, tol: float = HERMITIAN_TOL, name: str = "matrix") -> np.ndarray:
-    """Check hermiticity within tol, then return the symmetrized (m + m*)/2."""
+def require_hermitian(m, name: str = "matrix") -> np.ndarray:
+    """Check hermiticity within HERMITIAN_TOL, then return the symmetrized (m + m*)/2."""
     a = as_complex_matrix(m, name)
     defect = hermiticity_defect(a)
-    if defect > tol:
-        raise ValidationError(f"{name} is not Hermitian: defect {defect:.3e} > {tol:.1e}")
+    if defect > HERMITIAN_TOL:
+        raise ValidationError(f"{name} is not Hermitian: defect {defect:.3e} > {HERMITIAN_TOL:.1e}")
     return (a + a.conj().T) / 2
 
 
@@ -85,13 +86,13 @@ class HermitianEigen:
         return (rows @ self.vectors.conj().T).reshape(t.shape + (self.dim, self.dim))
 
 
-def hermitian_eigendecompose(m, tol: float = HERMITIAN_TOL) -> HermitianEigen:
+def hermitian_eigendecompose(m, name: str = "matrix") -> HermitianEigen:
     """Eigendecompose a Hermitian matrix with a deterministic phase convention.
 
     Raises ValidationError for non-square or non-Hermitian input and lets a
     LAPACK convergence failure propagate as numpy.linalg.LinAlgError.
     """
-    h = require_hermitian(m, tol)
+    h = require_hermitian(m, name)
     values, vectors = np.linalg.eigh(h)
     vectors = phase_fix(vectors)
     values = values.copy()
@@ -113,8 +114,6 @@ def trace_norm(t) -> float:
 def operator_norm_hermitian(h) -> float:
     """Spectral norm of a Hermitian operator."""
     m = require_hermitian(h, name="operator-norm argument")
-    if m.shape[0] == 0:
-        return 0.0
     return float(np.max(np.abs(np.linalg.eigvalsh(m))))
 
 
@@ -133,12 +132,12 @@ def orthonormality_defect(cons: np.ndarray):
     return np.max(np.abs(gram - np.eye(cons.shape[-1])), axis=(-2, -1))
 
 
-def require_cons(cons, tol: float = 1e-9, name: str = "basis") -> np.ndarray:
-    """Validate a complete orthonormal system given as matrix columns."""
+def require_cons(cons, name: str = "basis") -> np.ndarray:
+    """Validate a complete orthonormal system given as matrix columns, Gram defect within CONS_TOL."""
     b = as_complex_matrix(cons, name)
     defect = orthonormality_defect(b)
-    if defect > tol:
-        raise ValidationError(f"{name} is not orthonormal: defect {defect:.3e} > {tol:.1e}")
+    if defect > CONS_TOL:
+        raise ValidationError(f"{name} is not orthonormal: defect {defect:.3e} > {CONS_TOL:.1e}")
     return b
 
 

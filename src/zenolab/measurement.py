@@ -51,7 +51,7 @@ import numpy as np
 
 from .curves import BasisCurve
 from .errors import InvariantViolation, ValidationError
-from .linalg import hermitian_eigendecompose, require_hermitian, trace_norm
+from .linalg import hermitian_eigendecompose, trace_norm
 from .states import DensityMatrix
 
 DIAGONAL_TOL = 1e-9
@@ -148,10 +148,10 @@ def _partition_trajectory(curve: BasisCurve, hamiltonian, partition: Partition) 
     stack and the (N, d, d) stack of step unitaries U_j = e^{-i dt_j H}."""
     if abs(partition.tau - curve.tau) > 1e-12 * max(1.0, curve.tau):
         raise ValidationError(f"partition horizon {partition.tau} differs from curve horizon {curve.tau}")
-    h = require_hermitian(hamiltonian, name="hamiltonian")
-    if h.shape[0] != curve.dim:
-        raise ValidationError(f"hamiltonian dimension {h.shape[0]} does not match the curve")
-    return curve.frames_at(partition.times), hermitian_eigendecompose(h).propagator(partition.steps)
+    eig = hermitian_eigendecompose(hamiltonian, name="hamiltonian")
+    if eig.dim != curve.dim:
+        raise ValidationError(f"hamiltonian dimension {eig.dim} does not match the curve")
+    return curve.frames_at(partition.times), eig.propagator(partition.steps)
 
 
 def _transfer_matrices(frames: np.ndarray, unitaries: np.ndarray) -> np.ndarray:
@@ -343,8 +343,9 @@ def run_measurement(rho: DensityMatrix, hamiltonian, curve: BasisCurve, partitio
 
     leakage = leakage_residual(weights_out, weights, survivals)
 
-    target = DensityMatrix.from_weights(weights, final_basis)
-    distance = trace_norm(rho_final.matrix - target.matrix)
+    # The target sum_k w_k |F_k><F_k| at tau; the projection_family row checks the frame's Gram defect.
+    target = (final_basis * weights) @ final_basis.conj().T
+    distance = trace_norm(rho_final.matrix - (target + target.conj().T) / 2)
 
     for a in (weights_out, survivals, leakage, frames, weights):
         a.flags.writeable = False

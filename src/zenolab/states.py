@@ -86,7 +86,7 @@ class DensityMatrix:
 def clean_spectrum(values: np.ndarray) -> np.ndarray:
     """Clamp tiny negative eigenvalues to zero and renormalize to unit sum."""
     v = np.asarray(values, dtype=float)
-    lowest = float(v.min()) if v.size else 0.0
+    lowest = float(v.min())
     if lowest < EIGENVALUE_FLOOR:
         raise ValidationError(f"eigenvalue {lowest:.3e} below {EIGENVALUE_FLOOR}: not a state")
     v = np.clip(v, 0.0, None)
@@ -104,8 +104,7 @@ def entr(x):
     a = np.asarray(x, dtype=float)
     if np.any(a < 0):
         raise ValidationError("entropy kernel requires nonnegative input")
-    with np.errstate(divide="ignore", invalid="ignore"):
-        out = np.where(a > 0, -a * np.log(np.where(a > 0, a, 1.0)), 0.0)
+    out = np.where(a > 0, -a * np.log(np.where(a > 0, a, 1.0)), 0.0)
     if np.isscalar(x) or a.ndim == 0:
         return float(out)
     return out

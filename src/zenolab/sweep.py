@@ -84,8 +84,7 @@ def run_sweep(scenario: Scenario) -> list[SweepRecord]:
     comparison raises, labelled with the scenario and N.
     """
     curve, hamiltonian = scenario.curve, scenario.hamiltonian
-    bounds = curve_bounds(curve, hamiltonian)
-    xis, etas = bounds.energy_sups, bounds.lipschitz
+    xis, etas = curve_bounds(curve, hamiltonian)
     records = []
     for partition in scenario.partitions:
         label = f"{scenario.label} N={partition.n}"

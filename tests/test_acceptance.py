@@ -81,7 +81,7 @@ def _run_one(scenario: CorpusScenario) -> CorpusRun:
     basis_tau = scenario.curve.evaluate(scenario.tau)
     coords = basis_tau.conj().T @ result.rho_final.matrix @ basis_tau
     offdiag = float(np.max(np.abs(coords - np.diag(np.diag(coords)))))
-    cb = curve_bounds(scenario.curve, scenario.hamiltonian)
+    xis, etas = curve_bounds(scenario.curve, scenario.hamiltonian)
 
     dim = scenario.dim
     drifts = drift_sums(scenario.curve.frames_at(scenario.partition.times))
@@ -101,8 +101,8 @@ def _run_one(scenario: CorpusScenario) -> CorpusRun:
         result=result,
         evolve_diag=np.real(np.diag(coords)),
         offdiag_residual=offdiag,
-        xis=cb.energy_sups,
-        etas=cb.lipschitz,
+        xis=xis,
+        etas=etas,
         drifts=drifts,
         half_squared_increments=half_sq,
     )
@@ -243,12 +243,12 @@ def test_criterion_7_entropy_convergence_and_domination(qubit_sweep, unitary_swe
         for scenario, records in ((q_scenario, q_records), (u_scenario, u_records)):
             assert records[-1].entropy_gap <= 5e-3
             rho, h, curve = scenario.state, scenario.hamiltonian, scenario.curve
-            cb = curve_bounds(curve, h)
+            xis, etas = curve_bounds(curve, h)
             weights = np.real(np.diag(curve.base.conj().T @ rho.matrix @ curve.base))
             s_rho = von_neumann_entropy(rho)
-            sigma = dominating_operator(weights, cb.energy_sups, cb.lipschitz, curve.evaluate(scenario.tau))
+            sigma = dominating_operator(weights, xis, etas, curve.evaluate(scenario.tau))
             s_sigma = float(np.sum(entr(np.clip(np.linalg.eigvalsh(sigma), 0.0, None))))
-            kernel_sums = float(np.sum(entr(cb.energy_sups**2)) + np.sum(entr(cb.lipschitz**2)))
+            kernel_sums = float(np.sum(entr(xis**2)) + np.sum(entr(etas**2)))
             assert s_sigma <= s_rho + kernel_sums + 1e-9
             for record, partition in zip(records, scenario.partitions):
                 result = run_measurement(rho, h, curve, partition)

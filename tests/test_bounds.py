@@ -167,13 +167,13 @@ class TestConvergenceConditionsReport:
     def test_static_curve_passes_with_zero_drift(self):
         curve = StaticCurve(seeded_cons(3, 1), 1.0)
         drifts, estimates = self.refine(curve, 0, (2, 8, 32))
-        assert curve_bounds(curve, seeded_hermitian(3, 2)).lipschitz[0] == 0.0
+        assert curve_bounds(curve, seeded_hermitian(3, 2))[1][0] == 0.0
         assert all(v == 0.0 for v in drifts)
         assert all(v == 0.0 for v in estimates)
 
     def test_generated_curve_passes_at_fine_refinement(self):
         curve = GeneratedCurve(seeded_hermitian(3, 5), seeded_cons(3, 6), 1.0)
-        eta = float(curve_bounds(curve, seeded_hermitian(3, 7)).lipschitz[1])
+        eta = float(curve_bounds(curve, seeded_hermitian(3, 7))[1][1])
         drifts, estimates = self.refine(curve, 1, (2, 8, 32, 128, 512))
         assert abs(drifts[-1]) <= 1e-3 * eta**2 * curve.tau**2
         assert estimates[-1] <= 1.5 * estimates[-2]
@@ -270,8 +270,8 @@ def generated_inputs(dim=3, n=8, seed=0, constants=(1.5, 2.0, 4.0)) -> CheckInpu
     curve = GeneratedCurve(seeded_hermitian(dim, 12), seeded_cons(dim, 13), 1.0)
     weights = np.linspace(1.0, 2.0, dim) / np.linspace(1.0, 2.0, dim).sum()
     result = run_measurement(DensityMatrix.from_weights(weights, curve.base), h, curve, uniform_partition(1.0, n))
-    b = curve_bounds(curve, h)
-    return CheckInputs(result, curve, h, b.energy_sups, b.lipschitz, constants, seed=seed)
+    xis, etas = curve_bounds(curve, h)
+    return CheckInputs(result, curve, h, xis, etas, constants, seed=seed)
 
 
 def row_outcomes(inputs: CheckInputs, name: str) -> list:
@@ -375,8 +375,8 @@ class TestCheckTable:
         curve = GeneratedCurve(0.1 * seeded_hermitian(2, 12), seeded_cons(2, 13), 1.0)
         rho = DensityMatrix.from_weights([0.9, 0.1], curve.base)
         result = run_measurement(rho, h, curve, uniform_partition(1.0, 6))
-        b = curve_bounds(curve, h)
-        x = CheckInputs(result, curve, h, b.energy_sups, b.lipschitz, (1.5, 2.0, 4.0))
+        xis, etas = curve_bounds(curve, h)
+        x = CheckInputs(result, curve, h, xis, etas, (1.5, 2.0, 4.0))
         for row in CHECKS:
             outcomes = list(row.compare(x, row.tol))
             assert outcomes and all(passed for passed, _ in outcomes), row.name

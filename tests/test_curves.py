@@ -6,6 +6,7 @@ import math
 import numpy as np
 import pytest
 
+from zenolab import curves
 from zenolab.curves import (
     GeneratedCurve,
     SampledCurve,
@@ -119,8 +120,8 @@ class TestFramesAt:
             curve.evaluate(grid[1] + 1e-6)
 
 
-def energy_sups(curve, h, *grid_points):
-    return curve_bounds(curve, h, *grid_points).energy_sups
+def energy_sups(curve, h):
+    return curve_bounds(curve, h)[0]
 
 
 def partition_drifts(curve, partition):
@@ -132,27 +133,27 @@ class TestEnergySup:
         curve = StaticCurve(np.eye(2, dtype=complex), 1.0)
         assert energy_sups(curve, PAULI_X)[0] == pytest.approx(1.0, abs=1e-12)
 
-    def test_commuting_generator_is_grid_free(self):
+    def test_commuting_generator_is_grid_free(self, monkeypatch):
         h = seeded_hermitian(4, 3)
         curve = GeneratedCurve(h, seeded_cons(4, 9), 1.0)
         expected = float(np.linalg.norm(h @ curve.base[:, 2]))
         for grid in (3, 17, 257):
-            assert energy_sups(curve, h, grid)[2] == pytest.approx(expected, abs=1e-12)
+            monkeypatch.setattr(curves, "GRID_POINTS", grid)
+            assert energy_sups(curve, h)[2] == pytest.approx(expected, abs=1e-12)
 
     def test_rotating_qubit_grid_sup(self):
         # ||Z (cos t, sin t)|| = 1 for every t, so the grid sup is exactly 1.
         curve = y_curve()
-        assert energy_sups(curve, PAULI_Z, 257)[0] == pytest.approx(1.0, abs=1e-12)
+        assert energy_sups(curve, PAULI_Z)[0] == pytest.approx(1.0, abs=1e-12)
 
-    def test_grid_estimates_monotone_in_resolution(self):
+    def test_grid_estimates_monotone_in_resolution(self, monkeypatch):
         curve = GeneratedCurve(seeded_hermitian(5, 1), seeded_cons(5, 2), 1.0)
         h = seeded_hermitian(5, 3)
-        values = [energy_sups(curve, h, m)[0] for m in (2, 5, 17, 65, 257)]
+        values = []
+        for m in (2, 5, 17, 65, 257):
+            monkeypatch.setattr(curves, "GRID_POINTS", m)
+            values.append(energy_sups(curve, h)[0])
         assert all(b >= a - 1e-12 for a, b in zip(values, values[1:]))
-
-    def test_grid_needs_both_endpoints(self):
-        with pytest.raises(ValidationError, match="two endpoints"):
-            energy_sups(y_curve(), PAULI_Z, 1)
 
     def test_sampled_uses_its_own_grid(self):
         gen = y_curve(tau=1.0)
@@ -209,7 +210,7 @@ class TestSampledVectorsMatchPerFrameLoops:
         gen = GeneratedCurve(seeded_hermitian(dim, seed + 20), seeded_cons(dim, seed + 21), 1.0)
         curve = SampledCurve(grid, gen.frames_at(grid))
         h = seeded_hermitian(dim, seed + 22)
-        cb = curve_bounds(curve, h)
+        xis, etas = curve_bounds(curve, h)
         hs = (h + h.conj().T) / 2
         tol = len(grid) * dim * np.finfo(float).eps
         for k in range(dim):
@@ -218,8 +219,8 @@ class TestSampledVectorsMatchPerFrameLoops:
                 float(np.linalg.norm(curve.frames[i + 1][:, k] - curve.frames[i][:, k])) / (grid[i + 1] - grid[i])
                 for i in range(len(grid) - 1)
             )
-            assert abs(cb.energy_sups[k] - xi) <= tol * max(1.0, xi)
-            assert abs(cb.lipschitz[k] - eta) <= tol * max(1.0, eta)
+            assert abs(xis[k] - xi) <= tol * max(1.0, xi)
+            assert abs(etas[k] - eta) <= tol * max(1.0, eta)
 
 
 class TestDriftSum:
@@ -340,14 +341,3 @@ class TestSampledCurve:
         estimate = partition_lipschitz_estimate(curve.frames_at(partition.times), partition.steps)
         assert np.all(estimate <= curve.lipschitz() + 1e-12)
 
-
-class TestCurveBounds:
-    def test_method_labels(self):
-        static = StaticCurve(np.eye(2, dtype=complex), 1.0)
-        assert curve_bounds(static, PAULI_X).method == "closed-form"
-        commuting = GeneratedCurve(PAULI_X, np.eye(2, dtype=complex), 1.0)
-        assert curve_bounds(commuting, PAULI_X).method == "closed-form"
-        rotating = GeneratedCurve(PAULI_Y, np.eye(2, dtype=complex), 1.0)
-        assert curve_bounds(rotating, PAULI_X, grid_points=33).method == "grid(33)"
-        sampled = SampledCurve([0.0, 0.4, 1.0], [np.eye(2, dtype=complex)] * 3)
-        assert curve_bounds(sampled, PAULI_X, grid_points=33).method == "grid(3)"

@@ -398,6 +398,20 @@ class TestTargetState:
         expected = trace_norm(result.rho_final.matrix - np.outer(psi, psi.conj()))
         assert result.trace_distance_to_target == pytest.approx(expected, abs=1e-12)
 
+    @pytest.mark.parametrize("kind", ["uniform", "random"])
+    @pytest.mark.parametrize("dim", [2, 3, 8])
+    def test_equals_the_validated_target_bit_for_bit(self, dim, kind):
+        # The reference builds the target as a validated DensityMatrix from the
+        # run's own weights and final frame.
+        base = seeded_cons(dim, 14)
+        w = np.random.default_rng(dim).exponential(size=dim)
+        rho = DensityMatrix.from_weights(w / w.sum(), base)
+        curve = GeneratedCurve(seeded_hermitian(dim, 15), base, 1.0)
+        partition = uniform_partition(1.0, 20) if kind == "uniform" else random_partition(1.0, 20, seed=16)
+        result = run_measurement(rho, seeded_hermitian(dim, 17), curve, partition)
+        target = DensityMatrix.from_weights(result.weights, result.frames[-1])
+        assert result.trace_distance_to_target == trace_norm(result.rho_final.matrix - target.matrix)
+
 
 class TestRunMeasurement:
     def test_zeno_distance_vanishes(self):

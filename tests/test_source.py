@@ -1,6 +1,7 @@
 """Source hygiene without a linter: every name a zenolab module imports is
-used in that module. __init__.py is skipped, since its imports are the
-package's exports."""
+used in that module, and every module-level definition is read somewhere in
+the package or exported. __init__.py is skipped by the import check, since
+its imports are the package's exports."""
 
 import ast
 import pathlib
@@ -24,6 +25,32 @@ def unused_imports(source: str) -> list[str]:
     return sorted(imported - used)
 
 
+def dead_definitions(sources: dict) -> list[str]:
+    """module:name for each module-level function, class or constant of the
+    non-__init__ modules in sources (file name -> text) that no Name node of
+    any module reads and that __init__.py does not import."""
+    trees = {name: ast.parse(text) for name, text in sources.items()}
+    live = {node.id for tree in trees.values() for node in ast.walk(tree)
+            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load)}
+    live |= {alias.name for node in ast.walk(trees["__init__.py"])
+             if isinstance(node, ast.ImportFrom) for alias in node.names}
+    dead = []
+    for module, tree in sorted(trees.items()):
+        if module == "__init__.py":
+            continue
+        for node in tree.body:
+            if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+                names = [node.name]
+            elif isinstance(node, ast.Assign):
+                names = [t.id for t in node.targets if isinstance(t, ast.Name)]
+            elif isinstance(node, ast.AnnAssign) and isinstance(node.target, ast.Name):
+                names = [node.target.id]
+            else:
+                names = []
+            dead += [f"{module}:{name}" for name in names if name not in live]
+    return dead
+
+
 def test_the_walk_finds_an_unused_import():
     source = "import os\nimport numpy as np\nfrom .linalg import a, b\n\nx = np.zeros(a)\n"
     assert unused_imports(source) == ["b", "os"]
@@ -33,3 +60,17 @@ def test_the_walk_finds_an_unused_import():
 @pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
 def test_module_uses_every_import(path):
     assert unused_imports(path.read_text()) == []
+
+
+def test_the_walk_finds_a_dead_definition():
+    sources = {
+        "__init__.py": "from .a import public\n",
+        "a.py": "TOL = 1e-9\nUNUSED = 2\n\ndef public(x):\n    return _helper(x) < TOL\n\n"
+                "def _helper(x):\n    return x\n\nclass Orphan:\n    pass\n",
+        "b.py": "def orphan():\n    return 0\n",
+    }
+    assert dead_definitions(sources) == ["a.py:UNUSED", "a.py:Orphan", "b.py:orphan"]
+
+
+def test_every_definition_is_read_or_exported():
+    assert dead_definitions({p.name: p.read_text() for p in PACKAGE.glob("*.py")}) == []
