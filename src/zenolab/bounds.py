@@ -7,8 +7,9 @@ the leakage and survival formulas take xi, eta and drift as scalars or as
 (d,) arrays over the basis index k.
 CHECKS is the only place the paper's inequalities are asserted: each row
 has a name and a tolerance, and yields one outcome per comparison it makes
-on a CheckInputs, reading the weights, partition and frames the run itself
-used. CheckInputs computes each bound and each entropy term once per run.
+on a CheckInputs, reading the weights, partition and frame summary
+(measurement.FrameSummary) of the run itself. CheckInputs computes each
+bound and each entropy term once per run.
 Sweeps and the corpus run the whole table; a row whose precondition does
 not hold (path enumeration beyond d = 2 and N <= 6, the drift decay off
 uniform_partition grids, the witness off generated curves, the entropy
@@ -26,7 +27,7 @@ from typing import Callable, NamedTuple
 import numpy as np
 
 from .channels import FAMILY_TOL
-from .curves import BasisCurve, GeneratedCurve, drift_sums
+from .curves import BasisCurve, GeneratedCurve
 from .errors import ValidationError
 from .linalg import orthonormality_defect, require_cons
 from .measurement import WEIGHT_SUM_TOL, MeasurementResult, Partition, leakage_by_path_enumeration
@@ -87,9 +88,9 @@ def dominating_operator(weights, xis, etas, frame) -> np.ndarray:
 @dataclass(frozen=True, eq=False)
 class CheckInputs:
     """One protocol run as the check table sees it: weights, partition and
-    frames are the run's own, read from result. Derived values are computed
-    on first use and shared by the rows and the sweep record; constants are
-    the values of a that the survival rows try."""
+    frame summary, drifts included, are the run's own, read from result.
+    Derived values are computed on first use and shared by the rows and the
+    sweep record; constants are the values of a that the survival rows try."""
 
     result: MeasurementResult
     curve: BasisCurve
@@ -103,9 +104,9 @@ class CheckInputs:
     def dim(self) -> int:
         return self.result.weights.shape[0]
 
-    @cached_property
+    @property
     def drifts(self) -> np.ndarray:
-        return drift_sums(self.result.frames)
+        return self.result.frames.drifts
 
     @cached_property
     def eps_bounds(self) -> np.ndarray:
@@ -175,7 +176,7 @@ class Check(NamedTuple):
 def _projection_family(x: CheckInputs, tol: float):
     # The projectors f_k f_k* of a frame F satisfy P_j P_k - delta_jk P_k = f_j (F*F - I)_jk f_k*
     # and sum_k P_k - I = F F* - I, so each identity is off by at most d times the Gram defect.
-    defect = float(orthonormality_defect(x.result.frames[-1]))
+    defect = float(orthonormality_defect(x.result.frames.final))
     yield defect <= tol, {"orthonormality_defect": defect}
 
 
@@ -237,8 +238,7 @@ def _drift_nonpositive(x: CheckInputs, tol: float):
 
 def _drift_identity(x: CheckInputs, tol: float):
     # Each drift sum equals minus half the summed squared increments.
-    half_sq = 0.5 * np.sum(np.abs(np.diff(x.result.frames, axis=0)) ** 2, axis=(0, 1))
-    residual = float(np.max(np.abs(x.drifts + half_sq)))
+    residual = float(np.max(np.abs(x.drifts + x.result.frames.half_square_sums)))
     yield residual <= tol, {"residual": residual}
 
 
@@ -275,7 +275,7 @@ def _sigma_domination(x: CheckInputs, tol: float):
     # Domination is promised only once the partition is fine enough.
     r = x.result
     if r.partition.sumsq < 0.5:
-        sigma = dominating_operator(r.weights, x.xis, x.etas, r.frames[-1])
+        sigma = dominating_operator(r.weights, x.xis, x.etas, r.frames.final)
         min_eig = float(np.min(np.linalg.eigvalsh(sigma - r.rho_final.matrix)))
         yield min_eig >= -tol, {"min_eig": min_eig}
 

@@ -17,7 +17,7 @@ pass over a frame stack; curve_bounds returns the pair (xi, eta):
   eta_k  a Lipschitz constant for t -> Psi_k(t) (lipschitz)
   drift  sum over a partition of Re <Psi_k(t_j) - Psi_k(t_{j-1}),
          Psi_k(t_{j-1})>, which equals -1/2 the summed squared increments
-         for unit-norm curves (drift_sums)
+         (half_square_sums) for unit-norm curves (drift_sums)
 """
 
 from __future__ import annotations
@@ -79,6 +79,12 @@ def drift_sums(frames: np.ndarray) -> np.ndarray:
     """Per-index drift sums of a frame stack (N+1, d, d), the steps added in order."""
     prev = frames[:-1]
     return np.real(np.sum(prev.conj() * (frames[1:] - prev), axis=1)).sum(axis=0)
+
+
+def half_square_sums(frames: np.ndarray) -> np.ndarray:
+    """Per-index half summed squared increments 1/2 sum_j ||Psi_k(t_j) - Psi_k(t_{j-1})||^2
+    of a frame stack (N+1, d, d); minus the drift sums for unit-norm curves."""
+    return 0.5 * np.sum(np.abs(np.diff(frames, axis=0)) ** 2, axis=(0, 1))
 
 
 def partition_lipschitz_estimate(frames: np.ndarray, steps) -> np.ndarray:

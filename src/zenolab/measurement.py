@@ -2,25 +2,30 @@
 measurement onto a moving basis along a time partition of [0, tau].
 
 Two independent computations of the same coefficients are kept side by
-side on purpose. They share only one trajectory per partition: the frame
-stack F_0..F_N from curve.frames_at and the stack U_1..U_N of one
-U_j = e^{-i dt_j H} per step, from one HermitianEigen.propagator call. Each
-route forms its own products from these, in blocks of TRANSFER_BLOCK steps.
+side on purpose. They share only one trajectory per partition, streamed in
+blocks of TRANSFER_BLOCK steps: the frames F_j from curve.frames_at at the
+block's times and one U_j = e^{-i dt_j H} per step, from one
+HermitianEigen.propagator call per block. Each route forms its own
+products from a block, keeps its own carry from block to block, and drops
+the block, so a run's memory does not grow with N.
 
-  channel route   a dense lab-frame state. With X_j = F_j* U_j, one step is
-                  p = Re diag(X_j rho X_j*), then rho = F_j diag(p) F_j*,
-                  that is U rho U* dephased in F_j. Up to d = KRON_MAX_DIM
-                  the step is two mat-vecs on v = vec(rho) through
-                  per-step d x d^2 and d^2 x d matrices built from X_j and
-                  F_j (d^3 entries each); above it, five d x d array
-                  operations.
-  transfer route  T_j = |(F_j* U_j) F_{j-1}|^2, doubly stochastic;
-                  weights_out = (T_N ... T_1) weights, the product taken as
-                  a pairwise tree of depth ceil(log2 N).
+  channel route   carry: a dense lab-frame state. With X_j = F_j* U_j, one
+                  step is p = Re diag(X_j rho X_j*), then
+                  rho = F_j diag(p) F_j*, that is U rho U* dephased in F_j.
+                  Up to d = KRON_MAX_DIM the state is v = vec(rho) and the
+                  step is two mat-vecs through per-step d x d^2 and
+                  d^2 x d matrices built from X_j and F_j (d^3 entries
+                  each); above it, five d x d array operations.
+  transfer route  carry: the running weights and survivals.
+                  T_j = |(F_j* U_j) F_{j-1}|^2, doubly stochastic; each
+                  block's product is taken as a pairwise tree of depth
+                  ceil(log2 TRANSFER_BLOCK) and applied to the weights.
 
-The transfer matrices, weights_out and survivals never reach the channel
+The transfer matrices, weights and survivals never reach the channel
 route, and its state never reaches the transfer route. They must agree to
-1e-9.
+1e-9. Beside the routes, each block adds to the run's FrameSummary: the
+drift sums and half the summed squared increments, which the drift checks
+read, and finally the frame at tau.
 
 Inputs are validated once, at the API boundary (state, Hamiltonian,
 partition horizon, and the times through frames_at), never per step.
@@ -49,7 +54,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .curves import BasisCurve
+from .curves import BasisCurve, drift_sums, half_square_sums
 from .errors import InvariantViolation, ValidationError
 from .linalg import hermitian_eigendecompose, trace_norm
 from .states import DensityMatrix
@@ -57,13 +62,16 @@ from .states import DensityMatrix
 DIAGONAL_TOL = 1e-9
 WEIGHT_SUM_TOL = 1e-9
 LEAKAGE_FLOOR = -1e-10
-# Steps per gathered block in either route: caps the temporaries at any N. A
-# block holds a few frames' worth, plus the channel route's 2 d^3 complex
-# entries per step at d <= KRON_MAX_DIM (1.8 MB at d = 6).
+# Steps per trajectory block: caps a run's memory at any N. A block holds a
+# few frame stacks of TRANSFER_BLOCK + 1 frames (4.2 MB each at d = 32), plus
+# the channel route's 2 d^3 complex entries per step at d <= KRON_MAX_DIM
+# (1.8 MB at d = 6).
 TRANSFER_BLOCK = 256
 # Largest d at which the channel route steps vec(rho) through two per-step
-# mat-vecs. Their matrices hold d^3 entries each, so from d = 8 on the d x d
-# matrix step is faster (per-d timings in README.md).
+# mat-vecs. Their matrices hold d^3 entries each: at d = 7 and 8 the mat-vecs
+# are faster per step, but their 4.2 MB per block at d = 8 raises the corpus
+# peak RSS, and from d = 9 on the d x d step is as fast or faster (per-d
+# timings in README.md).
 KRON_MAX_DIM = 6
 
 
@@ -125,7 +133,11 @@ def uniform_partition(tau: float, n: int) -> Partition:
 def random_partition(tau: float, n: int, seed: int) -> Partition:
     """Partition with n-1 interior points drawn from a seeded PRNG.
 
-    Redraws until every gap, endpoints included, is at least tau * 1e-6.
+    Redraws until every gap, endpoints included, is at least tau * 1e-6. At
+    large n a uniform draw almost never clears that floor, so after 100
+    failed draws the same generator places point i at 2 i tau 1e-6 plus a
+    sorted uniform draw over the rest of [0, tau]. Every gap is then at
+    least twice the floor before rounding, and rounding costs far less.
     """
     if n < 1:
         raise ValidationError("n must be at least 1")
@@ -140,60 +152,87 @@ def random_partition(tau: float, n: int, seed: int) -> Partition:
         times = np.concatenate(([0.0], interior, [tau]))
         if np.min(np.diff(times)) >= min_gap:
             return Partition(times)
+    spread = max(tau - 2 * n * min_gap, 0.0)
+    interior = 2 * min_gap * np.arange(1, n) + np.sort(rng.uniform(0.0, spread, size=n - 1))
+    times = np.concatenate(([0.0], interior, [tau]))
+    if np.min(np.diff(times)) >= min_gap:
+        return Partition(times)
     raise ValidationError(f"could not place {n - 1} distinct interior points in (0, {tau})")
 
 
-def _partition_trajectory(curve: BasisCurve, hamiltonian, partition: Partition) -> tuple:
-    """What both routes read, the inputs validated once: the (N+1, d, d) frame
-    stack and the (N, d, d) stack of step unitaries U_j = e^{-i dt_j H}."""
+def _trajectory_blocks(curve: BasisCurve, hamiltonian, partition: Partition):
+    """What both routes read, the inputs validated once, one block of at most
+    TRANSFER_BLOCK steps at a time: yields the (b+1, d, d) frames at the
+    block's times and the (b, d, d) step unitaries U_j = e^{-i dt_j H}.
+
+    The frame on a block boundary is carried into the next block, so every
+    partition time is evaluated once.
+    """
     if abs(partition.tau - curve.tau) > 1e-12 * max(1.0, curve.tau):
         raise ValidationError(f"partition horizon {partition.tau} differs from curve horizon {curve.tau}")
     eig = hermitian_eigendecompose(hamiltonian, name="hamiltonian")
     if eig.dim != curve.dim:
         raise ValidationError(f"hamiltonian dimension {eig.dim} does not match the curve")
-    return curve.frames_at(partition.times), eig.propagator(partition.steps)
+    times, steps = partition.times, partition.steps
+    frames = curve.frames_at(times[:min(TRANSFER_BLOCK, partition.n) + 1])
+    for start in range(0, partition.n, TRANSFER_BLOCK):
+        stop = min(start + TRANSFER_BLOCK, partition.n)
+        if start:
+            frames = np.concatenate((frames[-1:], curve.frames_at(times[start + 1:stop + 1])))
+        yield frames, eig.propagator(steps[start:stop])
 
 
 def _transfer_matrices(frames: np.ndarray, unitaries: np.ndarray) -> np.ndarray:
-    """The transfer route's own step matrices T_j = |F_j* U_j F_{j-1}|^2.
-
-    Each block of TRANSFER_BLOCK steps forms (F_j* U_j) F_{j-1} as two
-    batched products; entry (a, b) of T_j is the probability of landing on
-    index a from index b. Like the channel route it reads only the frames
-    and the unitaries, and it forms its products itself.
+    """The transfer route's own step matrices T_j = |F_j* U_j F_{j-1}|^2 over
+    a stack of steps, (F_j* U_j) F_{j-1} as two batched products; entry
+    (a, b) of T_j is the probability of landing on index a from index b.
+    Like the channel route it reads only the frames and the unitaries, and
+    it forms its products itself.
     """
-    n = unitaries.shape[0]
-    out = np.empty((n,) + frames.shape[1:])
-    for start in range(0, n, TRANSFER_BLOCK):
-        stop = min(start + TRANSFER_BLOCK, n)
-        f_adj = frames[start + 1:stop + 1].conj().transpose(0, 2, 1)
-        out[start:stop] = np.abs((f_adj @ unitaries[start:stop]) @ frames[start:stop]) ** 2
-    return out
+    return np.abs((frames[1:].conj().transpose(0, 2, 1) @ unitaries) @ frames[:-1]) ** 2
 
 
 def _chain(mats: np.ndarray) -> np.ndarray:
-    """T_N ... T_1 as a pairwise product tree: ceil(log2 N) batched products,
-    each multiplying every later step onto the step before it."""
+    """The product of a stack of step matrices, later steps on the left, as a
+    pairwise tree: ceil(log2 n) batched products for n matrices, each
+    multiplying every later step onto the step before it."""
     while mats.shape[0] > 1:
         pairs = mats[1::2] @ mats[:-1:2]
         mats = np.concatenate((pairs, mats[-1:])) if mats.shape[0] % 2 else pairs
     return mats[0]
 
 
-def _survivals(mats: np.ndarray) -> np.ndarray:
-    """Per-index product of the stay probabilities, the steps taken in order."""
-    return np.multiply.reduce(np.diagonal(mats, axis1=1, axis2=2), axis=0)
+def _transfer_block(carry: tuple, frames: np.ndarray, unitaries: np.ndarray, first_step: int) -> tuple:
+    """The transfer route over one block: (weights, survivals) carried in,
+    the block's steps applied, step first_step + 1 being the block's first.
+
+    The block's matrices are checked doubly stochastic, multiplied as a
+    pairwise tree and applied to the running weights; the survivals take
+    the block's stay probabilities, in step order.
+    """
+    weights, survivals = carry
+    mats = _transfer_matrices(frames, unitaries)
+    worst = np.max(np.abs(np.concatenate((mats.sum(axis=1), mats.sum(axis=2)), axis=1) - 1.0), axis=1)
+    # Fails closed: a NaN entry is never within tolerance.
+    bad = ~(worst <= DIAGONAL_TOL)
+    j = int(np.argmax(bad))
+    if bad[j]:
+        raise InvariantViolation("step_doubly_stochastic", step=first_step + j + 1, worst=float(worst[j]))
+    # The carried product goes first, so the per-index products run in step order across blocks.
+    stays = np.concatenate((survivals[None], np.diagonal(mats, axis1=1, axis2=2)))
+    return _chain(mats) @ weights, np.multiply.reduce(stays, axis=0)
 
 
 def _channel_route(m: np.ndarray, frames: np.ndarray, unitaries: np.ndarray) -> np.ndarray:
-    """The channel route's own composition on the dense lab-frame state.
+    """The channel route's own composition on the dense lab-frame state m,
+    over a stack of steps; the caller symmetrizes the state once at the end.
 
     One step is U rho U* followed by dephasing in the frame F = F_j. With
-    X = F* U, the new state is F diag(p) F* where p_a = (X rho X*)_aa. Each
-    block of TRANSFER_BLOCK steps forms its own X_j = F_j* U_j, and then
-    the step takes one of two forms, chosen by d alone:
+    X = F* U, the new state is F diag(p) F* where p_a = (X rho X*)_aa. The
+    route forms its own X_j = F_j* U_j, and then the step takes one of two
+    forms, chosen by d alone:
 
-    d <= KRON_MAX_DIM  the state is v = vec(rho), row-major. The block
+    d <= KRON_MAX_DIM  the state is v = vec(rho), row-major. The route
                        builds K_j[a, (k, l)] = X_ak conj(X_al) and
                        G_j[(i, k), a] = F_ia conj(F_ka), each from step j's
                        own data, so a step is the two mat-vecs
@@ -204,30 +243,25 @@ def _channel_route(m: np.ndarray, frames: np.ndarray, unitaries: np.ndarray) -> 
                        conj(X_j)_ak, then rho = (F_j * p) @ F_j*, five array
                        operations on d x d arrays.
 
-    One (rho + rho*)/2 at the end restores exact Hermitian symmetry. The
-    route reads frames and unitaries only, never a transfer matrix or a
-    weight.
+    ndarray.dot rather than @ in the loops: the same products, with less
+    call overhead per step. The route reads frames and unitaries only,
+    never a transfer matrix or a weight.
     """
-    n, d = unitaries.shape[:2]
-    kron = d <= KRON_MAX_DIM
-    if kron:
-        m = m.reshape(d * d)
-    for start in range(0, n, TRANSFER_BLOCK):
-        stop = min(start + TRANSFER_BLOCK, n)
-        f = frames[start + 1:stop + 1]
-        f_adj = np.ascontiguousarray(f.conj().transpose(0, 2, 1))
-        x = f_adj @ unitaries[start:stop]
-        if kron:
-            k = (x[:, :, :, None] * x.conj()[:, :, None, :]).reshape(-1, d, d * d)
-            g = (f[:, :, None, :] * f.conj()[:, None, :, :]).reshape(-1, d * d, d)
-            for k_j, g_j in zip(k, g):
-                m = g_j @ (k_j @ m).real
-        else:
-            for f_j, f_j_adj, x_j, x_j_conj in zip(f, f_adj, x, x.conj()):
-                p = ((x_j @ m) * x_j_conj).sum(axis=1).real
-                m = (f_j * p) @ f_j_adj
-    m = m.reshape(d, d)
-    return (m + m.conj().T) / 2
+    d = m.shape[0]
+    f = frames[1:]
+    f_adj = np.ascontiguousarray(f.conj().transpose(0, 2, 1))
+    x = f_adj @ unitaries
+    if d <= KRON_MAX_DIM:
+        v = m.reshape(d * d)
+        k = (x[:, :, :, None] * x.conj()[:, :, None, :]).reshape(-1, d, d * d)
+        g = (f[:, :, None, :] * f.conj()[:, None, :, :]).reshape(-1, d * d, d)
+        for k_j, g_j in zip(k, g):
+            v = g_j.dot(k_j.dot(v).real)
+        return v.reshape(d, d)
+    for f_j, f_j_adj, x_j, x_j_conj in zip(f, f_adj, x, x.conj()):
+        p = (x_j.dot(m) * x_j_conj).sum(axis=1).real
+        m = (f_j * p).dot(f_j_adj)
+    return m
 
 
 def _in_basis(matrix: np.ndarray, basis: np.ndarray) -> tuple[np.ndarray, float]:
@@ -267,7 +301,7 @@ def leakage_by_path_enumeration(weights, curve: BasisCurve, hamiltonian, partiti
     meant as an oracle for d = 2, N <= 6 scale only."""
     w = np.asarray(weights, dtype=float)
     d = w.shape[0]
-    mats = _transfer_matrices(*_partition_trajectory(curve, hamiltonian, partition))
+    mats = np.concatenate([_transfer_matrices(*block) for block in _trajectory_blocks(curve, hamiltonian, partition)])
     n = len(mats)
     totals = np.zeros(d)
     for indices in itertools.product(range(d), repeat=n + 1):
@@ -282,6 +316,17 @@ def leakage_by_path_enumeration(weights, curve: BasisCurve, hamiltonian, partiti
 
 
 @dataclass(frozen=True, eq=False)
+class FrameSummary:
+    """What the checks read of a run's frames, gathered block by block:
+    the frame at tau, the per-index drift sums and half the per-index
+    summed squared increments, each (d,)."""
+
+    final: np.ndarray
+    drifts: np.ndarray
+    half_square_sums: np.ndarray
+
+
+@dataclass(frozen=True, eq=False)
 class MeasurementResult:
     """Everything a single protocol run produces.
 
@@ -290,7 +335,8 @@ class MeasurementResult:
     remainder, and trace_distance_to_target the trace-norm distance between
     the final state and the moving reference state at tau. weights (the
     clipped base-frame coefficients both routes start from), frames (the
-    (N+1, d, d) stack both routes read) and partition are kept for the checks.
+    FrameSummary of the frames both routes read) and partition are kept for
+    the checks.
     """
 
     rho_final: DensityMatrix
@@ -298,39 +344,40 @@ class MeasurementResult:
     survivals: np.ndarray
     leakage: np.ndarray
     trace_distance_to_target: float
-    frames: np.ndarray
+    frames: FrameSummary
     weights: np.ndarray
     partition: Partition
-
-
-def _transfer_route(weights: np.ndarray, frames, unitaries) -> tuple[np.ndarray, np.ndarray]:
-    """weights_out and survivals; the transfer stack is dropped on return."""
-    mats = _transfer_matrices(frames, unitaries)
-    worst = np.max(np.abs(np.concatenate((mats.sum(axis=1), mats.sum(axis=2)), axis=1) - 1.0), axis=1)
-    # Fails closed: a NaN entry is never within tolerance.
-    bad = ~(worst <= DIAGONAL_TOL)
-    j = int(np.argmax(bad))
-    if bad[j]:
-        raise InvariantViolation("step_doubly_stochastic", step=j + 1, worst=float(worst[j]))
-    return _chain(mats) @ weights, _survivals(mats)
 
 
 def run_measurement(rho: DensityMatrix, hamiltonian, curve: BasisCurve, partition: Partition) -> MeasurementResult:
     """Run the full protocol and cross-check the two routes' invariants.
 
-    Violations surface as InvariantViolation diagnostics naming the failed
-    invariant; the paper's bounds on the result are the rows of bounds.CHECKS.
+    One pass over the trajectory's blocks: each block goes to the transfer
+    route, the channel route and the frame summary, each with its own carry,
+    and is dropped, so memory does not grow with N. Violations surface as
+    InvariantViolation diagnostics naming the failed invariant; the paper's
+    bounds on the result are the rows of bounds.CHECKS.
     """
     weights = np.clip(_require_diagonal_in_base(rho, curve), 0.0, None)
-    frames, unitaries = _partition_trajectory(curve, hamiltonian, partition)
-
-    weights_out, survivals = _transfer_route(weights, frames, unitaries)
+    transfer = (weights, np.ones_like(weights))
+    state = rho.matrix
+    # -0.0 is the additive identity, so a one-block run's sums pass through bit for bit.
+    drifts = half_sq = -0.0
+    first_step = 0
+    for frames, unitaries in _trajectory_blocks(curve, hamiltonian, partition):
+        transfer = _transfer_block(transfer, frames, unitaries, first_step)
+        state = _channel_route(state, frames, unitaries)
+        drifts = drifts + drift_sums(frames)
+        half_sq = half_sq + half_square_sums(frames)
+        first_step += unitaries.shape[0]
+    weights_out, survivals = transfer
     if float(np.max(survivals)) > 1.0 + 1e-12:
         raise InvariantViolation("survival_above_one", worst=float(np.max(survivals)))
 
-    rho_final = DensityMatrix(_channel_route(rho.matrix, frames, unitaries))
+    rho_final = DensityMatrix((state + state.conj().T) / 2)
 
-    final_basis = frames[-1]
+    # A copy: a view would keep the whole last block alive with the result.
+    final_basis = np.array(frames[-1])
     final_weights, off_residual = _in_basis(rho_final.matrix, final_basis)
     if off_residual > DIAGONAL_TOL:
         raise InvariantViolation("final_state_diagonal", residual=off_residual)
@@ -347,7 +394,7 @@ def run_measurement(rho: DensityMatrix, hamiltonian, curve: BasisCurve, partitio
     target = (final_basis * weights) @ final_basis.conj().T
     distance = trace_norm(rho_final.matrix - (target + target.conj().T) / 2)
 
-    for a in (weights_out, survivals, leakage, frames, weights):
+    for a in (weights_out, survivals, leakage, final_basis, drifts, half_sq, weights):
         a.flags.writeable = False
     return MeasurementResult(
         rho_final=rho_final,
@@ -355,7 +402,7 @@ def run_measurement(rho: DensityMatrix, hamiltonian, curve: BasisCurve, partitio
         survivals=survivals,
         leakage=leakage,
         trace_distance_to_target=distance,
-        frames=frames,
+        frames=FrameSummary(final_basis, drifts, half_sq),
         weights=weights,
         partition=partition,
     )

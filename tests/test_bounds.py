@@ -284,8 +284,9 @@ class TestCheckRowsReadTheRun:
         x = generated_inputs()
         [(passed, _)] = row_outcomes(x, "projection_family")
         assert passed
-        frames = x.result.frames.copy()
-        frames[-1, :, 1] *= 1.0 + 1e-6
+        final = x.result.frames.final.copy()
+        final[:, 1] *= 1.0 + 1e-6
+        frames = dataclasses.replace(x.result.frames, final=final)
         broken = dataclasses.replace(x, result=dataclasses.replace(x.result, frames=frames))
         [(passed, fields)] = row_outcomes(broken, "projection_family")
         assert not passed
@@ -308,7 +309,7 @@ class TestCheckRowsReadTheRun:
 
     def test_entropy_gap_is_the_distance_to_the_target_entropy(self):
         x = generated_inputs(dim=4)
-        target = von_neumann_entropy(DensityMatrix.from_weights(x.result.weights, x.result.frames[-1]))
+        target = von_neumann_entropy(DensityMatrix.from_weights(x.result.weights, x.result.frames.final))
         delta = 4 * np.finfo(float).eps
         assert x.entropy_gap == pytest.approx(abs(x.entropy - target), rel=0, abs=4 * delta * (1 - math.log(delta)))
         [(passed, fields)] = row_outcomes(x, "fannes_bound")

@@ -7,17 +7,19 @@ through cos^2/sin^2 of the step length.
 """
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 
-from zenolab.curves import GeneratedCurve, SampledCurve, StaticCurve
+from zenolab.curves import GeneratedCurve, SampledCurve, StaticCurve, drift_sums, half_square_sums
 from zenolab.errors import InvariantViolation, ValidationError
 from zenolab.linalg import hermitian_eigendecompose, seeded_cons, seeded_hermitian, trace_norm
 from zenolab.measurement import (
+    TRANSFER_BLOCK,
     Partition,
     _channel_route,
-    _partition_trajectory,
+    _trajectory_blocks,
     _transfer_matrices,
     leakage_by_path_enumeration,
     random_partition,
@@ -44,6 +46,18 @@ def step_matrix(curve, hamiltonian, t0, t1):
     """The transfer route's matrix of the one step from t0 to t1."""
     unitary = hermitian_eigendecompose(hamiltonian).propagator([t1 - t0])
     return _transfer_matrices(curve.frames_at([t0, t1]), unitary)[0]
+
+
+def block_transfer_matrices(curve, hamiltonian, partition):
+    """The transfer matrices of every step, gathered over the trajectory's blocks."""
+    return np.concatenate([_transfer_matrices(*block) for block in _trajectory_blocks(curve, hamiltonian, partition)])
+
+
+def block_channel_state(m, blocks):
+    """The channel route's state carried over a trajectory's blocks."""
+    for block in blocks:
+        m = _channel_route(m, *block)
+    return m
 
 
 def stepwise_channels(rho, hamiltonian, curve, partition):
@@ -85,6 +99,27 @@ class TestPartitions:
         a = random_partition(1.0, 20, seed=5)
         b = random_partition(1.0, 20, seed=5)
         np.testing.assert_array_equal(a.times, b.times)
+
+    @pytest.mark.parametrize("n", [2, 3, 17, 64])
+    def test_random_small_n_keeps_the_first_draw_past_the_floor(self, n):
+        # The draw the partition made before its large-n fallback existed.
+        for tau, seed in [(1.0, 0), (1.0, 5), (2.5, 11), (1e-3, 2)]:
+            rng = np.random.default_rng(seed)
+            while True:
+                times = np.concatenate(([0.0], np.sort(rng.uniform(0.0, tau, size=n - 1)), [tau]))
+                if np.min(np.diff(times)) >= tau * 1e-6:
+                    break
+            np.testing.assert_array_equal(random_partition(tau, n, seed).times, times)
+
+    @pytest.mark.parametrize("n", [4000, 20000])
+    def test_random_large_n_keeps_the_gap_floor(self, n):
+        # A uniform draw of 4000 points clears a 1e-6 tau gap floor on almost no seed.
+        for tau, seed in [(1.0, 0), (1e3, 1)]:
+            p = random_partition(tau, n, seed)
+            assert p.n == n and p.tau == tau
+            assert np.min(p.steps) >= tau * 1e-6
+            np.testing.assert_array_equal(random_partition(tau, n, seed).times, p.times)
+        assert not np.array_equal(random_partition(1.0, n, 0).times, random_partition(1.0, n, 2).times)
 
     def test_random_sumsq_below_mesh(self):
         # sum dt^2 <= mesh * sum dt = mesh * tau with tau = 1
@@ -160,7 +195,7 @@ class TestBatchedTransfer:
             np.abs(curve.evaluate(t1).conj().T @ eig.propagator(t1 - t0) @ curve.evaluate(t0)) ** 2
             for t0, t1 in zip(times, times[1:])
         ]
-        np.testing.assert_array_equal(_transfer_matrices(*_partition_trajectory(curve, h, partition)), loop)
+        np.testing.assert_array_equal(block_transfer_matrices(curve, h, partition), loop)
 
     @pytest.mark.parametrize(
         "partition",
@@ -170,7 +205,7 @@ class TestBatchedTransfer:
     def test_one_unitary_per_step_from_its_own_length(self, partition):
         curve = StaticCurve(seeded_cons(3, 1), 1.0)
         h = seeded_hermitian(3, 2)
-        unitaries = _partition_trajectory(curve, h, partition)[1]
+        unitaries = np.concatenate([u for _, u in _trajectory_blocks(curve, h, partition)])
         propagator = hermitian_eigendecompose(h).propagator
         assert len(unitaries) == partition.n
         np.testing.assert_array_equal(unitaries, np.stack([propagator(float(dt)) for dt in partition.steps]))
@@ -221,7 +256,7 @@ class TestPropagateWeights:
         h = seeded_hermitian(dim, 7)
         result = run_measurement(DensityMatrix.from_weights([0.5, 0.3, 0.2], curve.base), h, curve, partition)
         loop = result.weights
-        for mat in _transfer_matrices(*_partition_trajectory(curve, h, partition)):
+        for mat in block_transfer_matrices(curve, h, partition):
             loop = mat @ loop
         np.testing.assert_allclose(result.weights_out, loop, rtol=0, atol=partition.n * dim * np.finfo(float).eps)
 
@@ -268,7 +303,7 @@ class TestEvolveByChannels:
             curve = StaticCurve(base, 1.0)
             rho = DensityMatrix.from_weights(np.arange(1.0, dim + 1) / (dim * (dim + 1) / 2), base)
             h = (base * np.linspace(0.3, 2.4, dim)) @ base.conj().T
-            out = _channel_route(rho.matrix, *_partition_trajectory(curve, h, uniform_partition(1.0, n)))
+            out = block_channel_state(rho.matrix, _trajectory_blocks(curve, h, uniform_partition(1.0, n)))
             assert np.max(np.abs(out - rho.matrix)) <= n * dim * np.finfo(float).eps
 
     def test_qubit_single_step_matches_oracle(self):
@@ -331,12 +366,12 @@ class TestEvolveByChannels:
         rho = DensityMatrix.from_weights(w / w.sum(), base)
         curve = GeneratedCurve(seeded_hermitian(dim, 5), base, 1.0)
         partition = uniform_partition(1.0, n) if kind == "uniform" else random_partition(1.0, n, seed=3)
-        trajectory = _partition_trajectory(curve, seeded_hermitian(dim, 6), partition)
+        trajectory = list(_trajectory_blocks(curve, seeded_hermitian(dim, 6), partition))
 
         monkeypatch.setattr(measurement_mod, "KRON_MAX_DIM", dim)
-        kron = _channel_route(rho.matrix, *trajectory)
+        kron = block_channel_state(rho.matrix, trajectory)
         monkeypatch.setattr(measurement_mod, "KRON_MAX_DIM", dim - 1)
-        square = _channel_route(rho.matrix, *trajectory)
+        square = block_channel_state(rho.matrix, trajectory)
         np.testing.assert_allclose(kron, square, rtol=0, atol=n * dim * np.finfo(float).eps)
 
 
@@ -409,7 +444,7 @@ class TestTargetState:
         curve = GeneratedCurve(seeded_hermitian(dim, 15), base, 1.0)
         partition = uniform_partition(1.0, 20) if kind == "uniform" else random_partition(1.0, 20, seed=16)
         result = run_measurement(rho, seeded_hermitian(dim, 17), curve, partition)
-        target = DensityMatrix.from_weights(result.weights, result.frames[-1])
+        target = DensityMatrix.from_weights(result.weights, result.frames.final)
         assert result.trace_distance_to_target == trace_norm(result.rho_final.matrix - target.matrix)
 
 
@@ -543,14 +578,89 @@ class TestTrajectoryCorruption:
         np.testing.assert_array_equal(routes[1], routes[0])
 
     def test_one_frame_stack_per_run(self, monkeypatch):
-        rho, h, curve, partition = four_level_run(n=16)
+        # Every partition time is evaluated exactly once across the blocks, in
+        # order: a block boundary's frame is carried, not evaluated again.
+        n = 3 * TRANSFER_BLOCK + 5
+        rho, h, curve, partition = four_level_run(n=n)
         calls = []
         frames_at = curve.frames_at
-        monkeypatch.setattr(curve, "frames_at", lambda times: calls.append(len(times)) or frames_at(times))
+        monkeypatch.setattr(curve, "frames_at", lambda times: calls.append(np.copy(times)) or frames_at(times))
         result = run_measurement(rho, h, curve, partition)
-        assert calls == [17]
-        np.testing.assert_array_equal(result.frames, frames_at(partition.times))
-        assert not result.frames.flags.writeable
+        assert [len(t) for t in calls] == [TRANSFER_BLOCK + 1, TRANSFER_BLOCK, TRANSFER_BLOCK, 5]
+        np.testing.assert_array_equal(np.concatenate(calls), partition.times)
+        np.testing.assert_array_equal(result.frames.final, frames_at(partition.times[-1:])[0])
+        assert not result.frames.final.flags.writeable
+
+    def test_frame_corrupted_in_a_later_block_names_its_global_step(self, monkeypatch):
+        rho, h, curve, partition = four_level_run(n=3 * TRANSFER_BLOCK)
+        bad_time = partition.times[TRANSFER_BLOCK + 7]
+        frames_at = curve.frames_at
+
+        def corrupted(times):
+            frames = frames_at(times).copy()
+            frames[times == bad_time, :, 1] *= 1.5
+            return frames
+
+        monkeypatch.setattr(curve, "frames_at", corrupted)
+        with pytest.raises(InvariantViolation) as excinfo:
+            run_measurement(rho, h, curve, partition)
+        assert excinfo.value.name == "step_doubly_stochastic"
+        assert excinfo.value.details["step"] == TRANSFER_BLOCK + 7
+
+
+def whole_stack_run(rho, hamiltonian, curve, partition):
+    """The protocol from the whole (N+1, d, d) frame stack at once: each step's
+    transfer matrix applied to the weights in order, the in-order survival
+    products, the channel route over every step, and the drift summary."""
+    frames = curve.frames_at(partition.times)
+    unitaries = hermitian_eigendecompose(hamiltonian).propagator(partition.steps)
+    mats = _transfer_matrices(frames, unitaries)
+    weights = np.real(np.diag(curve.base.conj().T @ rho.matrix @ curve.base))
+    for mat in mats:
+        weights = mat @ weights
+    survivals = np.prod(np.diagonal(mats, axis1=1, axis2=2), axis=0)
+    m = _channel_route(rho.matrix, frames, unitaries)
+    return weights, survivals, (m + m.conj().T) / 2, drift_sums(frames), half_square_sums(frames)
+
+
+class TestStreamedTrajectory:
+    @pytest.mark.parametrize("kind", ["uniform", "random"])
+    @pytest.mark.parametrize("dim", [3, 8])
+    def test_blocks_agree_with_the_whole_stack(self, dim, kind):
+        # Error model as in test_stepwise_equals_one_pass: about d * eps of
+        # rounding per step in either computation, N steps.
+        n = 3 * TRANSFER_BLOCK + 17
+        base = seeded_cons(dim, 21)
+        w = np.random.default_rng(dim).exponential(size=dim)
+        rho = DensityMatrix.from_weights(w / w.sum(), base)
+        h = seeded_hermitian(dim, 22)
+        curve = GeneratedCurve(seeded_hermitian(dim, 23), base, 1.0)
+        partition = uniform_partition(1.0, n) if kind == "uniform" else random_partition(1.0, n, seed=24)
+        result = run_measurement(rho, h, curve, partition)
+        weights_out, survivals, rho_final, drifts, half_sq = whole_stack_run(rho, h, curve, partition)
+        tol = n * dim * np.finfo(float).eps
+        np.testing.assert_allclose(result.weights_out, weights_out, rtol=0, atol=tol)
+        np.testing.assert_allclose(result.survivals, survivals, rtol=0, atol=tol)
+        np.testing.assert_allclose(result.rho_final.matrix, rho_final, rtol=0, atol=tol)
+        np.testing.assert_allclose(result.frames.drifts, drifts, rtol=0, atol=tol)
+        np.testing.assert_allclose(result.frames.half_square_sums, half_sq, rtol=0, atol=tol)
+        np.testing.assert_array_equal(result.frames.final, curve.evaluate(1.0))
+
+    def test_traced_peak_is_flat_in_n(self):
+        # Every block is dropped once the routes have read it, so the peak
+        # numpy allocation of a run does not grow with N beyond one block.
+        def traced_peak(n):
+            rho, h, curve, partition = four_level_run(n=n)
+            partition.steps
+            tracemalloc.start()
+            try:
+                run_measurement(rho, h, curve, partition)
+                return tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+
+        traced_peak(TRANSFER_BLOCK)
+        assert traced_peak(16 * TRANSFER_BLOCK) <= 1.25 * traced_peak(2 * TRANSFER_BLOCK)
 
 
 class TestLeakageResidualGuard:

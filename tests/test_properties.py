@@ -16,7 +16,7 @@ from zenolab.linalg import seeded_cons, seeded_hermitian
 from zenolab.measurement import (
     DIAGONAL_TOL,
     LEAKAGE_FLOOR,
-    _partition_trajectory,
+    _trajectory_blocks,
     _transfer_matrices,
     random_partition,
     run_measurement,
@@ -63,7 +63,7 @@ def test_run_measurement_identities(dim, n, seed, kind):
     assert abs(result.trace_distance_to_target - gap) <= tol
 
     # Every step matrix is doubly stochastic.
-    for m in _transfer_matrices(*_partition_trajectory(curve, h, partition)):
+    for m in np.concatenate([_transfer_matrices(*block) for block in _trajectory_blocks(curve, h, partition)]):
         assert np.all(m >= 0.0)
         np.testing.assert_allclose(m.sum(axis=0), 1.0, rtol=0, atol=DIAGONAL_TOL)
         np.testing.assert_allclose(m.sum(axis=1), 1.0, rtol=0, atol=DIAGONAL_TOL)

@@ -132,8 +132,9 @@ class TestRunSweep:
 
         import zenolab.bounds as bounds_mod
         import zenolab.sweep as sweep_mod
-        from zenolab.curves import GeneratedCurve
+        from zenolab.curves import GeneratedCurve, drift_sums, half_square_sums
         from zenolab.errors import InvariantViolation
+        from zenolab.measurement import FrameSummary
         from zenolab.states import FannesBound
 
         measure = sweep_mod.run_measurement
@@ -142,8 +143,10 @@ class TestRunSweep:
             # Frames of a rotating curve under a static one: the drift identity
             # still holds for them, but the static curve's eta = 0 bounds the drift by 0.
             rotating = GeneratedCurve(np.array([[0, -1j], [1j, 0]]), curve.base, curve.tau)
+            frames = rotating.frames_at(partition.times)
+            summary = FrameSummary(frames[-1], drift_sums(frames), half_square_sums(frames))
             result = measure(rho, h, curve, partition)
-            return dataclasses.replace(result, frames=rotating.frames_at(partition.times))
+            return dataclasses.replace(result, frames=summary)
 
         def shifted_distance(rho, h, curve, partition):
             result = measure(rho, h, curve, partition)
