@@ -29,7 +29,7 @@ import numpy as np
 from .channels import FAMILY_TOL
 from .curves import BasisCurve, GeneratedCurve
 from .errors import ValidationError
-from .linalg import orthonormality_defect, require_cons
+from .linalg import HermitianEigen, orthonormality_defect
 from .measurement import WEIGHT_SUM_TOL, MeasurementResult, Partition, leakage_by_path_enumeration
 from .states import entr, fannes_bound_at, von_neumann_entropy
 
@@ -77,11 +77,11 @@ def trace_distance_bound(weights, survivals) -> float:
 
 
 def dominating_operator(weights, xis, etas, frame) -> np.ndarray:
-    """sum_k (w_k + xi_k^2 + eta_k^2) |Psi_k><Psi_k| over the columns of frame,
-    the curve at tau: the psd majorant of every sufficiently refined posterior state."""
+    """sum_k (w_k + xi_k^2 + eta_k^2) |Psi_k><Psi_k| over the columns of frame, the curve at tau as
+    given (projection_family judges it): the psd majorant of every sufficiently refined posterior state."""
     w = np.asarray(weights, dtype=float)
     diag = w + np.asarray(xis, dtype=float) ** 2 + np.asarray(etas, dtype=float) ** 2
-    basis = require_cons(frame)
+    basis = np.asarray(frame, dtype=complex)
     return (basis * diag) @ basis.conj().T
 
 
@@ -94,7 +94,7 @@ class CheckInputs:
 
     result: MeasurementResult
     curve: BasisCurve
-    hamiltonian: np.ndarray
+    hamiltonian: HermitianEigen
     xis: np.ndarray
     etas: np.ndarray
     constants: tuple

@@ -17,7 +17,7 @@ import numpy as np
 from .bounds import CheckInputs, run_checks
 from .curves import BasisCurve, GeneratedCurve, SampledCurve, StaticCurve, curve_bounds
 from .errors import ZenolabError
-from .linalg import seeded_cons, seeded_hermitian
+from .linalg import HermitianEigen, hermitian_eigendecompose, seeded_cons, seeded_hermitian
 from .measurement import Partition, random_partition, run_measurement, uniform_partition
 from .states import DensityMatrix
 
@@ -35,7 +35,7 @@ class CorpusScenario:
     tau: float
     weights: np.ndarray
     basis: np.ndarray
-    hamiltonian: np.ndarray
+    hamiltonian: HermitianEigen
     curve: BasisCurve
     partition: Partition
 
@@ -71,7 +71,7 @@ def build_scenario(seed: int) -> CorpusScenario:
     weights = weights / weights.sum()
 
     basis = seeded_cons(dim, int(rng.integers(0, 2**63)))
-    hamiltonian = seeded_hermitian(dim, int(rng.integers(0, 2**63)))
+    hamiltonian = hermitian_eigendecompose(seeded_hermitian(dim, int(rng.integers(0, 2**63))), name="hamiltonian")
 
     if partition_kind == "uniform":
         partition = uniform_partition(tau, steps)

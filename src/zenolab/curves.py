@@ -27,11 +27,11 @@ import numpy as np
 from .errors import ValidationError
 from .linalg import (
     CONS_TOL,
+    HermitianEigen,
     commutator_norm,
     hermitian_eigendecompose,
     orthonormality_defect,
     require_cons,
-    require_hermitian,
 )
 
 GRID_POINTS = 257
@@ -112,11 +112,10 @@ class GeneratedCurve(BasisCurve):
 
     def __init__(self, generator, base, tau: float):
         super().__init__(base, tau)
-        self.generator = require_hermitian(generator, name="generator")
-        if self.generator.shape[0] != self.dim:
+        self._eig = hermitian_eigendecompose(generator, name="generator")
+        if self._eig.dim != self.dim:
             raise ValidationError("generator dimension does not match the base basis")
-        self.generator.flags.writeable = False
-        self._eig = hermitian_eigendecompose(self.generator)
+        self.generator = self._eig.matrix
 
     def frames_at(self, times) -> np.ndarray:
         # The propagators' rows stacked as one (n d, d) matrix, so base is one GEMM too.
@@ -200,15 +199,15 @@ class SampledCurve(BasisCurve):
         return partition_lipschitz_estimate(self.frames, np.diff(self.times))
 
 
-def curve_bounds(curve: BasisCurve, hamiltonian) -> tuple[np.ndarray, np.ndarray]:
+def curve_bounds(curve: BasisCurve, hamiltonian: HermitianEigen) -> tuple[np.ndarray, np.ndarray]:
     """The (d,) vectors (xi, eta) of a whole curve, each in one pass.
 
     xi is exact for a static curve, a commuting generator and a sampled
     curve's own grid; for any other generated curve it is the maximum over
     GRID_POINTS samples, a lower estimate of the sup.
     """
-    h = require_hermitian(hamiltonian, name="hamiltonian")
-    if h.shape[0] != curve.dim:
-        raise ValidationError(f"hamiltonian dimension {h.shape[0]} does not match the curve")
+    if hamiltonian.dim != curve.dim:
+        raise ValidationError(f"hamiltonian dimension {hamiltonian.dim} does not match the curve")
+    h = hamiltonian.matrix
     xis = np.max(np.linalg.norm(h @ curve.sup_frames(h), axis=1), axis=0)
     return xis, curve.lipschitz()

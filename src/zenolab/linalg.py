@@ -61,21 +61,18 @@ def phase_fix(vectors: np.ndarray) -> np.ndarray:
 
 @dataclass(frozen=True)
 class HermitianEigen:
-    """Eigendecomposition of a Hermitian matrix.
-
-    values are ascending reals; vectors holds the matching orthonormal
-    eigenvectors as columns, phase-fixed for reproducibility.
-    """
+    """A validated Hermitian operator, the one form in which one passes the API
+    boundary: matrix is the read-only symmetrized (M + M*)/2, values its ascending
+    eigenvalues and vectors the matching orthonormal eigenvectors as columns,
+    phase-fixed for reproducibility."""
 
     values: np.ndarray
     vectors: np.ndarray
+    matrix: np.ndarray
 
     @property
     def dim(self) -> int:
         return self.values.shape[0]
-
-    def reconstruct(self) -> np.ndarray:
-        return (self.vectors * self.values) @ self.vectors.conj().T
 
     def propagator(self, t) -> np.ndarray:
         """e^{-i t M} for the decomposed Hermitian M; for a 1-d array of n times, the (n, d, d)
@@ -87,7 +84,8 @@ class HermitianEigen:
 
 
 def hermitian_eigendecompose(m, name: str = "matrix") -> HermitianEigen:
-    """Eigendecompose a Hermitian matrix with a deterministic phase convention.
+    """Validate (name labels the errors), symmetrize and eigendecompose a Hermitian matrix,
+    the eigenvector phases fixed by phase_fix.
 
     Raises ValidationError for non-square or non-Hermitian input and lets a
     LAPACK convergence failure propagate as numpy.linalg.LinAlgError.
@@ -96,9 +94,9 @@ def hermitian_eigendecompose(m, name: str = "matrix") -> HermitianEigen:
     values, vectors = np.linalg.eigh(h)
     vectors = phase_fix(vectors)
     values = values.copy()
-    values.flags.writeable = False
-    vectors.flags.writeable = False
-    return HermitianEigen(values=values, vectors=vectors)
+    for a in (values, vectors, h):
+        a.flags.writeable = False
+    return HermitianEigen(values=values, vectors=vectors, matrix=h)
 
 
 def trace_norm(t) -> float:

@@ -27,8 +27,8 @@ route, and its state never reaches the transfer route. They must agree to
 drift sums and half the summed squared increments, which the drift checks
 read, and finally the frame at tau.
 
-Inputs are validated once, at the API boundary (state, Hamiltonian,
-partition horizon, and the times through frames_at), never per step.
+Inputs are validated once, at the API boundary (state, partition horizon,
+times through frames_at; H arrives validated as a HermitianEigen), never per step.
 run_measurement then asserts the routes' own invariants at the end of the
 run: step matrices doubly stochastic, survivals <= 1, the final state
 diagonal in the frame at tau with the transfer weights as its diagonal
@@ -56,7 +56,7 @@ import numpy as np
 
 from .curves import BasisCurve, drift_sums, half_square_sums
 from .errors import InvariantViolation, ValidationError
-from .linalg import hermitian_eigendecompose, trace_norm
+from .linalg import HermitianEigen, trace_norm
 from .states import DensityMatrix
 
 DIAGONAL_TOL = 1e-9
@@ -160,26 +160,25 @@ def random_partition(tau: float, n: int, seed: int) -> Partition:
     raise ValidationError(f"could not place {n - 1} distinct interior points in (0, {tau})")
 
 
-def _trajectory_blocks(curve: BasisCurve, hamiltonian, partition: Partition):
-    """What both routes read, the inputs validated once, one block of at most
-    TRANSFER_BLOCK steps at a time: yields the (b+1, d, d) frames at the
-    block's times and the (b, d, d) step unitaries U_j = e^{-i dt_j H}.
+def _trajectory_blocks(curve: BasisCurve, hamiltonian: HermitianEigen, partition: Partition):
+    """What both routes read, one block of at most TRANSFER_BLOCK steps at a
+    time: yields the (b+1, d, d) frames at the block's times and the
+    (b, d, d) step unitaries U_j = e^{-i dt_j H}.
 
     The frame on a block boundary is carried into the next block, so every
     partition time is evaluated once.
     """
     if abs(partition.tau - curve.tau) > 1e-12 * max(1.0, curve.tau):
         raise ValidationError(f"partition horizon {partition.tau} differs from curve horizon {curve.tau}")
-    eig = hermitian_eigendecompose(hamiltonian, name="hamiltonian")
-    if eig.dim != curve.dim:
-        raise ValidationError(f"hamiltonian dimension {eig.dim} does not match the curve")
+    if hamiltonian.dim != curve.dim:
+        raise ValidationError(f"hamiltonian dimension {hamiltonian.dim} does not match the curve")
     times, steps = partition.times, partition.steps
     frames = curve.frames_at(times[:min(TRANSFER_BLOCK, partition.n) + 1])
     for start in range(0, partition.n, TRANSFER_BLOCK):
         stop = min(start + TRANSFER_BLOCK, partition.n)
         if start:
             frames = np.concatenate((frames[-1:], curve.frames_at(times[start + 1:stop + 1])))
-        yield frames, eig.propagator(steps[start:stop])
+        yield frames, hamiltonian.propagator(steps[start:stop])
 
 
 def _transfer_matrices(frames: np.ndarray, unitaries: np.ndarray) -> np.ndarray:
@@ -295,7 +294,8 @@ def leakage_residual(weights_out, weights, survivals) -> np.ndarray:
     return np.clip(eps, 0.0, None)
 
 
-def leakage_by_path_enumeration(weights, curve: BasisCurve, hamiltonian, partition: Partition) -> np.ndarray:
+def leakage_by_path_enumeration(weights, curve: BasisCurve, hamiltonian: HermitianEigen,
+                                partition: Partition) -> np.ndarray:
     """Brute-force leakage (d,): entry k sums every index path that ends on k
     and leaves k at least once before. One pass over the d^(N+1) paths;
     meant as an oracle for d = 2, N <= 6 scale only."""
@@ -349,7 +349,8 @@ class MeasurementResult:
     partition: Partition
 
 
-def run_measurement(rho: DensityMatrix, hamiltonian, curve: BasisCurve, partition: Partition) -> MeasurementResult:
+def run_measurement(rho: DensityMatrix, hamiltonian: HermitianEigen, curve: BasisCurve,
+                    partition: Partition) -> MeasurementResult:
     """Run the full protocol and cross-check the two routes' invariants.
 
     One pass over the trajectory's blocks: each block goes to the transfer

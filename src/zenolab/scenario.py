@@ -6,9 +6,10 @@ partitions to sweep, the bound constant a and an optional CSV output path.
 Any other top-level field is an error. Keys beginning with an underscore are
 ignored everywhere, which is how the shipped example files carry comments.
 
-load_scenario builds and validates every piece once and returns them as a
-Scenario: a sampled curve's frames file is read there, relative to the
-scenario file, and sweeps never re-read a file or rebuild an operator.
+load_scenario builds and validates every piece once, the Hamiltonian as a
+HermitianEigen, and returns them as a Scenario: a sampled curve's frames file is
+read there, relative to the scenario file, and sweeps never re-read a file or
+rebuild an operator.
 
 Operator literals use [re, im] pairs for complex entries, e.g.
     {"dense": [[[0,0],[1,0]],[[1,0],[0,0]]]}
@@ -27,7 +28,8 @@ import numpy as np
 
 from .curves import BasisCurve, GeneratedCurve, SampledCurve, StaticCurve
 from .errors import SchemaError, ValidationError
-from .linalg import operator_norm_hermitian, require_cons, require_hermitian, seeded_cons, seeded_hermitian
+from .linalg import (HermitianEigen, hermitian_eigendecompose, operator_norm_hermitian, require_cons, seeded_cons,
+                     seeded_hermitian)
 from .measurement import Partition, random_partition, uniform_partition
 from .states import DensityMatrix
 
@@ -39,9 +41,11 @@ PAULI = {
 
 # The top-level fields a scenario file may set.
 FIELDS = ("dim", "tau", "state", "hamiltonian", "curve", "partitions", "a", "output")
-# Largest (N+1) * d^2 a partition plan may ask for: one complex (N+1, d, d)
-# stack of this many entries takes 1 GiB, and a run holds a few such stacks.
-MAX_STACK_ENTRIES = 2**26
+# Largest N of a partition, at any d: a run streams its frames in blocks, so what grows with N
+# are float64 arrays of N + 1 entries. A Partition keeps two (times, steps), and building one holds
+# at most six (the draws, linspace's output, __post_init__'s np.diff temporaries). Eight such arrays
+# in 1 GiB: N + 1 <= 2**30 / (8 * 8 bytes) = 2**24.
+MAX_PARTITION_STEPS = 2**24 - 1
 
 
 @dataclass(frozen=True, eq=False)
@@ -51,7 +55,7 @@ class Scenario:
     eigenvalues live in the state itself; run_measurement recovers them
     in the curve's base basis."""
 
-    hamiltonian: np.ndarray
+    hamiltonian: HermitianEigen
     state: DensityMatrix
     curve: BasisCurve
     partitions: tuple
@@ -148,26 +152,23 @@ def build_curve(curve_spec, basis, dim: int, tau: float, base_dir: str = ".") ->
     raise ValidationError(f"unknown curve kind {kind!r}")
 
 
-def _require_stack_fits(sizes: list[int], dim: int) -> None:
-    """Reject a size whose (N+1, d, d) frame stack would exceed MAX_STACK_ENTRIES, before any allocation."""
+def _require_steps_fit(sizes: list[int]) -> None:
+    """Reject a size above MAX_PARTITION_STEPS, before any allocation."""
     for n in sizes:
-        if (n + 1) * dim * dim > MAX_STACK_ENTRIES:
-            raise ValidationError(
-                f"partitions: N = {n} at dim {dim} needs a frame stack of {(n + 1) * dim * dim} "
-                f"entries, more than {MAX_STACK_ENTRIES}"
-            )
+        if n > MAX_PARTITION_STEPS:
+            raise ValidationError(f"partitions: N = {n} exceeds the cap of {MAX_PARTITION_STEPS} steps")
 
 
-def build_partitions(plan, tau: float, dim: int) -> list[Partition]:
+def build_partitions(plan, tau: float) -> list[Partition]:
     if isinstance(plan, dict) and "uniform" in plan:
         sizes = [int(n) for n in plan["uniform"]]
-        _require_stack_fits(sizes, dim)
+        _require_steps_fit(sizes)
         return [uniform_partition(tau, n) for n in sizes]
     if isinstance(plan, dict) and "random" in plan:
         params = plan["random"]
         seed = int(params["seed"])
         sizes = [int(n) for n in params["n"]]
-        _require_stack_fits(sizes, dim)
+        _require_steps_fit(sizes)
         return [random_partition(tau, n, seed + i) for i, n in enumerate(sizes)]
     raise ValidationError(f"unrecognized partition plan {plan!r}")
 
@@ -251,15 +252,14 @@ def load_scenario(path: str) -> Scenario:
     # wrong shape (a missing key, a non-number) is named by its field.
     field = "hamiltonian"
     try:
-        hamiltonian = build_operator(hamiltonian_spec, dim)
-        require_hermitian(hamiltonian, name="hamiltonian")  # a check only: the matrix is kept as written
+        hamiltonian = hermitian_eigendecompose(build_operator(hamiltonian_spec, dim), name="hamiltonian")
         field = "state"
         basis = None if basis_spec == "curve" else build_basis(basis_spec, dim)
         field = "curve"
         curve = build_curve(curve_spec, basis, dim, float(tau), os.path.dirname(os.path.abspath(path)))
         rho = DensityMatrix.from_weights(weights, curve.base if basis is None else basis)
         field = "partitions"
-        partitions = tuple(sorted(build_partitions(plan, float(tau), dim), key=lambda p: p.n))
+        partitions = tuple(sorted(build_partitions(plan, float(tau)), key=lambda p: p.n))
         if isinstance(curve, SampledCurve):
             for partition in partitions:
                 curve.frames_at(partition.times)

@@ -24,3 +24,17 @@ def pauli_z():
 def overlap_is_unit(u, v, tol=1e-9):
     """True when u and v agree up to a global phase."""
     return abs(abs(np.vdot(u, v)) - 1.0) <= tol
+
+
+@pytest.fixture
+def validations(monkeypatch):
+    """(names, eighs): the name label of every linalg.require_hermitian call and
+    the argument of every np.linalg.eigh call made while the test runs."""
+    import zenolab.linalg as linalg
+
+    names, eighs = [], []
+    require_hermitian, eigh = linalg.require_hermitian, np.linalg.eigh
+    monkeypatch.setattr(linalg, "require_hermitian", lambda m, name="matrix": names.append(name)
+                        or require_hermitian(m, name))
+    monkeypatch.setattr(np.linalg, "eigh", lambda m: eighs.append(m) or eigh(m))
+    return names, eighs

@@ -220,10 +220,10 @@ def test_criterion_6_exact_freezing_for_commuting_hamiltonians():
     with criterion(6, "commuting Hamiltonian freezes the state on every partition"):
         cases = []
         # computational basis, diagonal Hamiltonian
-        cases.append((np.eye(3, dtype=complex), np.diag([0.3, 1.1, 2.4]).astype(complex), [0.5, 0.3, 0.2]))
+        cases.append((np.eye(3, dtype=complex), hermitian_eigendecompose(np.diag([0.3, 1.1, 2.4])), [0.5, 0.3, 0.2]))
         # rotated basis, Hamiltonian diagonal in that same basis
         basis = seeded_cons(4, 77)
-        h = (basis * np.array([0.2, 0.9, 1.7, 3.0])) @ basis.conj().T
+        h = hermitian_eigendecompose((basis * np.array([0.2, 0.9, 1.7, 3.0])) @ basis.conj().T)
         cases.append((basis, h, [0.4, 0.3, 0.2, 0.1]))
         for base, hamiltonian, weights in cases:
             curve = StaticCurve(base, 1.0)

@@ -18,6 +18,7 @@ from zenolab.bounds import (
     dominating_operator,
     leakage_upper_bound,
     mesh_condition,
+    run_checks,
     survival_lower_bound,
     trace_distance_bound,
     weight_error_bound,
@@ -25,7 +26,7 @@ from zenolab.bounds import (
 from zenolab.curves import (GeneratedCurve, SampledCurve, StaticCurve, curve_bounds, drift_sums,
                             partition_lipschitz_estimate)
 from zenolab.errors import ValidationError
-from zenolab.linalg import seeded_cons, seeded_hermitian
+from zenolab.linalg import hermitian_eigendecompose, seeded_cons, seeded_hermitian
 from zenolab.measurement import run_measurement, uniform_partition
 from zenolab.states import DensityMatrix, entr, von_neumann_entropy
 
@@ -37,7 +38,7 @@ E_INV = math.exp(-1)
 def qubit_static():
     rho = DensityMatrix.diagonal([0.7, 0.3])
     curve = StaticCurve(np.eye(2, dtype=complex), 1.0)
-    return rho, PAULI_X, curve
+    return rho, hermitian_eigendecompose(PAULI_X), curve
 
 
 class TestLeakageUpperBound:
@@ -167,13 +168,13 @@ class TestConvergenceConditionsReport:
     def test_static_curve_passes_with_zero_drift(self):
         curve = StaticCurve(seeded_cons(3, 1), 1.0)
         drifts, estimates = self.refine(curve, 0, (2, 8, 32))
-        assert curve_bounds(curve, seeded_hermitian(3, 2))[1][0] == 0.0
+        assert curve_bounds(curve, hermitian_eigendecompose(seeded_hermitian(3, 2)))[1][0] == 0.0
         assert all(v == 0.0 for v in drifts)
         assert all(v == 0.0 for v in estimates)
 
     def test_generated_curve_passes_at_fine_refinement(self):
         curve = GeneratedCurve(seeded_hermitian(3, 5), seeded_cons(3, 6), 1.0)
-        eta = float(curve_bounds(curve, seeded_hermitian(3, 7))[1][1])
+        eta = float(curve_bounds(curve, hermitian_eigendecompose(seeded_hermitian(3, 7)))[1][1])
         drifts, estimates = self.refine(curve, 1, (2, 8, 32, 128, 512))
         assert abs(drifts[-1]) <= 1e-3 * eta**2 * curve.tau**2
         assert estimates[-1] <= 1.5 * estimates[-2]
@@ -266,7 +267,7 @@ class TestEntropyConditionReport:
 
 
 def generated_inputs(dim=3, n=8, seed=0, constants=(1.5, 2.0, 4.0)) -> CheckInputs:
-    h = seeded_hermitian(dim, 11)
+    h = hermitian_eigendecompose(seeded_hermitian(dim, 11))
     curve = GeneratedCurve(seeded_hermitian(dim, 12), seeded_cons(dim, 13), 1.0)
     weights = np.linspace(1.0, 2.0, dim) / np.linspace(1.0, 2.0, dim).sum()
     result = run_measurement(DensityMatrix.from_weights(weights, curve.base), h, curve, uniform_partition(1.0, n))
@@ -291,6 +292,18 @@ class TestCheckRowsReadTheRun:
         [(passed, fields)] = row_outcomes(broken, "projection_family")
         assert not passed
         assert fields["orthonormality_defect"] == pytest.approx(2e-6, rel=1e-5)
+
+    def test_a_skewed_final_frame_fails_its_row_and_raises_nowhere(self):
+        # The frame at tau is a value the run computed: sigma_domination builds
+        # its majorant from it as given, and only projection_family judges it.
+        x = generated_inputs()
+        final = x.result.frames.final.copy()
+        final[:, 1] *= 1.0 + 1e-6
+        frames = dataclasses.replace(x.result.frames, final=final)
+        broken = dataclasses.replace(x, result=dataclasses.replace(x.result, frames=frames))
+        outcomes = run_checks(broken)
+        assert len(outcomes) == len(run_checks(x)) == 28
+        assert [name for name, passed, _ in outcomes if not passed] == ["projection_family"]
 
     @pytest.mark.parametrize("dim", [2, 3, 4, 8])
     def test_target_entropy_is_the_weight_entropy(self, dim):
@@ -372,7 +385,7 @@ class TestCheckTable:
         # With tol = -inf no comparison can pass. Every row compares on this run:
         # d = 2 with N = 6, a uniform plan, a generated curve slow enough for the
         # mesh gate and a small trace distance, and a last weight that leaves a tail.
-        h = 0.1 * seeded_hermitian(2, 11)
+        h = hermitian_eigendecompose(0.1 * seeded_hermitian(2, 11))
         curve = GeneratedCurve(0.1 * seeded_hermitian(2, 12), seeded_cons(2, 13), 1.0)
         rho = DensityMatrix.from_weights([0.9, 0.1], curve.base)
         result = run_measurement(rho, h, curve, uniform_partition(1.0, 6))

@@ -12,7 +12,7 @@ from zenolab.bounds import CHECKS
 from zenolab.curves import SampledCurve, StaticCurve
 from zenolab.errors import ValidationError
 from zenolab.linalg import hermitian_eigendecompose, seeded_cons, seeded_hermitian
-from zenolab.measurement import _channel_route, run_measurement, uniform_partition
+from zenolab.measurement import _channel_route
 from zenolab.states import DensityMatrix, von_neumann_entropy
 
 from conftest import PAULI_X
@@ -82,11 +82,11 @@ class TestUnitaryChannel:
         assert abs(von_neumann_entropy(out) - von_neumann_entropy(rho)) <= 1e-9
 
     def test_rejects_non_unitary(self):
-        # The step unitaries come only from e^{-i dt H} of a validated Hermitian H.
-        rho = DensityMatrix.diagonal([0.7, 0.3])
-        curve = StaticCurve(np.eye(2, dtype=complex), 1.0)
+        # The step unitaries come only from e^{-i dt H} of the HermitianEigen a run
+        # takes, and only hermitian_eigendecompose makes one: a non-Hermitian H
+        # stops there, where it enters, and never reaches a run.
         with pytest.raises(ValidationError, match="hamiltonian is not Hermitian"):
-            run_measurement(rho, np.array([[0, 1], [0, 0]], dtype=complex), curve, uniform_partition(1.0, 1))
+            hermitian_eigendecompose(np.array([[0, 1], [0, 0]], dtype=complex), name="hamiltonian")
 
 
 class TestProjectionChannel:

@@ -14,6 +14,7 @@ from zenolab.corpus import (
     scenario_seeds,
 )
 from zenolab.curves import StaticCurve
+from zenolab.linalg import hermitian_eigendecompose
 from zenolab.measurement import uniform_partition
 
 DATA = os.path.join(os.path.dirname(__file__), "data")
@@ -36,7 +37,7 @@ class TestBuildScenario:
         a = build_scenario(seed)
         b = build_scenario(seed)
         assert a.describe() == b.describe()
-        np.testing.assert_array_equal(a.hamiltonian, b.hamiltonian)
+        np.testing.assert_array_equal(a.hamiltonian.matrix, b.hamiltonian.matrix)
         np.testing.assert_array_equal(a.weights, b.weights)
         np.testing.assert_array_equal(a.partition.times, b.partition.times)
 
@@ -45,6 +46,18 @@ class TestBuildScenario:
         assert {s.variant for s in scenarios} == {"static", "generated", "sampled"}
         assert {s.partition_kind for s in scenarios} == {"uniform", "random"}
         assert {s.dim for s in scenarios} >= {2, 3, 4, 5, 6, 7, 8} - {5}
+
+    def test_battery_decomposes_the_hamiltonian_once(self, validations):
+        # H is validated and decomposed where build_scenario makes it; the run,
+        # curve_bounds and the path-enumeration oracle take that HermitianEigen.
+        # The only other decomposition is a generated or sampled curve's generator.
+        names, eighs = validations
+        reports = [run_battery(build_scenario(seed)) for seed in scenario_seeds(42, 60)]
+        assert all(r.passed for r in reports)
+        assert any(r.scenario.dim == 2 and r.scenario.partition.n <= 6 for r in reports)
+        assert names.count("hamiltonian") == len(reports)
+        assert "matrix" not in names
+        assert len(eighs) == len(reports) + sum(r.scenario.variant != "static" for r in reports)
 
     def test_zero_weight_padding_occurs(self):
         scenarios = [build_scenario(s) for s in scenario_seeds(42, 40)]
@@ -70,7 +83,7 @@ class TestRunBattery:
             tau=1.0,
             weights=np.array([0.5, 0.3, 0.2]),
             basis=np.eye(2, dtype=complex),
-            hamiltonian=np.eye(2, dtype=complex),
+            hamiltonian=hermitian_eigendecompose(np.eye(2)),
             curve=StaticCurve(np.eye(2, dtype=complex), 1.0),
             partition=uniform_partition(1.0, 2),
         )

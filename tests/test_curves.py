@@ -16,7 +16,7 @@ from zenolab.curves import (
     partition_lipschitz_estimate,
 )
 from zenolab.errors import ValidationError
-from zenolab.linalg import orthonormality_defect, seeded_cons, seeded_hermitian
+from zenolab.linalg import hermitian_eigendecompose, orthonormality_defect, seeded_cons, seeded_hermitian
 from zenolab.measurement import random_partition, uniform_partition
 
 from conftest import PAULI_X, PAULI_Y, PAULI_Z
@@ -84,8 +84,6 @@ class TestFramesAt:
     def test_generated_matches_propagator_times_base(self, dim):
         # Two products of matrices with unit-norm rows and columns: about
         # d * eps of rounding per entry against the same products per time.
-        from zenolab.linalg import hermitian_eigendecompose
-
         curve = GeneratedCurve(seeded_hermitian(dim, 2), seeded_cons(dim, 1), 1.3)
         times = random_partition(1.3, 300, seed=4).times
         propagator = hermitian_eigendecompose(curve.generator).propagator
@@ -121,7 +119,7 @@ class TestFramesAt:
 
 
 def energy_sups(curve, h):
-    return curve_bounds(curve, h)[0]
+    return curve_bounds(curve, hermitian_eigendecompose(h))[0]
 
 
 def partition_drifts(curve, partition):
@@ -210,7 +208,7 @@ class TestSampledVectorsMatchPerFrameLoops:
         gen = GeneratedCurve(seeded_hermitian(dim, seed + 20), seeded_cons(dim, seed + 21), 1.0)
         curve = SampledCurve(grid, gen.frames_at(grid))
         h = seeded_hermitian(dim, seed + 22)
-        xis, etas = curve_bounds(curve, h)
+        xis, etas = curve_bounds(curve, hermitian_eigendecompose(h))
         hs = (h + h.conj().T) / 2
         tol = len(grid) * dim * np.finfo(float).eps
         for k in range(dim):

@@ -39,12 +39,12 @@ DIST1 = 2 * abs(LAM1 - 0.7)  # 0.5664587346188568
 def qubit_static():
     rho = DensityMatrix.diagonal([0.7, 0.3])
     curve = StaticCurve(np.eye(2, dtype=complex), 1.0)
-    return rho, PAULI_X, curve
+    return rho, hermitian_eigendecompose(PAULI_X), curve
 
 
 def step_matrix(curve, hamiltonian, t0, t1):
     """The transfer route's matrix of the one step from t0 to t1."""
-    unitary = hermitian_eigendecompose(hamiltonian).propagator([t1 - t0])
+    unitary = hamiltonian.propagator([t1 - t0])
     return _transfer_matrices(curve.frames_at([t0, t1]), unitary)[0]
 
 
@@ -63,11 +63,10 @@ def block_channel_state(m, blocks):
 def stepwise_channels(rho, hamiltonian, curve, partition):
     """The channel composition one step at a time, a reference apart from the
     route: U rho U* with U = e^{-i dt H}, then dephasing in the frame at t."""
-    eig = hermitian_eigendecompose(hamiltonian)
     m = rho.matrix
     times = [float(t) for t in partition.times]
     for t0, t1 in zip(times, times[1:]):
-        u, f = eig.propagator(t1 - t0), curve.evaluate(t1)
+        u, f = hamiltonian.propagator(t1 - t0), curve.evaluate(t1)
         m = u @ m @ u.conj().T
         m = (f * np.real(np.diag(f.conj().T @ m @ f))) @ f.conj().T
     return m
@@ -166,7 +165,7 @@ class TestPartitions:
 class TestStepTransitionMatrix:
     def test_free_hamiltonian_static_curve(self):
         curve = StaticCurve(np.eye(3, dtype=complex), 1.0)
-        m = step_matrix(curve, np.zeros((3, 3), dtype=complex), 0.0, 0.5)
+        m = step_matrix(curve, hermitian_eigendecompose(np.zeros((3, 3))), 0.0, 0.5)
         np.testing.assert_allclose(m, np.eye(3), atol=1e-14)
 
     def test_qubit_closed_form(self):
@@ -178,7 +177,7 @@ class TestStepTransitionMatrix:
     def test_doubly_stochastic(self, seed):
         dim = 5
         curve = GeneratedCurve(seeded_hermitian(dim, seed), seeded_cons(dim, seed + 1), 1.0)
-        m = step_matrix(curve, seeded_hermitian(dim, seed + 2), 0.2, 0.9)
+        m = step_matrix(curve, hermitian_eigendecompose(seeded_hermitian(dim, seed + 2)), 0.2, 0.9)
         np.testing.assert_allclose(m.sum(axis=0), np.ones(dim), atol=1e-9)
         np.testing.assert_allclose(m.sum(axis=1), np.ones(dim), atol=1e-9)
         assert np.all(m >= 0)
@@ -188,11 +187,10 @@ class TestBatchedTransfer:
     @pytest.mark.parametrize("partition", [uniform_partition(1.0, 12), random_partition(1.0, 12, seed=4)])
     def test_equals_stepwise_loop_bit_for_bit(self, partition):
         curve = GeneratedCurve(seeded_hermitian(4, 3), seeded_cons(4, 1), 1.0)
-        h = seeded_hermitian(4, 2)
-        eig = hermitian_eigendecompose(h)
+        h = hermitian_eigendecompose(seeded_hermitian(4, 2))
         times = [float(t) for t in partition.times]
         loop = [
-            np.abs(curve.evaluate(t1).conj().T @ eig.propagator(t1 - t0) @ curve.evaluate(t0)) ** 2
+            np.abs(curve.evaluate(t1).conj().T @ h.propagator(t1 - t0) @ curve.evaluate(t0)) ** 2
             for t0, t1 in zip(times, times[1:])
         ]
         np.testing.assert_array_equal(block_transfer_matrices(curve, h, partition), loop)
@@ -204,9 +202,9 @@ class TestBatchedTransfer:
     )
     def test_one_unitary_per_step_from_its_own_length(self, partition):
         curve = StaticCurve(seeded_cons(3, 1), 1.0)
-        h = seeded_hermitian(3, 2)
+        h = hermitian_eigendecompose(seeded_hermitian(3, 2))
         unitaries = np.concatenate([u for _, u in _trajectory_blocks(curve, h, partition)])
-        propagator = hermitian_eigendecompose(h).propagator
+        propagator = h.propagator
         assert len(unitaries) == partition.n
         np.testing.assert_array_equal(unitaries, np.stack([propagator(float(dt)) for dt in partition.steps]))
 
@@ -221,7 +219,8 @@ class TestPropagateWeights:
         curve = StaticCurve(seeded_cons(4, 2), 1.0)
         w = [0.4, 0.3, 0.2, 0.1]
         rho = DensityMatrix.from_weights(w, curve.base)
-        out = run_measurement(rho, np.zeros((4, 4), dtype=complex), curve, uniform_partition(1.0, 7)).weights_out
+        h = hermitian_eigendecompose(np.zeros((4, 4)))
+        out = run_measurement(rho, h, curve, uniform_partition(1.0, 7)).weights_out
         np.testing.assert_allclose(out, w, atol=1e-12)
 
     @pytest.mark.parametrize("seed", range(4))
@@ -232,7 +231,8 @@ class TestPropagateWeights:
         w = rng.exponential(size=dim)
         w /= w.sum()
         rho = DensityMatrix.from_weights(w, curve.base)
-        out = run_measurement(rho, seeded_hermitian(dim, seed + 9), curve, uniform_partition(1.0, 12)).weights_out
+        h = hermitian_eigendecompose(seeded_hermitian(dim, seed + 9))
+        out = run_measurement(rho, h, curve, uniform_partition(1.0, 12)).weights_out
         assert np.all(out >= 0)
         assert out.sum() == pytest.approx(1.0, abs=1e-9)
 
@@ -253,7 +253,7 @@ class TestPropagateWeights:
         # product, N products in all.
         dim = 3
         curve = GeneratedCurve(seeded_hermitian(dim, 5), seeded_cons(dim, 6), 1.0)
-        h = seeded_hermitian(dim, 7)
+        h = hermitian_eigendecompose(seeded_hermitian(dim, 7))
         result = run_measurement(DensityMatrix.from_weights([0.5, 0.3, 0.2], curve.base), h, curve, partition)
         loop = result.weights
         for mat in block_transfer_matrices(curve, h, partition):
@@ -264,7 +264,7 @@ class TestPropagateWeights:
 class TestSurvival:
     def test_commuting_case_is_one(self):
         curve = StaticCurve(np.eye(2, dtype=complex), 1.0)
-        h = np.diag([0.3, 1.7]).astype(complex)
+        h = hermitian_eigendecompose(np.diag([0.3, 1.7]))
         result = run_measurement(DensityMatrix.diagonal([0.7, 0.3]), h, curve, uniform_partition(1.0, 5))
         assert result.survivals[0] == pytest.approx(1.0, abs=1e-12)
 
@@ -288,7 +288,7 @@ class TestEvolveByChannels:
     def test_zeno_exact_for_commuting_hamiltonian(self):
         curve = StaticCurve(np.eye(2, dtype=complex), 1.0)
         rho = DensityMatrix.diagonal([0.7, 0.3])
-        h = np.diag([0.5, 2.5]).astype(complex)
+        h = hermitian_eigendecompose(np.diag([0.5, 2.5]))
         for partition in (uniform_partition(1.0, 1), uniform_partition(1.0, 16), random_partition(1.0, 9, 2)):
             out = run_measurement(rho, h, curve, partition).rho_final
             assert np.max(np.abs(out.matrix - rho.matrix)) <= 1e-12
@@ -302,7 +302,7 @@ class TestEvolveByChannels:
             base = seeded_cons(dim, dim)
             curve = StaticCurve(base, 1.0)
             rho = DensityMatrix.from_weights(np.arange(1.0, dim + 1) / (dim * (dim + 1) / 2), base)
-            h = (base * np.linspace(0.3, 2.4, dim)) @ base.conj().T
+            h = hermitian_eigendecompose((base * np.linspace(0.3, 2.4, dim)) @ base.conj().T)
             out = block_channel_state(rho.matrix, _trajectory_blocks(curve, h, uniform_partition(1.0, n)))
             assert np.max(np.abs(out - rho.matrix)) <= n * dim * np.finfo(float).eps
 
@@ -320,7 +320,7 @@ class TestEvolveByChannels:
         rho = DensityMatrix.pure([1.0, 1.0])
         curve = StaticCurve(np.eye(2, dtype=complex), 1.0)
         with pytest.raises(ValidationError, match="diagonal in the curve"):
-            run_measurement(rho, PAULI_X, curve, uniform_partition(1.0, 1))
+            run_measurement(rho, hermitian_eigendecompose(PAULI_X), curve, uniform_partition(1.0, 1))
 
     def test_sampled_curve_requires_partition_on_grid(self):
         gen = GeneratedCurve(seeded_hermitian(2, 1), np.eye(2, dtype=complex), 1.0)
@@ -328,7 +328,7 @@ class TestEvolveByChannels:
         curve = SampledCurve(times, [gen.evaluate(t) for t in times])
         rho = DensityMatrix.diagonal([0.7, 0.3])
         with pytest.raises(ValidationError, match="grid"):
-            run_measurement(rho, PAULI_X, curve, uniform_partition(1.0, 3))
+            run_measurement(rho, hermitian_eigendecompose(PAULI_X), curve, uniform_partition(1.0, 3))
 
     @pytest.mark.parametrize("kind", ["uniform", "random"])
     @pytest.mark.parametrize("dim", [2, 3, 8])
@@ -344,7 +344,7 @@ class TestEvolveByChannels:
         w = rng.exponential(size=dim)
         w /= w.sum()
         rho = DensityMatrix.from_weights(w, base)
-        h = seeded_hermitian(dim, 2)
+        h = hermitian_eigendecompose(seeded_hermitian(dim, 2))
         curve = GeneratedCurve(seeded_hermitian(dim, 3), base, 1.0)
         partition = uniform_partition(1.0, n) if kind == "uniform" else random_partition(1.0, n, seed=7)
 
@@ -366,7 +366,7 @@ class TestEvolveByChannels:
         rho = DensityMatrix.from_weights(w / w.sum(), base)
         curve = GeneratedCurve(seeded_hermitian(dim, 5), base, 1.0)
         partition = uniform_partition(1.0, n) if kind == "uniform" else random_partition(1.0, n, seed=3)
-        trajectory = list(_trajectory_blocks(curve, seeded_hermitian(dim, 6), partition))
+        trajectory = list(_trajectory_blocks(curve, hermitian_eigendecompose(seeded_hermitian(dim, 6)), partition))
 
         monkeypatch.setattr(measurement_mod, "KRON_MAX_DIM", dim)
         kron = block_channel_state(rho.matrix, trajectory)
@@ -384,7 +384,7 @@ class TestLeakage:
     def test_zeno_leakage_zero(self):
         curve = StaticCurve(np.eye(2, dtype=complex), 1.0)
         rho = DensityMatrix.diagonal([0.7, 0.3])
-        h = np.diag([1.0, -1.0]).astype(complex)
+        h = hermitian_eigendecompose(np.diag([1.0, -1.0]))
         result = run_measurement(rho, h, curve, uniform_partition(1.0, 4))
         np.testing.assert_allclose(result.leakage, [0.0, 0.0], atol=1e-12)
 
@@ -410,7 +410,8 @@ class TestTargetState:
     def test_static_target_is_initial_state(self):
         curve = StaticCurve(seeded_cons(3, 4), 1.0)
         rho = DensityMatrix.from_weights([0.5, 0.3, 0.2], curve.base)
-        result = run_measurement(rho, seeded_hermitian(3, 5), curve, uniform_partition(1.0, 4))
+        h = hermitian_eigendecompose(seeded_hermitian(3, 5))
+        result = run_measurement(rho, h, curve, uniform_partition(1.0, 4))
         expected = trace_norm(result.rho_final.matrix - rho.matrix)
         assert expected > 1e-3
         assert result.trace_distance_to_target == pytest.approx(expected, abs=1e-12)
@@ -421,14 +422,16 @@ class TestTargetState:
         curve = GeneratedCurve(a, base, 1.0)
         rho = DensityMatrix.from_weights([0.6, 0.3, 0.1], base)
         u = hermitian_eigendecompose(a).propagator(1.0)
-        result = run_measurement(rho, seeded_hermitian(3, 10), curve, uniform_partition(1.0, 4))
+        h = hermitian_eigendecompose(seeded_hermitian(3, 10))
+        result = run_measurement(rho, h, curve, uniform_partition(1.0, 4))
         expected = trace_norm(result.rho_final.matrix - u @ rho.matrix @ u.conj().T)
         assert result.trace_distance_to_target == pytest.approx(expected, abs=1e-12)
 
     def test_concentrated_weights_give_pure_state(self):
         curve = GeneratedCurve(seeded_hermitian(3, 1), seeded_cons(3, 2), 1.0)
         rho = DensityMatrix.from_weights([1.0, 0.0, 0.0], curve.base)
-        result = run_measurement(rho, seeded_hermitian(3, 3), curve, uniform_partition(1.0, 4))
+        h = hermitian_eigendecompose(seeded_hermitian(3, 3))
+        result = run_measurement(rho, h, curve, uniform_partition(1.0, 4))
         psi = curve.evaluate(1.0)[:, 0]
         expected = trace_norm(result.rho_final.matrix - np.outer(psi, psi.conj()))
         assert result.trace_distance_to_target == pytest.approx(expected, abs=1e-12)
@@ -443,7 +446,7 @@ class TestTargetState:
         rho = DensityMatrix.from_weights(w / w.sum(), base)
         curve = GeneratedCurve(seeded_hermitian(dim, 15), base, 1.0)
         partition = uniform_partition(1.0, 20) if kind == "uniform" else random_partition(1.0, 20, seed=16)
-        result = run_measurement(rho, seeded_hermitian(dim, 17), curve, partition)
+        result = run_measurement(rho, hermitian_eigendecompose(seeded_hermitian(dim, 17)), curve, partition)
         target = DensityMatrix.from_weights(result.weights, result.frames.final)
         assert result.trace_distance_to_target == trace_norm(result.rho_final.matrix - target.matrix)
 
@@ -452,7 +455,7 @@ class TestRunMeasurement:
     def test_zeno_distance_vanishes(self):
         curve = StaticCurve(np.eye(2, dtype=complex), 1.0)
         rho = DensityMatrix.diagonal([0.7, 0.3])
-        h = np.diag([0.4, 1.9]).astype(complex)
+        h = hermitian_eigendecompose(np.diag([0.4, 1.9]))
         result = run_measurement(rho, h, curve, uniform_partition(1.0, 8))
         assert result.trace_distance_to_target <= 1e-10
 
@@ -501,7 +504,8 @@ def four_level_run(n=8):
     base = seeded_cons(4, 1)
     w = np.array([0.4, 0.3, 0.2, 0.1])
     curve = GeneratedCurve(seeded_hermitian(4, 3), base, 1.0)
-    return DensityMatrix.from_weights(w, base), seeded_hermitian(4, 2), curve, uniform_partition(1.0, n)
+    h = hermitian_eigendecompose(seeded_hermitian(4, 2))
+    return DensityMatrix.from_weights(w, base), h, curve, uniform_partition(1.0, n)
 
 
 class TestTrajectoryCorruption:
@@ -613,7 +617,7 @@ def whole_stack_run(rho, hamiltonian, curve, partition):
     transfer matrix applied to the weights in order, the in-order survival
     products, the channel route over every step, and the drift summary."""
     frames = curve.frames_at(partition.times)
-    unitaries = hermitian_eigendecompose(hamiltonian).propagator(partition.steps)
+    unitaries = hamiltonian.propagator(partition.steps)
     mats = _transfer_matrices(frames, unitaries)
     weights = np.real(np.diag(curve.base.conj().T @ rho.matrix @ curve.base))
     for mat in mats:
@@ -633,7 +637,7 @@ class TestStreamedTrajectory:
         base = seeded_cons(dim, 21)
         w = np.random.default_rng(dim).exponential(size=dim)
         rho = DensityMatrix.from_weights(w / w.sum(), base)
-        h = seeded_hermitian(dim, 22)
+        h = hermitian_eigendecompose(seeded_hermitian(dim, 22))
         curve = GeneratedCurve(seeded_hermitian(dim, 23), base, 1.0)
         partition = uniform_partition(1.0, n) if kind == "uniform" else random_partition(1.0, n, seed=24)
         result = run_measurement(rho, h, curve, partition)

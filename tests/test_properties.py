@@ -12,7 +12,7 @@ from hypothesis import strategies as st
 
 from zenolab.bounds import CHECKS
 from zenolab.curves import GeneratedCurve
-from zenolab.linalg import seeded_cons, seeded_hermitian
+from zenolab.linalg import hermitian_eigendecompose, seeded_cons, seeded_hermitian
 from zenolab.measurement import (
     DIAGONAL_TOL,
     LEAKAGE_FLOOR,
@@ -38,7 +38,7 @@ def test_run_measurement_identities(dim, n, seed, kind):
     w = rng.exponential(size=dim)
     w /= w.sum()
     rho = DensityMatrix.from_weights(w, base)
-    h = seeded_hermitian(dim, seed + 1)
+    h = hermitian_eigendecompose(seeded_hermitian(dim, seed + 1))
     curve = GeneratedCurve(seeded_hermitian(dim, seed + 2), base, 1.0)
     partition = uniform_partition(1.0, n) if kind == "uniform" else random_partition(1.0, n, seed=seed)
 

@@ -12,7 +12,7 @@ import pytest
 from zenolab.curves import GeneratedCurve, SampledCurve, StaticCurve
 from zenolab.cli import main
 from zenolab.errors import SchemaError
-from zenolab.scenario import load_scenario
+from zenolab.scenario import MAX_PARTITION_STEPS, load_scenario
 from zenolab.states import DensityMatrix
 from zenolab.sweep import run_sweep
 
@@ -103,6 +103,17 @@ class TestLoadScenario:
         again = load_scenario(path).partitions
         np.testing.assert_array_equal(parts[1].times, again[1].times)
 
+    def test_partition_cap_is_on_n_alone(self, tmp_path):
+        # A run streams its frames in blocks, so d does not enter the cap:
+        # a d = 64 plan with N = 20000 loads (it is not run here).
+        d = 64
+        path = minimal_zeno(tmp_path, dim=d, hamiltonian={"diagonal": list(np.linspace(0.0, 1.0, d))},
+                            state={"eigenvalues": [1.0 / d] * d}, partitions={"uniform": [20000]})
+        assert [p.n for p in load_scenario(path).partitions] == [20000]
+        path = minimal_zeno(tmp_path, partitions={"uniform": [4, MAX_PARTITION_STEPS + 1]})
+        with pytest.raises(SchemaError, match=f"partitions: N = {MAX_PARTITION_STEPS + 1} exceeds"):
+            load_scenario(path)
+
 
 class TestOperatorSpecs:
     def test_named_pauli_requires_dim_two(self, tmp_path):
@@ -115,13 +126,16 @@ class TestOperatorSpecs:
         dense = [[[0.0, 0.0], [1.0, 0.0]], [[1.0, 0.0], [0.0, 0.0]]]
         path = minimal_zeno(tmp_path, hamiltonian={"dense": dense})
         h = load_scenario(path).hamiltonian
-        np.testing.assert_allclose(h, np.array([[0, 1], [1, 0]]), atol=1e-14)
-        # Hermitian within tolerance is accepted and stored as written, not symmetrized.
+        np.testing.assert_allclose(h.matrix, np.array([[0, 1], [1, 0]]), atol=1e-14)
+        # Hermitian within tolerance is accepted and stored symmetrized, the one
+        # form every sweep reads.
         dense = [[[0.3, 0.0], [0.1, -0.7]], [[0.1, 0.7 + 1e-13], [-1.9, 0.0]]]
         h = load_scenario(minimal_zeno(tmp_path, hamiltonian={"dense": dense})).hamiltonian
-        np.testing.assert_array_equal(h, np.array([[0.3, 0.1 - 0.7j], [0.1 + (0.7 + 1e-13) * 1j, -1.9]]))
+        written = np.array([[0.3, 0.1 - 0.7j], [0.1 + (0.7 + 1e-13) * 1j, -1.9]])
+        assert np.max(np.abs(written - written.conj().T)) > 0
+        np.testing.assert_array_equal(h.matrix, (written + written.conj().T) / 2)
         path = minimal_zeno(tmp_path, hamiltonian={"diagonal": [0.5, 1.5]})
-        np.testing.assert_allclose(load_scenario(path).hamiltonian, np.diag([0.5, 1.5]), atol=1e-14)
+        np.testing.assert_allclose(load_scenario(path).hamiltonian.matrix, np.diag([0.5, 1.5]), atol=1e-14)
 
     def test_non_hermitian_dense_rejected_at_load(self, tmp_path):
         path = minimal_zeno(tmp_path, hamiltonian={"dense": [[[0, 0], [1, 0]], [[0, 0], [0, 0]]]})
@@ -131,7 +145,7 @@ class TestOperatorSpecs:
     def test_seeded_random_with_norm(self, tmp_path):
         path = minimal_zeno(tmp_path, hamiltonian={"random": {"seed": 7, "norm": 1.0}})
         h = load_scenario(path).hamiltonian
-        assert np.max(np.abs(np.linalg.eigvalsh(h))) == pytest.approx(1.0, abs=1e-12)
+        assert np.max(np.abs(np.linalg.eigvalsh(h.matrix))) == pytest.approx(1.0, abs=1e-12)
 
     def test_generated_curve_spec(self, tmp_path):
         path = minimal_zeno(tmp_path, curve={"generated": {"generator": "pauli_y"}})
@@ -238,3 +252,15 @@ class TestShippedExamples:
         (tmp_path / "rotation_frames.json").unlink()
         expected = run_sweep(load_scenario(os.path.join(SCENARIOS, "sampled_rotation.json")))
         assert run_sweep(scenario) == expected
+
+    def test_load_and_sweep_validate_each_operator_once(self, validations):
+        # unitary_approx sweeps 10 partitions of a generated curve: H is
+        # validated and decomposed once at load, the generator once in its
+        # curve, and no run or check validates either again.
+        names, eighs = validations
+        scenario = load_scenario(os.path.join(SCENARIOS, "unitary_approx.json"))
+        assert len(run_sweep(scenario)) == len(scenario.partitions) == 10
+        assert names.count("hamiltonian") == 1
+        assert names.count("generator") == 1
+        assert "matrix" not in names
+        assert len(eighs) == 2

@@ -1,6 +1,7 @@
 """Source hygiene without a linter: every name a zenolab module imports is
-used in that module, and every module-level definition is read somewhere in
-the package or exported. __init__.py is skipped by the import check, since
+used in that module, every module-level definition is read somewhere in
+the package or exported, and a Hermitian operator is validated only where
+it enters the program. __init__.py is skipped by the import check, since
 its imports are the package's exports."""
 
 import ast
@@ -51,6 +52,43 @@ def dead_definitions(sources: dict) -> list[str]:
     return dead
 
 
+# Where hermitian_eigendecompose may run outside linalg.py: the places an
+# operator enters the program. Everything downstream takes the HermitianEigen.
+VALIDATION_HOMES = {"scenario.py:load_scenario", "corpus.py:build_scenario", "curves.py:GeneratedCurve.__init__"}
+
+
+def _scoped(node, scope="<module>"):
+    """(scope, node) for every node below node; scope is the dotted name of the
+    innermost enclosing function or class, "<module>" outside all of them."""
+    for child in ast.iter_child_nodes(node):
+        yield scope, child
+        inner = scope
+        if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            inner = child.name if scope == "<module>" else f"{scope}.{child.name}"
+        yield from _scoped(child, inner)
+
+
+def validation_breaches(sources: dict) -> list[str]:
+    """module:scope for each place outside linalg.py that names require_hermitian,
+    and for each hermitian_eigendecompose call outside linalg.py and VALIDATION_HOMES."""
+    breaches = []
+    for module, text in sorted(sources.items()):
+        if module == "linalg.py":
+            continue
+        for scope, node in _scoped(ast.parse(text)):
+            if isinstance(node, ast.alias):
+                names = {node.name, node.asname}
+            else:
+                names = {getattr(node, "id", None), getattr(node, "attr", None)}
+            if "require_hermitian" in names:
+                breaches.append(f"{module}:{scope} names require_hermitian")
+            func = node.func if isinstance(node, ast.Call) else None
+            if "hermitian_eigendecompose" in {getattr(func, "id", None), getattr(func, "attr", None)}:
+                if f"{module}:{scope}" not in VALIDATION_HOMES:
+                    breaches.append(f"{module}:{scope} calls hermitian_eigendecompose")
+    return breaches
+
+
 def test_the_walk_finds_an_unused_import():
     source = "import os\nimport numpy as np\nfrom .linalg import a, b\n\nx = np.zeros(a)\n"
     assert unused_imports(source) == ["b", "os"]
@@ -74,3 +112,26 @@ def test_the_walk_finds_a_dead_definition():
 
 def test_every_definition_is_read_or_exported():
     assert dead_definitions({p.name: p.read_text() for p in PACKAGE.glob("*.py")}) == []
+
+
+def test_the_walk_finds_a_validation_outside_its_homes():
+    sources = {
+        "linalg.py": "def require_hermitian(m):\n    return m\n\n"
+                     "def hermitian_eigendecompose(m):\n    return require_hermitian(m)\n",
+        "scenario.py": "from .linalg import hermitian_eigendecompose\n\n"
+                       "def load_scenario(h):\n    return hermitian_eigendecompose(h)\n\n"
+                       "def build_operator(h):\n    return hermitian_eigendecompose(h)\n",
+        "curves.py": "from . import linalg\nfrom .linalg import require_hermitian as check\n\n"
+                     "class GeneratedCurve:\n    def __init__(self, g):\n"
+                     "        self.eig = linalg.hermitian_eigendecompose(g)\n\n"
+                     "    def sup(self, h):\n        return linalg.hermitian_eigendecompose(check(h))\n",
+    }
+    assert validation_breaches(sources) == [
+        "curves.py:<module> names require_hermitian",
+        "curves.py:GeneratedCurve.sup calls hermitian_eigendecompose",
+        "scenario.py:build_operator calls hermitian_eigendecompose",
+    ]
+
+
+def test_operators_are_validated_only_where_they_enter():
+    assert validation_breaches({p.name: p.read_text() for p in PACKAGE.glob("*.py")}) == []
