@@ -19,7 +19,6 @@ from .curves import BasisCurve, GeneratedCurve, SampledCurve, StaticCurve, curve
 from .errors import ZenolabError
 from .linalg import HermitianEigen, hermitian_eigendecompose, seeded_cons, seeded_hermitian
 from .measurement import Partition, random_partition, run_measurement, uniform_partition
-from .states import DensityMatrix
 
 BOUND_CONSTANTS = (1.5, 2.0, 4.0)
 
@@ -34,7 +33,6 @@ class CorpusScenario:
     partition_kind: str
     tau: float
     weights: np.ndarray
-    basis: np.ndarray
     hamiltonian: HermitianEigen
     curve: BasisCurve
     partition: Partition
@@ -95,7 +93,6 @@ def build_scenario(seed: int) -> CorpusScenario:
         partition_kind=partition_kind,
         tau=tau,
         weights=weights,
-        basis=basis,
         hamiltonian=hamiltonian,
         curve=curve,
         partition=partition,
@@ -125,14 +122,12 @@ class ScenarioReport:
 def run_battery(scenario: CorpusScenario) -> ScenarioReport:
     """Run every row of the check table on one scenario.
 
-    A ZenolabError from building the state or running the protocol becomes
-    a structured failure entry rather than an exception, so a whole-corpus
-    run always completes.
+    A ZenolabError from running the protocol becomes a structured failure
+    entry rather than an exception, so a whole-corpus run always completes.
     """
     s = scenario
     try:
-        rho = DensityMatrix.from_weights(s.weights, s.basis)
-        result = run_measurement(rho, s.hamiltonian, s.curve, s.partition)
+        result = run_measurement(s.weights, s.hamiltonian, s.curve, s.partition)
     except ZenolabError as exc:
         return ScenarioReport(scenario=s, checks_run=1, failures=(("run_measurement", str(exc)),))
 

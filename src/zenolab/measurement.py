@@ -27,12 +27,13 @@ route, and its state never reaches the transfer route. They must agree to
 drift sums and half the summed squared increments, which the drift checks
 read, and finally the frame at tau.
 
-Inputs are validated once, at the API boundary (state, partition horizon,
-times through frames_at; H arrives validated as a HermitianEigen), never per step.
-run_measurement then asserts the routes' own invariants at the end of the
-run: step matrices doubly stochastic, survivals <= 1, the final state
-diagonal in the frame at tau with the transfer weights as its diagonal
-(dual_oracle_agreement), weights_out summing to 1 and leakage
+Inputs are validated once, at the API boundary (the weights w of the start
+state sum_k w_k |b_k><b_k| over the curve's base b, partition horizon,
+times through frames_at; H arrives validated as a HermitianEigen), never per
+step. run_measurement then asserts the routes' own invariants at the end of
+the run: step matrices doubly stochastic, survivals <= 1, the final state a
+state and diagonal in the frame at tau with the transfer weights as its
+diagonal (dual_oracle_agreement), weights_out summing to 1 and leakage
 nonnegative. The paper's bounds, the trace-distance bound among them, are
 checked by the rows of bounds.CHECKS.
 
@@ -57,7 +58,7 @@ import numpy as np
 from .curves import BasisCurve, drift_sums, half_square_sums
 from .errors import InvariantViolation, ValidationError
 from .linalg import HermitianEigen, trace_norm
-from .states import DensityMatrix
+from .states import STATE_TOL, DensityMatrix
 
 DIAGONAL_TOL = 1e-9
 WEIGHT_SUM_TOL = 1e-9
@@ -133,11 +134,13 @@ def uniform_partition(tau: float, n: int) -> Partition:
 def random_partition(tau: float, n: int, seed: int) -> Partition:
     """Partition with n-1 interior points drawn from a seeded PRNG.
 
-    Redraws until every gap, endpoints included, is at least tau * 1e-6. At
-    large n a uniform draw almost never clears that floor, so after 100
-    failed draws the same generator places point i at 2 i tau 1e-6 plus a
-    sorted uniform draw over the rest of [0, tau]. Every gap is then at
-    least twice the floor before rounding, and rounding costs far less.
+    Redraws until every gap, endpoints included, is at least the floor
+    tau * min(1e-6, 1 / (4 n)); the floor is tau * 1e-6 up to n = 250000.
+    At large n a uniform draw almost never clears it, so after 100 failed
+    draws the same generator places point i at 2 i times the floor plus a
+    sorted uniform draw over the rest of [0, tau], at least tau / 2. Every
+    gap is then at least twice the floor before rounding, and rounding
+    costs far less.
     """
     if n < 1:
         raise ValidationError("n must be at least 1")
@@ -146,7 +149,7 @@ def random_partition(tau: float, n: int, seed: int) -> Partition:
     if n == 1:
         return Partition(np.array([0.0, float(tau)]))
     rng = np.random.default_rng(seed)
-    min_gap = tau * 1e-6
+    min_gap = tau * min(1e-6, 0.25 / n)
     for _ in range(100):
         interior = np.sort(rng.uniform(0.0, tau, size=n - 1))
         times = np.concatenate(([0.0], interior, [tau]))
@@ -263,22 +266,18 @@ def _channel_route(m: np.ndarray, frames: np.ndarray, unitaries: np.ndarray) -> 
     return m
 
 
-def _in_basis(matrix: np.ndarray, basis: np.ndarray) -> tuple[np.ndarray, float]:
-    """Real diagonal and largest off-diagonal modulus of basis* matrix basis."""
-    c = basis.conj().T @ matrix @ basis
-    return np.real(np.diag(c)), float(np.max(np.abs(c - np.diag(np.diag(c)))))
-
-
-def _require_diagonal_in_base(rho: DensityMatrix, curve: BasisCurve) -> np.ndarray:
-    if rho.dim != curve.dim:
-        raise ValidationError("state dimension does not match the curve")
-    weights, worst = _in_basis(rho.matrix, curve.base)
-    if worst > DIAGONAL_TOL:
-        raise ValidationError(
-            f"state is not diagonal in the curve's base basis (residual {worst:.3e}); "
-            "the decomposition must be fixed to the curve"
-        )
-    return weights
+def _require_weights(weights, dim: int) -> np.ndarray:
+    """The run's weights over the curve's base, as a copy: shape (dim,),
+    finite, nonnegative and, being the start state's spectrum, summing to 1
+    within STATE_TOL, the trace tolerance the final state is held to."""
+    w = np.array(weights, dtype=float)
+    if w.shape != (dim,):
+        raise ValidationError(f"weights have shape {w.shape}, the curve has dimension {dim}")
+    if not np.all(np.isfinite(w) & (w >= 0)):
+        raise ValidationError("weights must be finite and nonnegative")
+    if abs(float(w.sum()) - 1.0) > STATE_TOL:
+        raise ValidationError(f"weights sum to {float(w.sum())!r}, expected 1")
+    return w
 
 
 def leakage_residual(weights_out, weights, survivals) -> np.ndarray:
@@ -334,9 +333,9 @@ class MeasurementResult:
     survivals the per-index stay probabilities, leakage the nonnegative
     remainder, and trace_distance_to_target the trace-norm distance between
     the final state and the moving reference state at tau. weights (the
-    clipped base-frame coefficients both routes start from), frames (the
-    FrameSummary of the frames both routes read) and partition are kept for
-    the checks.
+    validated weights over the curve's base that both routes start from),
+    frames (the FrameSummary of the frames both routes read) and partition
+    are kept for the checks.
     """
 
     rho_final: DensityMatrix
@@ -349,9 +348,10 @@ class MeasurementResult:
     partition: Partition
 
 
-def run_measurement(rho: DensityMatrix, hamiltonian: HermitianEigen, curve: BasisCurve,
+def run_measurement(weights, hamiltonian: HermitianEigen, curve: BasisCurve,
                     partition: Partition) -> MeasurementResult:
-    """Run the full protocol and cross-check the two routes' invariants.
+    """Run the full protocol from the weights over the curve's base and
+    cross-check the two routes' invariants.
 
     One pass over the trajectory's blocks: each block goes to the transfer
     route, the channel route and the frame summary, each with its own carry,
@@ -359,9 +359,10 @@ def run_measurement(rho: DensityMatrix, hamiltonian: HermitianEigen, curve: Basi
     InvariantViolation diagnostics naming the failed invariant; the paper's
     bounds on the result are the rows of bounds.CHECKS.
     """
-    weights = np.clip(_require_diagonal_in_base(rho, curve), 0.0, None)
+    weights = _require_weights(weights, curve.dim)
     transfer = (weights, np.ones_like(weights))
-    state = rho.matrix
+    state = (curve.base * weights) @ curve.base.conj().T
+    state = (state + state.conj().T) / 2
     # -0.0 is the additive identity, so a one-block run's sums pass through bit for bit.
     drifts = half_sq = -0.0
     first_step = 0
@@ -375,11 +376,17 @@ def run_measurement(rho: DensityMatrix, hamiltonian: HermitianEigen, curve: Basi
     if float(np.max(survivals)) > 1.0 + 1e-12:
         raise InvariantViolation("survival_above_one", worst=float(np.max(survivals)))
 
-    rho_final = DensityMatrix((state + state.conj().T) / 2)
+    try:
+        rho_final = DensityMatrix((state + state.conj().T) / 2)
+    except ValidationError as exc:
+        # The routes computed this state; a broken one is a defect of the run, not of its input.
+        raise InvariantViolation("final_state_is_a_state", detail=str(exc)) from exc
 
     # A copy: a view would keep the whole last block alive with the result.
     final_basis = np.array(frames[-1])
-    final_weights, off_residual = _in_basis(rho_final.matrix, final_basis)
+    in_final = final_basis.conj().T @ rho_final.matrix @ final_basis
+    final_weights = np.real(np.diag(in_final))
+    off_residual = float(np.max(np.abs(in_final - np.diag(np.diag(in_final)))))
     if off_residual > DIAGONAL_TOL:
         raise InvariantViolation("final_state_diagonal", residual=off_residual)
     dual_gap = float(np.max(np.abs(final_weights - weights_out)))

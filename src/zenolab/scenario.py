@@ -31,7 +31,7 @@ from .errors import SchemaError, ValidationError
 from .linalg import (HermitianEigen, hermitian_eigendecompose, operator_norm_hermitian, require_cons, seeded_cons,
                      seeded_hermitian)
 from .measurement import Partition, random_partition, uniform_partition
-from .states import DensityMatrix
+from .states import STATE_TOL
 
 PAULI = {
     "pauli_x": np.array([[0, 1], [1, 0]], dtype=complex),
@@ -50,13 +50,12 @@ MAX_PARTITION_STEPS = 2**24 - 1
 
 @dataclass(frozen=True, eq=False)
 class Scenario:
-    """A built and validated experiment: the operators, state, curve and
-    partitions (sorted by N) that every sweep of it runs on. The state's
-    eigenvalues live in the state itself; run_measurement recovers them
-    in the curve's base basis."""
+    """A built and validated experiment: the operators, the state's weights
+    over the curve's base, the curve and the partitions (sorted by N) that
+    every sweep of it runs on."""
 
     hamiltonian: HermitianEigen
-    state: DensityMatrix
+    weights: np.ndarray
     curve: BasisCurve
     partitions: tuple
     a: float = 2.0
@@ -224,9 +223,9 @@ def load_scenario(path: str) -> Scenario:
                 problems.append(f"state.eigenvalues must be a flat number list, got {state['eigenvalues']!r}")
                 weights = None
         if weights is not None:
-            if np.any(weights < 0):
-                problems.append("state.eigenvalues must be nonnegative")
-            if abs(float(weights.sum()) - 1.0) > 1e-9:
+            if not np.all(np.isfinite(weights) & (weights >= 0)):
+                problems.append("state.eigenvalues must be finite and nonnegative")
+            if abs(float(weights.sum()) - 1.0) > STATE_TOL:
                 problems.append(f"state.eigenvalues sum to {float(weights.sum())!r}, expected 1")
             if dim is not None and weights.shape[0] != dim:
                 problems.append(f"state.eigenvalues has length {weights.shape[0]}, dim is {dim}")
@@ -257,7 +256,6 @@ def load_scenario(path: str) -> Scenario:
         basis = None if basis_spec == "curve" else build_basis(basis_spec, dim)
         field = "curve"
         curve = build_curve(curve_spec, basis, dim, float(tau), os.path.dirname(os.path.abspath(path)))
-        rho = DensityMatrix.from_weights(weights, curve.base if basis is None else basis)
         field = "partitions"
         partitions = tuple(sorted(build_partitions(plan, float(tau)), key=lambda p: p.n))
         if isinstance(curve, SampledCurve):
@@ -268,5 +266,5 @@ def load_scenario(path: str) -> Scenario:
     except (KeyError, TypeError, ValueError, OverflowError) as exc:
         detail = f"missing key {exc.args[0]!r}" if isinstance(exc, KeyError) else str(exc)
         raise SchemaError([f"malformed {field} spec: {detail}"]) from exc
-    return Scenario(hamiltonian, rho, curve, partitions, a=float(a), output=output,
+    return Scenario(hamiltonian, weights, curve, partitions, a=float(a), output=output,
                     label=os.path.basename(path))

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ValidationError
-from .linalg import as_complex_matrix, hermiticity_defect, require_cons, seeded_cons
+from .linalg import as_complex_matrix, hermiticity_defect, seeded_cons
 
 STATE_TOL = 1e-10
 EIGENVALUE_FLOOR = -1e-10
@@ -49,15 +49,6 @@ class DensityMatrix:
         return self.matrix.shape[0]
 
     @classmethod
-    def from_weights(cls, weights, basis) -> "DensityMatrix":
-        """Build sum_n w_n |b_n><b_n| from weights and an orthonormal basis."""
-        w = np.asarray(weights, dtype=float)
-        b = require_cons(basis)
-        if w.shape[0] != b.shape[1]:
-            raise ValidationError("weight count does not match basis size")
-        return cls((b * w) @ b.conj().T)
-
-    @classmethod
     def diagonal(cls, values) -> "DensityMatrix":
         return cls(np.diag(np.asarray(values, dtype=complex)))
 
@@ -80,7 +71,8 @@ class DensityMatrix:
         rng = np.random.default_rng(seed)
         w = rng.exponential(size=dim)
         w = w / w.sum()
-        return cls.from_weights(w, seeded_cons(dim, seed + 1))
+        b = seeded_cons(dim, seed + 1)
+        return cls((b * w) @ b.conj().T)
 
 
 def clean_spectrum(values: np.ndarray) -> np.ndarray:

@@ -89,7 +89,7 @@ def run_sweep(scenario: Scenario) -> list[SweepRecord]:
     for partition in scenario.partitions:
         label = f"{scenario.label} N={partition.n}"
         try:
-            result = run_measurement(scenario.state, hamiltonian, curve, partition)
+            result = run_measurement(scenario.weights, hamiltonian, curve, partition)
         except InvariantViolation as exc:
             raise InvariantViolation(exc.name, scenario=label, **exc.details) from exc
         inputs = CheckInputs(result, curve, hamiltonian, xis, etas, constants=(scenario.a,))
@@ -126,13 +126,16 @@ def write_csv(records: list[SweepRecord], path: str):
     if not records:
         raise ValidationError("no records to write")
     dim = records[0].dim
+    if any(len(getattr(rec, field)) != dim for rec in records for field, _ in BLOCKS):
+        raise ValidationError(f"every record needs {dim} entries in each per-index block")
     with open(path, "w", newline="") as fh:
         fh.write("#schema=1\n")
         writer = csv.writer(fh, lineterminator="\n")
         writer.writerow(csv_columns(dim))
         for rec in records:
-            row = [str(rec.n)] + [_fmt(record_column(rec, c)) for c in csv_columns(dim)[1:]]
-            writer.writerow(row)
+            blocks = [getattr(rec, field) for field, _ in BLOCKS]
+            writer.writerow([str(rec.n)] + [_fmt(getattr(rec, field)) for field, _ in SCALARS[1:]]
+                            + [_fmt(block[k]) for k in range(dim) for block in blocks])
 
 
 def _finite(values: dict, column: str) -> float:

@@ -38,3 +38,10 @@ def validations(monkeypatch):
                         or require_hermitian(m, name))
     monkeypatch.setattr(np.linalg, "eigh", lambda m: eighs.append(m) or eigh(m))
     return names, eighs
+
+
+def state_matrix(weights, base):
+    """sum_k w_k |b_k><b_k| over the columns b_k of base, symmetrized: the
+    state a run starts from."""
+    m = (base * np.asarray(weights, dtype=float)) @ base.conj().T
+    return (m + m.conj().T) / 2

@@ -47,6 +47,8 @@ from zenolab.scenario import load_scenario
 from zenolab.states import DensityMatrix, entr, fannes_bound_at, von_neumann_entropy
 from zenolab.sweep import fit_rate, run_sweep
 
+from conftest import state_matrix
+
 SCENARIOS = os.path.join(os.path.dirname(__file__), "..", "scenarios")
 CORPUS_SEED = 42
 CORPUS_SIZE = 200
@@ -76,8 +78,7 @@ class CorpusRun:
 
 
 def _run_one(scenario: CorpusScenario) -> CorpusRun:
-    rho = DensityMatrix.from_weights(scenario.weights, scenario.basis)
-    result = run_measurement(rho, scenario.hamiltonian, scenario.curve, scenario.partition)
+    result = run_measurement(scenario.weights, scenario.hamiltonian, scenario.curve, scenario.partition)
     basis_tau = scenario.curve.evaluate(scenario.tau)
     coords = basis_tau.conj().T @ result.rho_final.matrix @ basis_tau
     offdiag = float(np.max(np.abs(coords - np.diag(np.diag(coords)))))
@@ -191,10 +192,9 @@ def test_criterion_4_static_qubit_first_order_convergence(qubit_sweep):
         assert distances[-1] <= 2e-3
         slope = fit_rate(records, "trace_distance").slope
         assert -1.15 <= slope <= -0.85
-        rho, curve, h = scenario.state, scenario.curve, scenario.hamiltonian
-        weights = np.real(np.diag(curve.base.conj().T @ rho.matrix @ curve.base))
+        weights, curve, h = scenario.weights, scenario.curve, scenario.hamiltonian
         for record, partition in zip(records, scenario.partitions):
-            result = run_measurement(rho, h, curve, partition)
+            result = run_measurement(weights, h, curve, partition)
             weight_gap = float(np.sum(np.abs(result.weights_out - weights)))
             assert abs(result.trace_distance_to_target - weight_gap) <= 1e-8
             assert record.trace_distance <= record.trace_bound + 1e-9
@@ -205,9 +205,9 @@ def test_criterion_5_unitary_channel_approximation(unitary_sweep):
     scenario, records = unitary_sweep
     with criterion(5, "generated curve approximates the target unitary conjugation"):
         target_u = hermitian_eigendecompose(scenario.curve.generator).propagator(scenario.tau)
-        rho = scenario.state
-        conjugated = target_u @ rho.matrix @ target_u.conj().T
-        final = run_measurement(rho, scenario.hamiltonian, scenario.curve, scenario.partitions[-1]).rho_final
+        weights, curve = scenario.weights, scenario.curve
+        conjugated = target_u @ state_matrix(weights, curve.base) @ target_u.conj().T
+        final = run_measurement(weights, scenario.hamiltonian, curve, scenario.partitions[-1]).rho_final
         direct = trace_norm(final.matrix - conjugated)
         assert abs(direct - records[-1].trace_distance) <= 1e-9
         assert records[-1].trace_distance <= 5e-3
@@ -227,11 +227,10 @@ def test_criterion_6_exact_freezing_for_commuting_hamiltonians():
         cases.append((basis, h, [0.4, 0.3, 0.2, 0.1]))
         for base, hamiltonian, weights in cases:
             curve = StaticCurve(base, 1.0)
-            rho = DensityMatrix.from_weights(weights, base)
             partitions = [uniform_partition(1.0, n) for n in (1, 7, 100)]
             partitions += [random_partition(1.0, n, seed=50 + n) for n in (1, 7, 100)]
             for partition in partitions:
-                result = run_measurement(rho, hamiltonian, curve, partition)
+                result = run_measurement(weights, hamiltonian, curve, partition)
                 assert result.trace_distance_to_target <= 1e-10
                 assert float(np.max(np.abs(result.survivals - 1.0))) <= 1e-10
 
@@ -242,17 +241,16 @@ def test_criterion_7_entropy_convergence_and_domination(qubit_sweep, unitary_swe
     with criterion(7, "entropy convergence, continuity bound, dominating operator"):
         for scenario, records in ((q_scenario, q_records), (u_scenario, u_records)):
             assert records[-1].entropy_gap <= 5e-3
-            rho, h, curve = scenario.state, scenario.hamiltonian, scenario.curve
+            weights, h, curve = scenario.weights, scenario.hamiltonian, scenario.curve
             xis, etas = curve_bounds(curve, h)
-            weights = np.real(np.diag(curve.base.conj().T @ rho.matrix @ curve.base))
-            s_rho = von_neumann_entropy(rho)
+            s_rho = von_neumann_entropy(DensityMatrix(state_matrix(weights, curve.base)))
             sigma = dominating_operator(weights, xis, etas, curve.evaluate(scenario.tau))
             s_sigma = float(np.sum(entr(np.clip(np.linalg.eigvalsh(sigma), 0.0, None))))
             kernel_sums = float(np.sum(entr(xis**2)) + np.sum(entr(etas**2)))
             assert s_sigma <= s_rho + kernel_sums + 1e-9
             for record, partition in zip(records, scenario.partitions):
-                result = run_measurement(rho, h, curve, partition)
-                rho_tau = DensityMatrix.from_weights(weights, curve.evaluate(scenario.tau))
+                result = run_measurement(weights, h, curve, partition)
+                rho_tau = DensityMatrix(state_matrix(weights, curve.evaluate(scenario.tau)))
                 fb = fannes_bound_at(trace_norm(result.rho_final.matrix - rho_tau.matrix), rho_tau.dim)
                 assert abs(fb.trace_distance - record.trace_distance) <= 1e-9
                 if fb.applicable:

@@ -30,15 +30,14 @@ from zenolab.linalg import hermitian_eigendecompose, seeded_cons, seeded_hermiti
 from zenolab.measurement import run_measurement, uniform_partition
 from zenolab.states import DensityMatrix, entr, von_neumann_entropy
 
-from conftest import PAULI_X
+from conftest import PAULI_X, state_matrix
 
 E_INV = math.exp(-1)
 
 
 def qubit_static():
-    rho = DensityMatrix.diagonal([0.7, 0.3])
     curve = StaticCurve(np.eye(2, dtype=complex), 1.0)
-    return rho, hermitian_eigendecompose(PAULI_X), curve
+    return np.array([0.7, 0.3]), hermitian_eigendecompose(PAULI_X), curve
 
 
 class TestLeakageUpperBound:
@@ -46,8 +45,8 @@ class TestLeakageUpperBound:
         # xi = ||X e_0|| = 1, eta = 0, sum dt^2 = 1
         bound = leakage_upper_bound(1.0, 0.0, uniform_partition(1.0, 1))
         assert bound == pytest.approx(2.0, abs=1e-14)
-        rho, h, curve = qubit_static()
-        result = run_measurement(rho, h, curve, uniform_partition(1.0, 1))
+        w, h, curve = qubit_static()
+        result = run_measurement(w, h, curve, uniform_partition(1.0, 1))
         assert result.leakage[0] == pytest.approx(0.21242202548207134, abs=1e-12)
         assert result.leakage[0] <= bound
 
@@ -88,8 +87,8 @@ class TestSurvivalLowerBound:
         assert mesh_condition(1.0, 0.0, 2.0, partition.mesh)
         lower = survival_lower_bound(1.0, 0.0, 2.0, partition, drift=0.0)
         assert lower == pytest.approx(E_INV, abs=1e-14)
-        rho, h, curve = qubit_static()
-        result = run_measurement(rho, h, curve, partition)
+        w, h, curve = qubit_static()
+        result = run_measurement(w, h, curve, partition)
         assert lower <= result.survivals[0] == pytest.approx(0.5931327983656772, abs=1e-12)
 
     def test_frozen_case(self):
@@ -121,8 +120,8 @@ class TestWeightErrorBound:
         bound = weight_error_bound_of(0.7, 1.0, 0.0, 2.0, partition, drift=0.0)
         # 0.7 (1 - e^{-1/2}) + 0.5 by scalar oracle
         assert bound == pytest.approx(0.7754285382011565, abs=1e-12)
-        rho, h, curve = qubit_static()
-        result = run_measurement(rho, h, curve, partition)
+        w, h, curve = qubit_static()
+        result = run_measurement(w, h, curve, partition)
         assert abs(result.weights_out[0] - 0.7) <= bound
 
     def test_zero_weight_leaves_leakage_term(self):
@@ -136,8 +135,8 @@ class TestTraceDistanceBound:
         assert trace_distance_bound([0.4, 0.6], [1.0, 1.0]) == pytest.approx(0.0, abs=1e-14)
 
     def test_qubit_single_step(self):
-        rho, h, curve = qubit_static()
-        result = run_measurement(rho, h, curve, uniform_partition(1.0, 1))
+        w, h, curve = qubit_static()
+        result = run_measurement(w, h, curve, uniform_partition(1.0, 1))
         bound = trace_distance_bound([0.7, 0.3], result.survivals)
         assert bound == pytest.approx(1.4161468365471421, abs=1e-12)
         assert result.trace_distance_to_target == pytest.approx(0.5664587346188568, abs=1e-12)
@@ -200,10 +199,10 @@ class TestDominatingOperator:
         np.testing.assert_allclose(sigma, np.diag([0.7, 0.3]), atol=1e-14)
 
     def test_static_qubit_majorant(self):
-        rho, h, curve = qubit_static()
+        w, h, curve = qubit_static()
         sigma = dominating_operator([0.7, 0.3], [1.0, 1.0], [0.0, 0.0], curve.evaluate(1.0))
         np.testing.assert_allclose(sigma, np.diag([1.7, 1.3]), atol=1e-14)
-        result = run_measurement(rho, h, curve, uniform_partition(1.0, 4))
+        result = run_measurement(w, h, curve, uniform_partition(1.0, 4))
         assert np.min(np.linalg.eigvalsh(sigma - result.rho_final.matrix)) >= -1e-10
 
     @pytest.mark.parametrize("seed", range(3))
@@ -270,7 +269,7 @@ def generated_inputs(dim=3, n=8, seed=0, constants=(1.5, 2.0, 4.0)) -> CheckInpu
     h = hermitian_eigendecompose(seeded_hermitian(dim, 11))
     curve = GeneratedCurve(seeded_hermitian(dim, 12), seeded_cons(dim, 13), 1.0)
     weights = np.linspace(1.0, 2.0, dim) / np.linspace(1.0, 2.0, dim).sum()
-    result = run_measurement(DensityMatrix.from_weights(weights, curve.base), h, curve, uniform_partition(1.0, n))
+    result = run_measurement(weights, h, curve, uniform_partition(1.0, n))
     xis, etas = curve_bounds(curve, h)
     return CheckInputs(result, curve, h, xis, etas, constants, seed=seed)
 
@@ -317,12 +316,12 @@ class TestCheckRowsReadTheRun:
             if seed % 2:
                 w[seed % dim] = 0.0
             w = w / w.sum()
-            target = von_neumann_entropy(DensityMatrix.from_weights(w, curve.evaluate(0.7)))
+            target = von_neumann_entropy(DensityMatrix(state_matrix(w, curve.evaluate(0.7))))
             assert abs(target - float(np.sum(entr(w)))) <= tol
 
     def test_entropy_gap_is_the_distance_to_the_target_entropy(self):
         x = generated_inputs(dim=4)
-        target = von_neumann_entropy(DensityMatrix.from_weights(x.result.weights, x.result.frames.final))
+        target = von_neumann_entropy(DensityMatrix(state_matrix(x.result.weights, x.result.frames.final)))
         delta = 4 * np.finfo(float).eps
         assert x.entropy_gap == pytest.approx(abs(x.entropy - target), rel=0, abs=4 * delta * (1 - math.log(delta)))
         [(passed, fields)] = row_outcomes(x, "fannes_bound")
@@ -370,12 +369,12 @@ class TestCheckInputsOverArrays:
 
 class TestEntropySemicontinuityAlongSweeps:
     def test_limit_entropy_below_tail_minimum(self):
-        rho, h, curve = qubit_static()
+        w, h, curve = qubit_static()
         entropies = []
         for n in (32, 64, 128, 256, 512, 1024):
-            result = run_measurement(rho, h, curve, uniform_partition(1.0, n))
+            result = run_measurement(w, h, curve, uniform_partition(1.0, n))
             entropies.append(von_neumann_entropy(result.rho_final))
-        limit = von_neumann_entropy(rho)
+        limit = von_neumann_entropy(DensityMatrix.diagonal(w))
         tail = entropies[len(entropies) // 2 :]
         assert limit <= min(tail) + 1e-6
 
@@ -387,8 +386,7 @@ class TestCheckTable:
         # mesh gate and a small trace distance, and a last weight that leaves a tail.
         h = hermitian_eigendecompose(0.1 * seeded_hermitian(2, 11))
         curve = GeneratedCurve(0.1 * seeded_hermitian(2, 12), seeded_cons(2, 13), 1.0)
-        rho = DensityMatrix.from_weights([0.9, 0.1], curve.base)
-        result = run_measurement(rho, h, curve, uniform_partition(1.0, 6))
+        result = run_measurement([0.9, 0.1], h, curve, uniform_partition(1.0, 6))
         xis, etas = curve_bounds(curve, h)
         x = CheckInputs(result, curve, h, xis, etas, (1.5, 2.0, 4.0))
         for row in CHECKS:

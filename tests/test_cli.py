@@ -51,6 +51,19 @@ class TestRunCommand:
         assert rc == 2
         assert "eigenvalues" in capsys.readouterr().err
 
+    def test_broken_final_state_is_an_invariant_violation(self, capsys, monkeypatch):
+        # A route defect that leaves the final state off trace is the program's
+        # fault, not the scenario's: exit 1, not the configuration error's 2.
+        import zenolab.measurement as measurement_mod
+
+        channel_route = measurement_mod._channel_route
+        monkeypatch.setattr(measurement_mod, "_channel_route", lambda *args: 1.001 * channel_route(*args))
+        rc = main(["run", os.path.join(SCENARIOS, "unitary_approx.json")])
+        err = capsys.readouterr().err
+        assert rc == 1
+        assert err.startswith("invariant violation: final_state_is_a_state ")
+        assert "trace 1.00" in err and "scenario='unitary_approx.json N=" in err
+
 
 def _run_with(**overrides):
     return lambda tmp_path: ["run", qubit_scenario_file(tmp_path, **overrides)]

@@ -82,14 +82,13 @@ class TestRunBattery:
             partition_kind="uniform",
             tau=1.0,
             weights=np.array([0.5, 0.3, 0.2]),
-            basis=np.eye(2, dtype=complex),
             hamiltonian=hermitian_eigendecompose(np.eye(2)),
             curve=StaticCurve(np.eye(2, dtype=complex), 1.0),
             partition=uniform_partition(1.0, 2),
         )
         report = run_battery(bad)
         assert not report.passed
-        assert report.failures[0][0] == "run_measurement"
+        assert report.failures[0] == ("run_measurement", "weights have shape (3,), the curve has dimension 2")
         assert "FAIL" in report.render()
 
     def test_failed_row_is_listed_under_its_name(self, monkeypatch):

@@ -28,7 +28,7 @@ from zenolab.measurement import (
 )
 from zenolab.states import DensityMatrix
 
-from conftest import PAULI_X
+from conftest import PAULI_X, state_matrix
 
 COS2 = math.cos(1.0) ** 2  # 0.2919265817264289
 SIN2 = math.sin(1.0) ** 2
@@ -37,9 +37,8 @@ DIST1 = 2 * abs(LAM1 - 0.7)  # 0.5664587346188568
 
 
 def qubit_static():
-    rho = DensityMatrix.diagonal([0.7, 0.3])
     curve = StaticCurve(np.eye(2, dtype=complex), 1.0)
-    return rho, hermitian_eigendecompose(PAULI_X), curve
+    return np.array([0.7, 0.3]), hermitian_eigendecompose(PAULI_X), curve
 
 
 def step_matrix(curve, hamiltonian, t0, t1):
@@ -60,10 +59,10 @@ def block_channel_state(m, blocks):
     return m
 
 
-def stepwise_channels(rho, hamiltonian, curve, partition):
-    """The channel composition one step at a time, a reference apart from the
-    route: U rho U* with U = e^{-i dt H}, then dephasing in the frame at t."""
-    m = rho.matrix
+def stepwise_channels(m, hamiltonian, curve, partition):
+    """The channel composition on the state m one step at a time, a reference
+    apart from the route: U m U* with U = e^{-i dt H}, then dephasing in the
+    frame at t."""
     times = [float(t) for t in partition.times]
     for t0, t1 in zip(times, times[1:]):
         u, f = hamiltonian.propagator(t1 - t0), curve.evaluate(t1)
@@ -119,6 +118,14 @@ class TestPartitions:
             assert np.min(p.steps) >= tau * 1e-6
             np.testing.assert_array_equal(random_partition(tau, n, seed).times, p.times)
         assert not np.array_equal(random_partition(1.0, n, 0).times, random_partition(1.0, n, 2).times)
+
+    def test_random_beyond_the_fixed_floor_keeps_its_own_floor(self):
+        # The fallback spaces points two floors apart, which a floor of
+        # tau * 1e-6 cannot do past n = 5e5; above n = 250000 the floor is tau / (4 n).
+        n, tau = 600_000, 1.0
+        p = random_partition(tau, n, 1)
+        assert p.n == n and p.tau == tau
+        assert np.min(p.steps) >= tau / (4 * n)
 
     def test_random_sumsq_below_mesh(self):
         # sum dt^2 <= mesh * sum dt = mesh * tau with tau = 1
@@ -211,16 +218,15 @@ class TestBatchedTransfer:
 
 class TestPropagateWeights:
     def test_single_step_matches_closed_form(self):
-        rho, h, curve = qubit_static()
-        out = run_measurement(rho, h, curve, uniform_partition(1.0, 1)).weights_out
+        w, h, curve = qubit_static()
+        out = run_measurement(w, h, curve, uniform_partition(1.0, 1)).weights_out
         np.testing.assert_allclose(out, [LAM1, 1 - LAM1], atol=1e-12)
 
     def test_free_hamiltonian_keeps_weights(self):
         curve = StaticCurve(seeded_cons(4, 2), 1.0)
         w = [0.4, 0.3, 0.2, 0.1]
-        rho = DensityMatrix.from_weights(w, curve.base)
         h = hermitian_eigendecompose(np.zeros((4, 4)))
-        out = run_measurement(rho, h, curve, uniform_partition(1.0, 7)).weights_out
+        out = run_measurement(w, h, curve, uniform_partition(1.0, 7)).weights_out
         np.testing.assert_allclose(out, w, atol=1e-12)
 
     @pytest.mark.parametrize("seed", range(4))
@@ -230,17 +236,15 @@ class TestPropagateWeights:
         curve = GeneratedCurve(seeded_hermitian(dim, seed + 5), seeded_cons(dim, seed), 1.0)
         w = rng.exponential(size=dim)
         w /= w.sum()
-        rho = DensityMatrix.from_weights(w, curve.base)
         h = hermitian_eigendecompose(seeded_hermitian(dim, seed + 9))
-        out = run_measurement(rho, h, curve, uniform_partition(1.0, 12)).weights_out
+        out = run_measurement(w, h, curve, uniform_partition(1.0, 12)).weights_out
         assert np.all(out >= 0)
         assert out.sum() == pytest.approx(1.0, abs=1e-9)
 
     def test_rejects_unnormalized_weights(self):
-        # Weights reach a run only as the spectrum of a state, which must have unit trace.
         _, h, curve = qubit_static()
-        with pytest.raises(ValidationError, match="trace"):
-            run_measurement(DensityMatrix.diagonal([0.7, 0.7]), h, curve, uniform_partition(1.0, 1))
+        with pytest.raises(ValidationError, match="weights sum to 1.4"):
+            run_measurement([0.7, 0.7], h, curve, uniform_partition(1.0, 1))
 
     @pytest.mark.parametrize(
         "partition",
@@ -254,7 +258,7 @@ class TestPropagateWeights:
         dim = 3
         curve = GeneratedCurve(seeded_hermitian(dim, 5), seeded_cons(dim, 6), 1.0)
         h = hermitian_eigendecompose(seeded_hermitian(dim, 7))
-        result = run_measurement(DensityMatrix.from_weights([0.5, 0.3, 0.2], curve.base), h, curve, partition)
+        result = run_measurement([0.5, 0.3, 0.2], h, curve, partition)
         loop = result.weights
         for mat in block_transfer_matrices(curve, h, partition):
             loop = mat @ loop
@@ -265,19 +269,19 @@ class TestSurvival:
     def test_commuting_case_is_one(self):
         curve = StaticCurve(np.eye(2, dtype=complex), 1.0)
         h = hermitian_eigendecompose(np.diag([0.3, 1.7]))
-        result = run_measurement(DensityMatrix.diagonal([0.7, 0.3]), h, curve, uniform_partition(1.0, 5))
+        result = run_measurement([0.7, 0.3], h, curve, uniform_partition(1.0, 5))
         assert result.survivals[0] == pytest.approx(1.0, abs=1e-12)
 
     def test_qubit_two_steps(self):
-        rho, h, curve = qubit_static()
-        got = run_measurement(rho, h, curve, uniform_partition(1.0, 2)).survivals[0]
+        w, h, curve = qubit_static()
+        got = run_measurement(w, h, curve, uniform_partition(1.0, 2)).survivals[0]
         assert got == pytest.approx(0.5931327983656772, abs=1e-12)
 
     def test_monotone_toward_one_under_refinement(self):
         # cos^2(1) < cos^4(1/2) < cos^8(1/4): more frequent measurement
         # freezes the state harder.
-        rho, h, curve = qubit_static()
-        values = [run_measurement(rho, h, curve, uniform_partition(1.0, n)).survivals[0] for n in (1, 2, 4)]
+        w, h, curve = qubit_static()
+        values = [run_measurement(w, h, curve, uniform_partition(1.0, n)).survivals[0] for n in (1, 2, 4)]
         assert values[0] < values[1] < values[2]
         np.testing.assert_allclose(
             values, [COS2, 0.5931327983656772, 0.7767409281794002], atol=1e-12
@@ -287,11 +291,10 @@ class TestSurvival:
 class TestEvolveByChannels:
     def test_zeno_exact_for_commuting_hamiltonian(self):
         curve = StaticCurve(np.eye(2, dtype=complex), 1.0)
-        rho = DensityMatrix.diagonal([0.7, 0.3])
         h = hermitian_eigendecompose(np.diag([0.5, 2.5]))
         for partition in (uniform_partition(1.0, 1), uniform_partition(1.0, 16), random_partition(1.0, 9, 2)):
-            out = run_measurement(rho, h, curve, partition).rho_final
-            assert np.max(np.abs(out.matrix - rho.matrix)) <= 1e-12
+            out = run_measurement([0.7, 0.3], h, curve, partition).rho_final
+            assert np.max(np.abs(out.matrix - np.diag([0.7, 0.3]))) <= 1e-12
         # Long runs in a rotated base, with H diagonal in that base, on both
         # step forms (d = 3 and 6 up to KRON_MAX_DIM, d = 8 above it). Error
         # model: about d * eps of rounding per contracting step, N steps.
@@ -301,34 +304,47 @@ class TestEvolveByChannels:
         for dim in (3, 6, 8):
             base = seeded_cons(dim, dim)
             curve = StaticCurve(base, 1.0)
-            rho = DensityMatrix.from_weights(np.arange(1.0, dim + 1) / (dim * (dim + 1) / 2), base)
+            rho = state_matrix(np.arange(1.0, dim + 1) / (dim * (dim + 1) / 2), base)
             h = hermitian_eigendecompose((base * np.linspace(0.3, 2.4, dim)) @ base.conj().T)
-            out = block_channel_state(rho.matrix, _trajectory_blocks(curve, h, uniform_partition(1.0, n)))
-            assert np.max(np.abs(out - rho.matrix)) <= n * dim * np.finfo(float).eps
+            out = block_channel_state(rho, _trajectory_blocks(curve, h, uniform_partition(1.0, n)))
+            assert np.max(np.abs(out - rho)) <= n * dim * np.finfo(float).eps
 
     def test_qubit_single_step_matches_oracle(self):
-        rho, h, curve = qubit_static()
-        out = run_measurement(rho, h, curve, uniform_partition(1.0, 1)).rho_final
+        w, h, curve = qubit_static()
+        out = run_measurement(w, h, curve, uniform_partition(1.0, 1)).rho_final
         np.testing.assert_allclose(out.matrix, np.diag([LAM1, 1 - LAM1]), atol=1e-12)
 
     def test_matches_transfer_route_tightly(self):
-        rho, h, curve = qubit_static()
-        result = run_measurement(rho, h, curve, uniform_partition(1.0, 1))
+        w, h, curve = qubit_static()
+        result = run_measurement(w, h, curve, uniform_partition(1.0, 1))
         np.testing.assert_allclose(np.diag(result.rho_final.matrix).real, result.weights_out, atol=1e-12)
 
-    def test_rejects_state_not_diagonal_in_base(self):
-        rho = DensityMatrix.pure([1.0, 1.0])
-        curve = StaticCurve(np.eye(2, dtype=complex), 1.0)
-        with pytest.raises(ValidationError, match="diagonal in the curve"):
-            run_measurement(rho, hermitian_eigendecompose(PAULI_X), curve, uniform_partition(1.0, 1))
+    @pytest.mark.parametrize("weights, message", [
+        ([0.5, 0.3, 0.2], r"weights have shape \(3,\), the curve has dimension 2"),
+        ([[0.7, 0.3]], r"weights have shape \(1, 2\)"),
+        ([1.2, -0.2], "weights must be finite and nonnegative"),
+        ([math.nan, 1.0], "weights must be finite and nonnegative"),
+        ([math.inf, 0.0], "weights must be finite and nonnegative"),
+        ([0.7, 0.3 + 2e-9], "weights sum to 1.000000002"),
+        ([0.7, 0.3 + 5e-10], "weights sum to 1.0000000005"),
+    ], ids=["long", "two-dim", "negative", "nan", "inf", "sum-2e-9", "sum-5e-10"])
+    def test_rejects_malformed_weights(self, weights, message):
+        # The sum is held to the trace tolerance of the final state, which keeps the start state's trace.
+        _, h, curve = qubit_static()
+        with pytest.raises(ValidationError, match=message):
+            run_measurement(weights, h, curve, uniform_partition(1.0, 1))
+
+    def test_accepts_weights_within_the_trace_tolerance(self):
+        _, h, curve = qubit_static()
+        result = run_measurement([0.7, 0.3 + 5e-11], h, curve, uniform_partition(1.0, 1))
+        np.testing.assert_array_equal(result.weights, [0.7, 0.3 + 5e-11])
 
     def test_sampled_curve_requires_partition_on_grid(self):
         gen = GeneratedCurve(seeded_hermitian(2, 1), np.eye(2, dtype=complex), 1.0)
         times = np.linspace(0.0, 1.0, 5)
         curve = SampledCurve(times, [gen.evaluate(t) for t in times])
-        rho = DensityMatrix.diagonal([0.7, 0.3])
         with pytest.raises(ValidationError, match="grid"):
-            run_measurement(rho, hermitian_eigendecompose(PAULI_X), curve, uniform_partition(1.0, 3))
+            run_measurement([0.7, 0.3], hermitian_eigendecompose(PAULI_X), curve, uniform_partition(1.0, 3))
 
     @pytest.mark.parametrize("kind", ["uniform", "random"])
     @pytest.mark.parametrize("dim", [2, 3, 8])
@@ -343,13 +359,12 @@ class TestEvolveByChannels:
         base = seeded_cons(dim, 1)
         w = rng.exponential(size=dim)
         w /= w.sum()
-        rho = DensityMatrix.from_weights(w, base)
         h = hermitian_eigendecompose(seeded_hermitian(dim, 2))
         curve = GeneratedCurve(seeded_hermitian(dim, 3), base, 1.0)
         partition = uniform_partition(1.0, n) if kind == "uniform" else random_partition(1.0, n, seed=7)
 
-        one_pass = run_measurement(rho, h, curve, partition).rho_final
-        stepwise = stepwise_channels(rho, h, curve, partition)
+        one_pass = run_measurement(w, h, curve, partition).rho_final
+        stepwise = stepwise_channels(state_matrix(w, base), h, curve, partition)
         np.testing.assert_allclose(one_pass.matrix, stepwise, rtol=0, atol=n * dim * np.finfo(float).eps)
 
     @pytest.mark.parametrize("kind", ["uniform", "random"])
@@ -363,41 +378,40 @@ class TestEvolveByChannels:
         n = 300
         base = seeded_cons(dim, 4)
         w = np.random.default_rng(dim).exponential(size=dim)
-        rho = DensityMatrix.from_weights(w / w.sum(), base)
+        rho = state_matrix(w / w.sum(), base)
         curve = GeneratedCurve(seeded_hermitian(dim, 5), base, 1.0)
         partition = uniform_partition(1.0, n) if kind == "uniform" else random_partition(1.0, n, seed=3)
         trajectory = list(_trajectory_blocks(curve, hermitian_eigendecompose(seeded_hermitian(dim, 6)), partition))
 
         monkeypatch.setattr(measurement_mod, "KRON_MAX_DIM", dim)
-        kron = block_channel_state(rho.matrix, trajectory)
+        kron = block_channel_state(rho, trajectory)
         monkeypatch.setattr(measurement_mod, "KRON_MAX_DIM", dim - 1)
-        square = block_channel_state(rho.matrix, trajectory)
+        square = block_channel_state(rho, trajectory)
         np.testing.assert_allclose(kron, square, rtol=0, atol=n * dim * np.finfo(float).eps)
 
 
 class TestLeakage:
     def test_qubit_single_step_leakage(self):
-        rho, h, curve = qubit_static()
-        result = run_measurement(rho, h, curve, uniform_partition(1.0, 1))
+        w, h, curve = qubit_static()
+        result = run_measurement(w, h, curve, uniform_partition(1.0, 1))
         assert result.leakage[0] == pytest.approx(0.3 * SIN2, abs=1e-12)
 
     def test_zeno_leakage_zero(self):
         curve = StaticCurve(np.eye(2, dtype=complex), 1.0)
-        rho = DensityMatrix.diagonal([0.7, 0.3])
         h = hermitian_eigendecompose(np.diag([1.0, -1.0]))
-        result = run_measurement(rho, h, curve, uniform_partition(1.0, 4))
+        result = run_measurement([0.7, 0.3], h, curve, uniform_partition(1.0, 4))
         np.testing.assert_allclose(result.leakage, [0.0, 0.0], atol=1e-12)
 
     def test_leakage_below_outgoing_weight(self):
-        rho, h, curve = qubit_static()
-        result = run_measurement(rho, h, curve, uniform_partition(1.0, 3))
+        w, h, curve = qubit_static()
+        result = run_measurement(w, h, curve, uniform_partition(1.0, 3))
         assert np.all(result.leakage <= result.weights_out + 1e-12)
 
     @pytest.mark.parametrize("n", [1, 2, 4, 6])
     def test_path_enumeration_matches_residual(self, n):
-        rho, h, curve = qubit_static()
+        w, h, curve = qubit_static()
         partition = uniform_partition(1.0, n)
-        result = run_measurement(rho, h, curve, partition)
+        result = run_measurement(w, h, curve, partition)
         brute = leakage_by_path_enumeration([0.7, 0.3], curve, h, partition)
         assert brute.shape == (2,)
         for k in range(2):
@@ -409,10 +423,9 @@ class TestTargetState:
 
     def test_static_target_is_initial_state(self):
         curve = StaticCurve(seeded_cons(3, 4), 1.0)
-        rho = DensityMatrix.from_weights([0.5, 0.3, 0.2], curve.base)
         h = hermitian_eigendecompose(seeded_hermitian(3, 5))
-        result = run_measurement(rho, h, curve, uniform_partition(1.0, 4))
-        expected = trace_norm(result.rho_final.matrix - rho.matrix)
+        result = run_measurement([0.5, 0.3, 0.2], h, curve, uniform_partition(1.0, 4))
+        expected = trace_norm(result.rho_final.matrix - state_matrix([0.5, 0.3, 0.2], curve.base))
         assert expected > 1e-3
         assert result.trace_distance_to_target == pytest.approx(expected, abs=1e-12)
 
@@ -420,18 +433,16 @@ class TestTargetState:
         a = seeded_hermitian(3, 8)
         base = seeded_cons(3, 9)
         curve = GeneratedCurve(a, base, 1.0)
-        rho = DensityMatrix.from_weights([0.6, 0.3, 0.1], base)
         u = hermitian_eigendecompose(a).propagator(1.0)
         h = hermitian_eigendecompose(seeded_hermitian(3, 10))
-        result = run_measurement(rho, h, curve, uniform_partition(1.0, 4))
-        expected = trace_norm(result.rho_final.matrix - u @ rho.matrix @ u.conj().T)
+        result = run_measurement([0.6, 0.3, 0.1], h, curve, uniform_partition(1.0, 4))
+        expected = trace_norm(result.rho_final.matrix - u @ state_matrix([0.6, 0.3, 0.1], base) @ u.conj().T)
         assert result.trace_distance_to_target == pytest.approx(expected, abs=1e-12)
 
     def test_concentrated_weights_give_pure_state(self):
         curve = GeneratedCurve(seeded_hermitian(3, 1), seeded_cons(3, 2), 1.0)
-        rho = DensityMatrix.from_weights([1.0, 0.0, 0.0], curve.base)
         h = hermitian_eigendecompose(seeded_hermitian(3, 3))
-        result = run_measurement(rho, h, curve, uniform_partition(1.0, 4))
+        result = run_measurement([1.0, 0.0, 0.0], h, curve, uniform_partition(1.0, 4))
         psi = curve.evaluate(1.0)[:, 0]
         expected = trace_norm(result.rho_final.matrix - np.outer(psi, psi.conj()))
         assert result.trace_distance_to_target == pytest.approx(expected, abs=1e-12)
@@ -443,59 +454,59 @@ class TestTargetState:
         # run's own weights and final frame.
         base = seeded_cons(dim, 14)
         w = np.random.default_rng(dim).exponential(size=dim)
-        rho = DensityMatrix.from_weights(w / w.sum(), base)
         curve = GeneratedCurve(seeded_hermitian(dim, 15), base, 1.0)
         partition = uniform_partition(1.0, 20) if kind == "uniform" else random_partition(1.0, 20, seed=16)
-        result = run_measurement(rho, hermitian_eigendecompose(seeded_hermitian(dim, 17)), curve, partition)
-        target = DensityMatrix.from_weights(result.weights, result.frames.final)
+        result = run_measurement(w / w.sum(), hermitian_eigendecompose(seeded_hermitian(dim, 17)), curve, partition)
+        final = result.frames.final
+        target = DensityMatrix((final * result.weights) @ final.conj().T)
         assert result.trace_distance_to_target == trace_norm(result.rho_final.matrix - target.matrix)
 
 
 class TestRunMeasurement:
     def test_zeno_distance_vanishes(self):
         curve = StaticCurve(np.eye(2, dtype=complex), 1.0)
-        rho = DensityMatrix.diagonal([0.7, 0.3])
         h = hermitian_eigendecompose(np.diag([0.4, 1.9]))
-        result = run_measurement(rho, h, curve, uniform_partition(1.0, 8))
+        result = run_measurement([0.7, 0.3], h, curve, uniform_partition(1.0, 8))
         assert result.trace_distance_to_target <= 1e-10
 
     def test_qubit_single_step_distance(self):
-        rho, h, curve = qubit_static()
-        result = run_measurement(rho, h, curve, uniform_partition(1.0, 1))
+        w, h, curve = qubit_static()
+        result = run_measurement(w, h, curve, uniform_partition(1.0, 1))
         assert result.trace_distance_to_target == pytest.approx(DIST1, abs=1e-12)
 
     def test_refinement_shrinks_distance(self):
-        rho, h, curve = qubit_static()
-        coarse = run_measurement(rho, h, curve, uniform_partition(1.0, 2))
-        fine = run_measurement(rho, h, curve, uniform_partition(1.0, 1024))
+        w, h, curve = qubit_static()
+        coarse = run_measurement(w, h, curve, uniform_partition(1.0, 2))
+        fine = run_measurement(w, h, curve, uniform_partition(1.0, 1024))
         assert fine.trace_distance_to_target < coarse.trace_distance_to_target
 
     def test_weight_split_identity(self):
-        rho, h, curve = qubit_static()
-        result = run_measurement(rho, h, curve, uniform_partition(1.0, 5))
+        w, h, curve = qubit_static()
+        result = run_measurement(w, h, curve, uniform_partition(1.0, 5))
         recombined = 0.7 * result.survivals[0] + result.leakage[0]
         assert result.weights_out[0] == pytest.approx(recombined, abs=1e-9)
 
     def test_result_arrays_are_read_only(self):
-        rho, h, curve = qubit_static()
-        result = run_measurement(rho, h, curve, uniform_partition(1.0, 2))
+        w, h, curve = qubit_static()
+        result = run_measurement(w, h, curve, uniform_partition(1.0, 2))
         with pytest.raises(ValueError):
             result.weights_out[0] = 0.0
 
     def test_result_carries_the_weights_and_partition_it_ran_on(self):
-        rho, h, curve, partition = four_level_run()
-        result = run_measurement(rho, h, curve, partition)
-        in_base = np.real(np.diag(curve.base.conj().T @ rho.matrix @ curve.base))
-        np.testing.assert_array_equal(result.weights, np.clip(in_base, 0.0, None))
+        w, h, curve, partition = four_level_run()
+        result = run_measurement(w, h, curve, partition)
+        np.testing.assert_array_equal(result.weights, w)
         assert result.partition is partition
         with pytest.raises(ValueError, match="read-only"):
             result.weights[0] = 0.5
+        # The result holds a copy: the caller's array stays its own.
+        assert result.weights is not w and w.flags.writeable
 
     def test_scheduling_independence(self):
         # Two identical runs are bitwise equal; nothing stateful leaks across.
-        rho, h, curve = qubit_static()
-        a = run_measurement(rho, h, curve, uniform_partition(1.0, 17))
-        b = run_measurement(rho, h, curve, uniform_partition(1.0, 17))
+        w, h, curve = qubit_static()
+        a = run_measurement(w, h, curve, uniform_partition(1.0, 17))
+        b = run_measurement(w, h, curve, uniform_partition(1.0, 17))
         np.testing.assert_array_equal(a.weights_out, b.weights_out)
         np.testing.assert_array_equal(a.rho_final.matrix, b.rho_final.matrix)
 
@@ -505,7 +516,7 @@ def four_level_run(n=8):
     w = np.array([0.4, 0.3, 0.2, 0.1])
     curve = GeneratedCurve(seeded_hermitian(4, 3), base, 1.0)
     h = hermitian_eigendecompose(seeded_hermitian(4, 2))
-    return DensityMatrix.from_weights(w, base), h, curve, uniform_partition(1.0, n)
+    return w, h, curve, uniform_partition(1.0, n)
 
 
 class TestTrajectoryCorruption:
@@ -513,7 +524,7 @@ class TestTrajectoryCorruption:
     invariants must still name a corrupted input."""
 
     def test_scaled_frame_column_is_named(self, monkeypatch):
-        rho, h, curve, partition = four_level_run()
+        w, h, curve, partition = four_level_run()
         frames_at = curve.frames_at
 
         def corrupted(times):
@@ -523,12 +534,12 @@ class TestTrajectoryCorruption:
 
         monkeypatch.setattr(curve, "frames_at", corrupted)
         with pytest.raises(InvariantViolation) as excinfo:
-            run_measurement(rho, h, curve, partition)
+            run_measurement(w, h, curve, partition)
         assert excinfo.value.name == "step_doubly_stochastic"
         assert excinfo.value.details["step"] == 3
 
     def test_nan_frame_fails_closed(self, monkeypatch):
-        rho, h, curve, partition = four_level_run()
+        w, h, curve, partition = four_level_run()
         frames_at = curve.frames_at
 
         def corrupted(times):
@@ -538,24 +549,24 @@ class TestTrajectoryCorruption:
 
         monkeypatch.setattr(curve, "frames_at", corrupted)
         with pytest.raises(InvariantViolation) as excinfo:
-            run_measurement(rho, h, curve, partition)
+            run_measurement(w, h, curve, partition)
         assert excinfo.value.name == "step_doubly_stochastic"
         assert excinfo.value.details["step"] == 3
 
     def test_corrupted_step_unitary_is_named(self, monkeypatch):
         from zenolab.linalg import HermitianEigen
 
-        rho, h, curve, partition = four_level_run()
+        w, h, curve, partition = four_level_run()
         propagator = HermitianEigen.propagator
         monkeypatch.setattr(HermitianEigen, "propagator", lambda self, t: 1.05 * propagator(self, t))
         with pytest.raises(InvariantViolation) as excinfo:
-            run_measurement(rho, h, curve, partition)
+            run_measurement(w, h, curve, partition)
         assert excinfo.value.name in ("step_doubly_stochastic", "dual_oracle_agreement")
 
     def test_perturbed_transfer_matrices_break_dual_oracle_only(self, monkeypatch):
         import zenolab.measurement as measurement_mod
 
-        rho, h, curve, partition = four_level_run()
+        w, h, curve, partition = four_level_run()
         channel_route = measurement_mod._channel_route
         routes = []
 
@@ -564,7 +575,7 @@ class TestTrajectoryCorruption:
             return routes[-1]
 
         monkeypatch.setattr(measurement_mod, "_channel_route", recorded)
-        run_measurement(rho, h, curve, partition)
+        run_measurement(w, h, curve, partition)
         transfer_matrices = measurement_mod._transfer_matrices
 
         def perturbed(*trajectory):
@@ -575,7 +586,7 @@ class TestTrajectoryCorruption:
 
         monkeypatch.setattr(measurement_mod, "_transfer_matrices", perturbed)
         with pytest.raises(InvariantViolation) as excinfo:
-            run_measurement(rho, h, curve, partition)
+            run_measurement(w, h, curve, partition)
         assert excinfo.value.name == "dual_oracle_agreement"
         # The channel route never reads the transfer matrices: the failed run's state is unchanged.
         assert len(routes) == 2
@@ -585,18 +596,18 @@ class TestTrajectoryCorruption:
         # Every partition time is evaluated exactly once across the blocks, in
         # order: a block boundary's frame is carried, not evaluated again.
         n = 3 * TRANSFER_BLOCK + 5
-        rho, h, curve, partition = four_level_run(n=n)
+        w, h, curve, partition = four_level_run(n=n)
         calls = []
         frames_at = curve.frames_at
         monkeypatch.setattr(curve, "frames_at", lambda times: calls.append(np.copy(times)) or frames_at(times))
-        result = run_measurement(rho, h, curve, partition)
+        result = run_measurement(w, h, curve, partition)
         assert [len(t) for t in calls] == [TRANSFER_BLOCK + 1, TRANSFER_BLOCK, TRANSFER_BLOCK, 5]
         np.testing.assert_array_equal(np.concatenate(calls), partition.times)
         np.testing.assert_array_equal(result.frames.final, frames_at(partition.times[-1:])[0])
         assert not result.frames.final.flags.writeable
 
     def test_frame_corrupted_in_a_later_block_names_its_global_step(self, monkeypatch):
-        rho, h, curve, partition = four_level_run(n=3 * TRANSFER_BLOCK)
+        w, h, curve, partition = four_level_run(n=3 * TRANSFER_BLOCK)
         bad_time = partition.times[TRANSFER_BLOCK + 7]
         frames_at = curve.frames_at
 
@@ -607,24 +618,24 @@ class TestTrajectoryCorruption:
 
         monkeypatch.setattr(curve, "frames_at", corrupted)
         with pytest.raises(InvariantViolation) as excinfo:
-            run_measurement(rho, h, curve, partition)
+            run_measurement(w, h, curve, partition)
         assert excinfo.value.name == "step_doubly_stochastic"
         assert excinfo.value.details["step"] == TRANSFER_BLOCK + 7
 
 
-def whole_stack_run(rho, hamiltonian, curve, partition):
+def whole_stack_run(weights, hamiltonian, curve, partition):
     """The protocol from the whole (N+1, d, d) frame stack at once: each step's
     transfer matrix applied to the weights in order, the in-order survival
     products, the channel route over every step, and the drift summary."""
     frames = curve.frames_at(partition.times)
     unitaries = hamiltonian.propagator(partition.steps)
     mats = _transfer_matrices(frames, unitaries)
-    weights = np.real(np.diag(curve.base.conj().T @ rho.matrix @ curve.base))
+    weights_out = weights
     for mat in mats:
-        weights = mat @ weights
+        weights_out = mat @ weights_out
     survivals = np.prod(np.diagonal(mats, axis1=1, axis2=2), axis=0)
-    m = _channel_route(rho.matrix, frames, unitaries)
-    return weights, survivals, (m + m.conj().T) / 2, drift_sums(frames), half_square_sums(frames)
+    m = _channel_route(state_matrix(weights, curve.base), frames, unitaries)
+    return weights_out, survivals, (m + m.conj().T) / 2, drift_sums(frames), half_square_sums(frames)
 
 
 class TestStreamedTrajectory:
@@ -636,12 +647,12 @@ class TestStreamedTrajectory:
         n = 3 * TRANSFER_BLOCK + 17
         base = seeded_cons(dim, 21)
         w = np.random.default_rng(dim).exponential(size=dim)
-        rho = DensityMatrix.from_weights(w / w.sum(), base)
+        w /= w.sum()
         h = hermitian_eigendecompose(seeded_hermitian(dim, 22))
         curve = GeneratedCurve(seeded_hermitian(dim, 23), base, 1.0)
         partition = uniform_partition(1.0, n) if kind == "uniform" else random_partition(1.0, n, seed=24)
-        result = run_measurement(rho, h, curve, partition)
-        weights_out, survivals, rho_final, drifts, half_sq = whole_stack_run(rho, h, curve, partition)
+        result = run_measurement(w, h, curve, partition)
+        weights_out, survivals, rho_final, drifts, half_sq = whole_stack_run(w, h, curve, partition)
         tol = n * dim * np.finfo(float).eps
         np.testing.assert_allclose(result.weights_out, weights_out, rtol=0, atol=tol)
         np.testing.assert_allclose(result.survivals, survivals, rtol=0, atol=tol)
@@ -654,11 +665,11 @@ class TestStreamedTrajectory:
         # Every block is dropped once the routes have read it, so the peak
         # numpy allocation of a run does not grow with N beyond one block.
         def traced_peak(n):
-            rho, h, curve, partition = four_level_run(n=n)
+            w, h, curve, partition = four_level_run(n=n)
             partition.steps
             tracemalloc.start()
             try:
-                run_measurement(rho, h, curve, partition)
+                run_measurement(w, h, curve, partition)
                 return tracemalloc.get_traced_memory()[1]
             finally:
                 tracemalloc.stop()

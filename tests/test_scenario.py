@@ -13,7 +13,6 @@ from zenolab.curves import GeneratedCurve, SampledCurve, StaticCurve
 from zenolab.cli import main
 from zenolab.errors import SchemaError
 from zenolab.scenario import MAX_PARTITION_STEPS, load_scenario
-from zenolab.states import DensityMatrix
 from zenolab.sweep import run_sweep
 
 SCENARIOS = os.path.join(os.path.dirname(__file__), "..", "scenarios")
@@ -47,7 +46,7 @@ class TestLoadScenario:
         assert scenario.tau == 1.0
         assert isinstance(scenario.curve, StaticCurve)
         assert [p.n for p in scenario.partitions] == [1, 4]
-        np.testing.assert_allclose(scenario.state.matrix, np.diag([0.7, 0.3]), atol=1e-12)
+        np.testing.assert_array_equal(scenario.weights, [0.7, 0.3])
 
     def test_underscore_keys_ignored(self, tmp_path):
         path = minimal_zeno(tmp_path, _comment="ignored", _note=["also", "ignored"])
@@ -62,6 +61,17 @@ class TestLoadScenario:
     def test_bad_eigenvalue_sum_names_field(self, tmp_path):
         path = minimal_zeno(tmp_path, state={"eigenvalues": [0.6, 0.3]})
         with pytest.raises(SchemaError, match="eigenvalues sum to"):
+            load_scenario(path)
+
+    @pytest.mark.parametrize("eigenvalues, message", [
+        ([math.nan, 0.3], "state.eigenvalues must be finite and nonnegative"),
+        ([1.2, -0.2], "state.eigenvalues must be finite and nonnegative"),
+        ([0.7, 0.3 + 5e-10], "state.eigenvalues sum to 1.0000000005"),
+    ])
+    def test_eigenvalues_are_held_to_the_run_s_weights_check(self, tmp_path, eigenvalues, message):
+        # The eigenvalues are the run's weights: a scenario rejects at load what a run would.
+        path = minimal_zeno(tmp_path, state={"eigenvalues": eigenvalues})
+        with pytest.raises(SchemaError, match=message):
             load_scenario(path)
 
     def test_every_problem_reported_at_once(self, tmp_path):
@@ -171,8 +181,8 @@ class TestSampledCurveSpecs:
         )
         scenario = load_scenario(path)
         assert isinstance(scenario.curve, SampledCurve)
-        expected = DensityMatrix.from_weights([0.7, 0.3], scenario.curve.base)
-        np.testing.assert_array_equal(scenario.state.matrix, expected.matrix)
+        np.testing.assert_array_equal(scenario.weights, [0.7, 0.3])
+        np.testing.assert_array_equal(scenario.curve.base, scenario.curve.frames[0])
 
     def test_underscore_keys_in_curve_spec_and_frames_file_ignored(self, tmp_path):
         payload = {"_note": "frames of a rotation", **self.frames_payload()}

@@ -1,8 +1,9 @@
 """Source hygiene without a linter: every name a zenolab module imports is
 used in that module, every module-level definition is read somewhere in
-the package or exported, and a Hermitian operator is validated only where
-it enters the program. __init__.py is skipped by the import check, since
-its imports are the package's exports."""
+the package or exported, a Hermitian operator is validated only where it
+enters the program, and the two routes of measurement.py never read each
+other. __init__.py is skipped by the import check, since its imports are
+the package's exports."""
 
 import ast
 import pathlib
@@ -89,6 +90,37 @@ def validation_breaches(sources: dict) -> list[str]:
     return breaches
 
 
+# The two independent computations of measurement.py: the functions of each
+# route, and the carry run_measurement passes to each route's block step.
+TRANSFER_ROUTE = ("_transfer_block", "_transfer_matrices", "_chain")
+CHANNEL_ROUTE = ("_channel_route",)
+CARRIES = {"_transfer_block": "transfer", "_channel_route": "state"}
+
+
+def _names(node) -> set:
+    """Every name node reads or calls, as a bare name or an attribute."""
+    return {n.id if isinstance(n, ast.Name) else n.attr for n in ast.walk(node)
+            if isinstance(n, (ast.Name, ast.Attribute))}
+
+
+def route_crossings(source: str) -> list[str]:
+    """Where one route of measurement.py reaches the other: a function of one
+    route that names a function of the other, or a call in run_measurement
+    that hands a route any carry but its own."""
+    functions = {node.name: node for node in ast.parse(source).body if isinstance(node, ast.FunctionDef)}
+    crossings = []
+    for own, other in ((TRANSFER_ROUTE, CHANNEL_ROUTE), (CHANNEL_ROUTE, TRANSFER_ROUTE)):
+        for name in own:
+            crossings += [f"{name} names {x}" for x in other if x in _names(functions[name])]
+    for call in ast.walk(functions["run_measurement"]):
+        route = getattr(call.func, "id", None) if isinstance(call, ast.Call) else None
+        if route in CARRIES:
+            carries = _names(ast.Tuple(elts=call.args + [k.value for k in call.keywords])) & set(CARRIES.values())
+            if carries != {CARRIES[route]}:
+                crossings.append(f"run_measurement passes {sorted(carries)} to {route}")
+    return crossings
+
+
 def test_the_walk_finds_an_unused_import():
     source = "import os\nimport numpy as np\nfrom .linalg import a, b\n\nx = np.zeros(a)\n"
     assert unused_imports(source) == ["b", "os"]
@@ -135,3 +167,28 @@ def test_the_walk_finds_a_validation_outside_its_homes():
 
 def test_operators_are_validated_only_where_they_enter():
     assert validation_breaches({p.name: p.read_text() for p in PACKAGE.glob("*.py")}) == []
+
+
+def test_the_walk_finds_a_route_reading_the_other():
+    source = (
+        "def _transfer_matrices(frames, unitaries):\n    return frames\n\n"
+        "def _chain(mats):\n    return _channel_route(mats, None, None)\n\n"
+        "def _transfer_block(carry, frames, unitaries, first):\n"
+        "    return _chain(_transfer_matrices(frames, unitaries))\n\n"
+        "def _channel_route(m, frames, unitaries):\n"
+        "    return m @ measurement._transfer_matrices(frames, unitaries)\n\n"
+        "def run_measurement(weights):\n    transfer, state = weights, weights\n"
+        "    transfer = _transfer_block((transfer, state), None, None, 0)\n"
+        "    state = _channel_route(m=state)\n"
+        "    return _channel_route(weights, None, None)\n"
+    )
+    assert route_crossings(source) == [
+        "_chain names _channel_route",
+        "_channel_route names _transfer_matrices",
+        "run_measurement passes ['state', 'transfer'] to _transfer_block",
+        "run_measurement passes [] to _channel_route",
+    ]
+
+
+def test_the_two_routes_never_read_each_other():
+    assert route_crossings((PACKAGE / "measurement.py").read_text()) == []

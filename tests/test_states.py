@@ -15,6 +15,8 @@ from zenolab.linalg import hermitian_eigendecompose, seeded_cons, seeded_hermiti
 from zenolab.measurement import run_measurement, uniform_partition
 from zenolab.states import DensityMatrix, clean_spectrum, entr, fannes_bound_at, von_neumann_entropy
 
+from conftest import state_matrix
+
 
 def fannes_between(rho1, rho2):
     """The continuity bound at the trace-norm distance of two states of one dimension."""
@@ -53,10 +55,6 @@ class TestDensityMatrix:
         assert von_neumann_entropy(rho) == 0.0
         weights = clean_spectrum(np.linalg.eigvalsh(rho.matrix))
         np.testing.assert_array_equal(weights, [0.0, 1.0])
-
-    def test_from_weights_requires_matching_sizes(self):
-        with pytest.raises(ValidationError, match="weight count"):
-            DensityMatrix.from_weights([0.5, 0.5], np.eye(3, dtype=complex))
 
 
 class TestSpectralDecompose:
@@ -169,10 +167,10 @@ class TestFannesBound:
 
     def test_dimension_mismatch(self):
         # The bound compares a run's final state with its target, which share
-        # the curve's dimension; a state of another dimension is refused by the run.
+        # the curve's dimension; weights of another dimension are refused by the run.
         curve = StaticCurve(np.eye(2, dtype=complex), 1.0)
-        with pytest.raises(ValidationError, match="state dimension does not match the curve"):
-            run_measurement(DensityMatrix.maximally_mixed(3), np.eye(2), curve, uniform_partition(1.0, 1))
+        with pytest.raises(ValidationError, match=r"weights have shape \(3,\), the curve has dimension 2"):
+            run_measurement(np.full(3, 1 / 3), hermitian_eigendecompose(np.eye(2)), curve, uniform_partition(1.0, 1))
 
     @pytest.mark.parametrize("seed", range(8))
     def test_holds_on_random_close_pairs(self, seed):
@@ -184,8 +182,8 @@ class TestFannesBound:
         w2 = w1 + rng.uniform(-0.02, 0.02, size=dim)
         w2 = np.clip(w2, 1e-9, None)
         w2 /= w2.sum()
-        rho1 = DensityMatrix.from_weights(w1, base)
-        rho2 = DensityMatrix.from_weights(w2, base)
+        rho1 = DensityMatrix(state_matrix(w1, base))
+        rho2 = DensityMatrix(state_matrix(w2, base))
         fb = fannes_between(rho1, rho2)
         if fb.applicable:
             gap = abs(von_neumann_entropy(rho1) - von_neumann_entropy(rho2))

@@ -18,15 +18,14 @@ import resource
 
 import numpy as np
 
-from zenolab import (DensityMatrix, GeneratedCurve, hermitian_eigendecompose, run_measurement, seeded_cons,
-                     seeded_hermitian, uniform_partition)
+from zenolab import (GeneratedCurve, hermitian_eigendecompose, run_measurement, seeded_cons, seeded_hermitian,
+                     uniform_partition)
 
 d, n = 64, 100_000
 base = seeded_cons(d, 1)
 w = np.random.default_rng(2).exponential(size=d)
-rho = DensityMatrix.from_weights(w / w.sum(), base)
 curve = GeneratedCurve(seeded_hermitian(d, 3), base, 1.0)
-run_measurement(rho, hermitian_eigendecompose(seeded_hermitian(d, 4)), curve, uniform_partition(1.0, n))
+run_measurement(w / w.sum(), hermitian_eigendecompose(seeded_hermitian(d, 4)), curve, uniform_partition(1.0, n))
 print(resource.getrusage(resource.RUSAGE_SELF).ru_maxrss)
 """
 

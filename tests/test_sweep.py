@@ -246,6 +246,14 @@ class TestCsvRoundTrip:
         write_csv(run_sweep(scenario), p2)
         assert open(p1, "rb").read() == open(p2, "rb").read()
 
+    @pytest.mark.parametrize("blocks", [{"eps": (0.01,)}, {"a3s": (0.0, 0.0, 0.0)}], ids=["short", "long"])
+    def test_ragged_blocks_rejected(self, tmp_path, blocks):
+        full = dict(lambdas=(0.7, 0.3), gammas=(0.9, 0.8), eps=(0.01, 0.02), eps_bounds=(0.5, 0.5),
+                    gamma_lbs=(0.6, 0.6), a3s=(0.0, 0.0))
+        records = [SweepRecord(n=2, **full), SweepRecord(n=4, **{**full, **blocks})]
+        with pytest.raises(ValidationError, match="every record needs 2 entries in each per-index block"):
+            write_csv(records, str(tmp_path / "ragged.csv"))
+
     def test_missing_schema_line_rejected(self, tmp_path):
         bad = tmp_path / "bad.csv"
         bad.write_text("N,mesh\n1,1.0\n")
