@@ -8,8 +8,8 @@ off its grid raises, so time partitions used against it must be subsets of
 its grid.
 
 frames_at(times), the frames at an array of times as one (n, d, d) stack,
-is the evaluation primitive; evaluate(t) is frames_at(t)[0] on every
-variant, so an off-grid time raises there too.
+is the one evaluation primitive; the frame at a single time t is
+frames_at(t)[0], so an off-grid time raises there too.
 
 Regularity quantities are (d,) vectors over the basis index k, each one
 pass over a frame stack; curve_bounds returns the pair (xi, eta):
@@ -57,12 +57,9 @@ class BasisCurve:
             raise ValidationError(f"time {float(t[outside][0])} outside [0, {self.tau}]")
         return np.clip(t, 0.0, self.tau)
 
-    def evaluate(self, t: float) -> np.ndarray:
-        """The frame at one time: column n is Psi_n(t)."""
-        return self.frames_at(t)[0]
-
     def frames_at(self, times) -> np.ndarray:
-        """Frames at every time of a 1-d array, stacked as (len(times), d, d)."""
+        """Frames at every time of a 1-d array (or one time), stacked as (len(times), d, d);
+        column n of a frame is Psi_n(t)."""
         raise NotImplementedError
 
     def sup_frames(self, hamiltonian: np.ndarray) -> np.ndarray:

@@ -28,14 +28,16 @@ drift sums and half the summed squared increments, which the drift checks
 read, and finally the frame at tau.
 
 Inputs are validated once, at the API boundary (the weights w of the start
-state sum_k w_k |b_k><b_k| over the curve's base b, partition horizon,
-times through frames_at; H arrives validated as a HermitianEigen), never per
-step. run_measurement then asserts the routes' own invariants at the end of
-the run: step matrices doubly stochastic, survivals <= 1, the final state a
-state and diagonal in the frame at tau with the transfer weights as its
-diagonal (dual_oracle_agreement), weights_out summing to 1 and leakage
-nonnegative. The paper's bounds, the trace-distance bound among them, are
-checked by the rows of bounds.CHECKS.
+state sum_k w_k |b_k><b_k| over the curve's base b, by states.require_weights
+and against the curve's dimension; partition horizon; times through
+frames_at; H arrives validated as a HermitianEigen), never per step.
+run_measurement then asserts the routes' own invariants at the end of the
+run: step matrices doubly stochastic, survivals <= 1, the final state a
+state (DensityMatrix symmetrizes, checks and decomposes it once) and
+diagonal in the frame at tau with the transfer weights as its diagonal
+(dual_oracle_agreement), weights_out summing to 1 and leakage nonnegative.
+The paper's bounds, the trace-distance bound among them, are checked by
+the rows of bounds.CHECKS.
 
 Per index k the result splits as
 
@@ -58,7 +60,7 @@ import numpy as np
 from .curves import BasisCurve, drift_sums, half_square_sums
 from .errors import InvariantViolation, ValidationError
 from .linalg import HermitianEigen, trace_norm
-from .states import STATE_TOL, DensityMatrix
+from .states import DensityMatrix, require_weights
 
 DIAGONAL_TOL = 1e-9
 WEIGHT_SUM_TOL = 1e-9
@@ -227,7 +229,7 @@ def _transfer_block(carry: tuple, frames: np.ndarray, unitaries: np.ndarray, fir
 
 def _channel_route(m: np.ndarray, frames: np.ndarray, unitaries: np.ndarray) -> np.ndarray:
     """The channel route's own composition on the dense lab-frame state m,
-    over a stack of steps; the caller symmetrizes the state once at the end.
+    over a stack of steps; DensityMatrix symmetrizes the final state once.
 
     One step is U rho U* followed by dephasing in the frame F = F_j. With
     X = F* U, the new state is F diag(p) F* where p_a = (X rho X*)_aa. The
@@ -264,20 +266,6 @@ def _channel_route(m: np.ndarray, frames: np.ndarray, unitaries: np.ndarray) -> 
         p = (x_j.dot(m) * x_j_conj).sum(axis=1).real
         m = (f_j * p).dot(f_j_adj)
     return m
-
-
-def _require_weights(weights, dim: int) -> np.ndarray:
-    """The run's weights over the curve's base, as a copy: shape (dim,),
-    finite, nonnegative and, being the start state's spectrum, summing to 1
-    within STATE_TOL, the trace tolerance the final state is held to."""
-    w = np.array(weights, dtype=float)
-    if w.shape != (dim,):
-        raise ValidationError(f"weights have shape {w.shape}, the curve has dimension {dim}")
-    if not np.all(np.isfinite(w) & (w >= 0)):
-        raise ValidationError("weights must be finite and nonnegative")
-    if abs(float(w.sum()) - 1.0) > STATE_TOL:
-        raise ValidationError(f"weights sum to {float(w.sum())!r}, expected 1")
-    return w
 
 
 def leakage_residual(weights_out, weights, survivals) -> np.ndarray:
@@ -359,7 +347,9 @@ def run_measurement(weights, hamiltonian: HermitianEigen, curve: BasisCurve,
     InvariantViolation diagnostics naming the failed invariant; the paper's
     bounds on the result are the rows of bounds.CHECKS.
     """
-    weights = _require_weights(weights, curve.dim)
+    weights = require_weights(weights)
+    if weights.shape != (curve.dim,):
+        raise ValidationError(f"weights have shape {weights.shape}, the curve has dimension {curve.dim}")
     transfer = (weights, np.ones_like(weights))
     state = (curve.base * weights) @ curve.base.conj().T
     state = (state + state.conj().T) / 2
@@ -377,7 +367,7 @@ def run_measurement(weights, hamiltonian: HermitianEigen, curve: BasisCurve,
         raise InvariantViolation("survival_above_one", worst=float(np.max(survivals)))
 
     try:
-        rho_final = DensityMatrix((state + state.conj().T) / 2)
+        rho_final = DensityMatrix(state)
     except ValidationError as exc:
         # The routes computed this state; a broken one is a defect of the run, not of its input.
         raise InvariantViolation("final_state_is_a_state", detail=str(exc)) from exc

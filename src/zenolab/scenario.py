@@ -31,7 +31,7 @@ from .errors import SchemaError, ValidationError
 from .linalg import (HermitianEigen, hermitian_eigendecompose, operator_norm_hermitian, require_cons, seeded_cons,
                      seeded_hermitian)
 from .measurement import Partition, random_partition, uniform_partition
-from .states import STATE_TOL
+from .states import require_weights
 
 PAULI = {
     "pauli_x": np.array([[0, 1], [1, 0]], dtype=complex),
@@ -41,11 +41,17 @@ PAULI = {
 
 # The top-level fields a scenario file may set.
 FIELDS = ("dim", "tau", "state", "hamiltonian", "curve", "partitions", "a", "output")
-# Largest N of a partition, at any d: a run streams its frames in blocks, so what grows with N
-# are float64 arrays of N + 1 entries. A Partition keeps two (times, steps), and building one holds
-# at most six (the draws, linspace's output, __post_init__'s np.diff temporaries). Eight such arrays
-# in 1 GiB: N + 1 <= 2**30 / (8 * 8 bytes) = 2**24.
-MAX_PARTITION_STEPS = 2**24 - 1
+# Largest sum of N + 1 over a plan, at any d: a run streams its frames in blocks, so what grows
+# with N are float64 arrays of N + 1 entries, and load_scenario holds every partition of the plan at
+# once. A Partition keeps two (times, steps), and building one holds at most six (the draws,
+# linspace's output, __post_init__'s np.diff temporaries). Eight such arrays in 1 GiB:
+# sum of N + 1 <= 2**30 / (8 * 8 bytes) = 2**24, so a single entry may have N up to 2**24 - 1.
+MAX_PLAN_TIMES = 2**24
+# Largest scale s = max(1, tau) * max(1, max |eigenvalue of H|, max_k eta_k). xi_k <= max |eigenvalue
+# of H| and every step is at most tau, so each square or product the bounds form (xi^2, eta^2,
+# (xi^2 + 2 xi eta) mesh^2 + 2 eta mesh, 2 (xi^2 + eta^2) sumsq) is at most 5 s^2 for s >= 1.
+# float64 is finite below 2**1024: s <= 2**510 keeps 5 s^2 < 2**1023.
+MAX_SCALE = 2.0**510
 
 
 @dataclass(frozen=True, eq=False)
@@ -152,10 +158,24 @@ def build_curve(curve_spec, basis, dim: int, tau: float, base_dir: str = ".") ->
 
 
 def _require_steps_fit(sizes: list[int]) -> None:
-    """Reject a size above MAX_PARTITION_STEPS, before any allocation."""
-    for n in sizes:
-        if n > MAX_PARTITION_STEPS:
-            raise ValidationError(f"partitions: N = {n} exceeds the cap of {MAX_PARTITION_STEPS} steps")
+    """Reject a plan whose N + 1 sum above MAX_PLAN_TIMES, before any allocation."""
+    total = sum(n + 1 for n in sizes)
+    if total > MAX_PLAN_TIMES:
+        raise ValidationError(f"partitions: the plan's N + 1 sum to {total}, above the cap of {MAX_PLAN_TIMES}")
+
+
+def _require_scale_fits(hamiltonian: HermitianEigen, curve: BasisCurve) -> None:
+    """Reject a horizon and operator scale whose bounds would overflow float64 (MAX_SCALE)."""
+    norm = float(np.max(np.abs(hamiltonian.values)))
+    # An eta that overflows is inf, which the cap rejects.
+    with np.errstate(over="ignore"):
+        eta = float(np.max(curve.lipschitz()))
+    scale = max(1.0, curve.tau) * max(1.0, norm, eta)
+    if not scale <= MAX_SCALE:
+        raise ValidationError(
+            f"tau, hamiltonian and curve: max(1, tau) * max(1, |H|, eta) = {scale:.3e} exceeds {MAX_SCALE:.3e}, "
+            f"beyond which the bounds overflow (tau {curve.tau!r}, |H| {norm:.3e}, eta {eta:.3e})"
+        )
 
 
 def build_partitions(plan, tau: float) -> list[Partition]:
@@ -223,10 +243,10 @@ def load_scenario(path: str) -> Scenario:
                 problems.append(f"state.eigenvalues must be a flat number list, got {state['eigenvalues']!r}")
                 weights = None
         if weights is not None:
-            if not np.all(np.isfinite(weights) & (weights >= 0)):
-                problems.append("state.eigenvalues must be finite and nonnegative")
-            if abs(float(weights.sum()) - 1.0) > STATE_TOL:
-                problems.append(f"state.eigenvalues sum to {float(weights.sum())!r}, expected 1")
+            try:
+                weights = require_weights(weights, name="state.eigenvalues")
+            except ValidationError as exc:
+                problems.append(str(exc))
             if dim is not None and weights.shape[0] != dim:
                 problems.append(f"state.eigenvalues has length {weights.shape[0]}, dim is {dim}")
             basis_spec = state.get("basis", "standard")
@@ -256,6 +276,7 @@ def load_scenario(path: str) -> Scenario:
         basis = None if basis_spec == "curve" else build_basis(basis_spec, dim)
         field = "curve"
         curve = build_curve(curve_spec, basis, dim, float(tau), os.path.dirname(os.path.abspath(path)))
+        _require_scale_fits(hamiltonian, curve)
         field = "partitions"
         partitions = tuple(sorted(build_partitions(plan, float(tau)), key=lambda p: p.n))
         if isinstance(curve, SampledCurve):

@@ -1,20 +1,22 @@
-"""Density matrices, the entropy kernel, and the von Neumann entropy with
-its trace-norm continuity bound.
+"""What a state is: validated density matrices, the rule for the weights a
+run starts from, the entropy kernel, and the von Neumann entropy with its
+trace-norm continuity bound.
 
-All entropies use the natural logarithm. Eigenvalues that drift slightly
-negative under channel composition (down to -1e-10) are clamped to zero and
-the spectrum renormalized; anything below that is rejected as not a state.
+All entropies use the natural logarithm. A DensityMatrix is decomposed once,
+on construction: eigenvalues that drift slightly negative under channel
+composition (down to -1e-10) are clamped to zero and the spectrum
+renormalized; anything below that is rejected as not a state.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
 from .errors import ValidationError
-from .linalg import as_complex_matrix, hermiticity_defect, seeded_cons
+from .linalg import as_complex_matrix, hermiticity_defect
 
 STATE_TOL = 1e-10
 EIGENVALUE_FLOOR = -1e-10
@@ -24,10 +26,13 @@ EIGENVALUE_FLOOR = -1e-10
 class DensityMatrix:
     """Hermitian, positive-semidefinite, unit-trace operator.
 
-    The matrix is validated on construction and stored read-only.
+    The matrix is validated on construction and stored read-only, with its
+    spectrum: the ascending eigenvalues of its one eigvalsh, clamped at 0
+    and renormalized to unit sum.
     """
 
     matrix: np.ndarray
+    spectrum: np.ndarray = field(init=False)
 
     def __post_init__(self):
         m = as_complex_matrix(self.matrix, "density matrix")
@@ -38,54 +43,36 @@ class DensityMatrix:
         tr = float(np.trace(m).real)
         if abs(tr - 1.0) > STATE_TOL:
             raise ValidationError(f"density matrix trace {tr!r} differs from 1")
-        lowest = float(np.min(np.linalg.eigvalsh(m)))
+        values = np.linalg.eigvalsh(m)
+        lowest = float(values[0])
         if lowest < EIGENVALUE_FLOOR:
             raise ValidationError(f"density matrix has eigenvalue {lowest:.3e} < {EIGENVALUE_FLOOR}")
-        m.flags.writeable = False
+        values = np.clip(values, 0.0, None)
+        spectrum = values / values.sum()
+        for a in (m, spectrum):
+            a.flags.writeable = False
         object.__setattr__(self, "matrix", m)
+        object.__setattr__(self, "spectrum", spectrum)
 
     @property
     def dim(self) -> int:
         return self.matrix.shape[0]
 
     @classmethod
-    def diagonal(cls, values) -> "DensityMatrix":
-        return cls(np.diag(np.asarray(values, dtype=complex)))
-
-    @classmethod
     def maximally_mixed(cls, dim: int) -> "DensityMatrix":
         return cls(np.eye(dim, dtype=complex) / dim)
 
-    @classmethod
-    def pure(cls, vector) -> "DensityMatrix":
-        v = np.asarray(vector, dtype=complex).reshape(-1)
-        n = np.linalg.norm(v)
-        if n == 0:
-            raise ValidationError("cannot form a pure state from the zero vector")
-        v = v / n
-        return cls(np.outer(v, v.conj()))
 
-    @classmethod
-    def seeded_random(cls, dim: int, seed: int) -> "DensityMatrix":
-        """Reproducible full-rank random state: random weights in a random basis."""
-        rng = np.random.default_rng(seed)
-        w = rng.exponential(size=dim)
-        w = w / w.sum()
-        b = seeded_cons(dim, seed + 1)
-        return cls((b * w) @ b.conj().T)
-
-
-def clean_spectrum(values: np.ndarray) -> np.ndarray:
-    """Clamp tiny negative eigenvalues to zero and renormalize to unit sum."""
-    v = np.asarray(values, dtype=float)
-    lowest = float(v.min())
-    if lowest < EIGENVALUE_FLOOR:
-        raise ValidationError(f"eigenvalue {lowest:.3e} below {EIGENVALUE_FLOOR}: not a state")
-    v = np.clip(v, 0.0, None)
-    total = v.sum()
-    if total <= 0:
-        raise ValidationError("spectrum sums to zero")
-    return v / total
+def require_weights(weights, name: str = "weights") -> np.ndarray:
+    """A start state's spectrum as a float copy: finite, nonnegative and
+    summing to 1 within STATE_TOL, the trace tolerance a DensityMatrix is
+    held to. name labels the errors."""
+    w = np.array(weights, dtype=float)
+    if not np.all(np.isfinite(w) & (w >= 0)):
+        raise ValidationError(f"{name} must be finite and nonnegative")
+    if abs(float(w.sum()) - 1.0) > STATE_TOL:
+        raise ValidationError(f"{name} sum to {float(w.sum())!r}, expected 1")
+    return w
 
 
 def entr(x):
@@ -105,11 +92,10 @@ def entr(x):
 def von_neumann_entropy(rho: DensityMatrix) -> float:
     """S(rho) = sum of entr over the eigenvalues, in nats.
 
-    Computed from the spectrum, never from a matrix-logarithm series, so the
-    value is exact at zero eigenvalues and basis-independent.
+    Read from the spectrum rho keeps, never from a matrix-logarithm series, so
+    the value is exact at zero eigenvalues and basis-independent.
     """
-    weights = clean_spectrum(np.linalg.eigvalsh(rho.matrix))
-    return float(np.sum(entr(weights)))
+    return float(np.sum(entr(rho.spectrum)))
 
 
 FANNES_THRESHOLD = 1.0 / math.e

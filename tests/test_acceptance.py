@@ -79,7 +79,7 @@ class CorpusRun:
 
 def _run_one(scenario: CorpusScenario) -> CorpusRun:
     result = run_measurement(scenario.weights, scenario.hamiltonian, scenario.curve, scenario.partition)
-    basis_tau = scenario.curve.evaluate(scenario.tau)
+    basis_tau = scenario.curve.frames_at(scenario.tau)[0]
     coords = basis_tau.conj().T @ result.rho_final.matrix @ basis_tau
     offdiag = float(np.max(np.abs(coords - np.diag(np.diag(coords)))))
     xis, etas = curve_bounds(scenario.curve, scenario.hamiltonian)
@@ -89,10 +89,10 @@ def _run_one(scenario: CorpusScenario) -> CorpusRun:
     half_sq = np.zeros(dim)
     times = scenario.partition.times
     for k in range(dim):
-        prev = scenario.curve.evaluate(float(times[0]))[:, k]
+        prev = scenario.curve.frames_at(float(times[0]))[0, :, k]
         acc = 0.0
         for t in times[1:]:
-            cur = scenario.curve.evaluate(float(t))[:, k]
+            cur = scenario.curve.frames_at(float(t))[0, :, k]
             acc += float(np.linalg.norm(cur - prev) ** 2)
             prev = cur
         half_sq[k] = 0.5 * acc
@@ -244,13 +244,13 @@ def test_criterion_7_entropy_convergence_and_domination(qubit_sweep, unitary_swe
             weights, h, curve = scenario.weights, scenario.hamiltonian, scenario.curve
             xis, etas = curve_bounds(curve, h)
             s_rho = von_neumann_entropy(DensityMatrix(state_matrix(weights, curve.base)))
-            sigma = dominating_operator(weights, xis, etas, curve.evaluate(scenario.tau))
+            sigma = dominating_operator(weights, xis, etas, curve.frames_at(scenario.tau)[0])
             s_sigma = float(np.sum(entr(np.clip(np.linalg.eigvalsh(sigma), 0.0, None))))
             kernel_sums = float(np.sum(entr(xis**2)) + np.sum(entr(etas**2)))
             assert s_sigma <= s_rho + kernel_sums + 1e-9
             for record, partition in zip(records, scenario.partitions):
                 result = run_measurement(weights, h, curve, partition)
-                rho_tau = DensityMatrix(state_matrix(weights, curve.evaluate(scenario.tau)))
+                rho_tau = DensityMatrix(state_matrix(weights, curve.frames_at(scenario.tau)[0]))
                 fb = fannes_bound_at(trace_norm(result.rho_final.matrix - rho_tau.matrix), rho_tau.dim)
                 assert abs(fb.trace_distance - record.trace_distance) <= 1e-9
                 if fb.applicable:
@@ -276,7 +276,7 @@ def test_criterion_8_curve_regularity(corpus):
                 rng = np.random.default_rng(s.seed % (2**32))
                 for _ in range(4):
                     t0, t1 = sorted(rng.uniform(0.0, s.tau, size=2))
-                    gap = np.linalg.norm(s.curve.evaluate(float(t1)) - s.curve.evaluate(float(t0)), axis=0)
+                    gap = np.linalg.norm(s.curve.frames_at(float(t1))[0] - s.curve.frames_at(float(t0))[0], axis=0)
                     assert bool(np.all(gap <= run.etas * (t1 - t0) + 1e-9))
 
 

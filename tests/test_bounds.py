@@ -195,12 +195,12 @@ class TestConvergenceConditionsReport:
 class TestDominatingOperator:
     def test_frozen_case_reduces_to_target(self):
         curve = StaticCurve(np.eye(2, dtype=complex), 1.0)
-        sigma = dominating_operator([0.7, 0.3], [0.0, 0.0], [0.0, 0.0], curve.evaluate(1.0))
+        sigma = dominating_operator([0.7, 0.3], [0.0, 0.0], [0.0, 0.0], curve.frames_at(1.0)[0])
         np.testing.assert_allclose(sigma, np.diag([0.7, 0.3]), atol=1e-14)
 
     def test_static_qubit_majorant(self):
         w, h, curve = qubit_static()
-        sigma = dominating_operator([0.7, 0.3], [1.0, 1.0], [0.0, 0.0], curve.evaluate(1.0))
+        sigma = dominating_operator([0.7, 0.3], [1.0, 1.0], [0.0, 0.0], curve.frames_at(1.0)[0])
         np.testing.assert_allclose(sigma, np.diag([1.7, 1.3]), atol=1e-14)
         result = run_measurement(w, h, curve, uniform_partition(1.0, 4))
         assert np.min(np.linalg.eigvalsh(sigma - result.rho_final.matrix)) >= -1e-10
@@ -214,7 +214,7 @@ class TestDominatingOperator:
         w /= w.sum()
         xis = rng.uniform(0.0, 1.0, size=dim)
         etas = rng.uniform(0.0, 1.0, size=dim)
-        sigma = dominating_operator(w, xis, etas, curve.evaluate(0.8))
+        sigma = dominating_operator(w, xis, etas, curve.frames_at(0.8)[0])
         expected = 1.0 + float(np.sum(xis**2 + etas**2))
         assert np.trace(sigma).real == pytest.approx(expected, abs=1e-10)
         assert np.min(np.linalg.eigvalsh(sigma)) >= -1e-12
@@ -316,7 +316,7 @@ class TestCheckRowsReadTheRun:
             if seed % 2:
                 w[seed % dim] = 0.0
             w = w / w.sum()
-            target = von_neumann_entropy(DensityMatrix(state_matrix(w, curve.evaluate(0.7))))
+            target = von_neumann_entropy(DensityMatrix(state_matrix(w, curve.frames_at(0.7)[0])))
             assert abs(target - float(np.sum(entr(w)))) <= tol
 
     def test_entropy_gap_is_the_distance_to_the_target_entropy(self):
@@ -335,7 +335,7 @@ class TestCheckRowsReadTheRun:
             outcomes = row_outcomes(dataclasses.replace(x, seed=seed), "lipschitz_witness")
             assert [[f["t0"], f["t1"]] for _, f in outcomes] == pairs
             for (t0, t1), (passed, _) in zip(pairs, outcomes):
-                steps = np.linalg.norm(x.curve.evaluate(t1) - x.curve.evaluate(t0), axis=0)
+                steps = np.linalg.norm(x.curve.frames_at(t1)[0] - x.curve.frames_at(t0)[0], axis=0)
                 assert passed == bool(np.all(steps <= x.etas * (t1 - t0) + 1e-9))
 
 
@@ -374,7 +374,7 @@ class TestEntropySemicontinuityAlongSweeps:
         for n in (32, 64, 128, 256, 512, 1024):
             result = run_measurement(w, h, curve, uniform_partition(1.0, n))
             entropies.append(von_neumann_entropy(result.rho_final))
-        limit = von_neumann_entropy(DensityMatrix.diagonal(w))
+        limit = von_neumann_entropy(DensityMatrix(np.diag(w)))
         tail = entropies[len(entropies) // 2 :]
         assert limit <= min(tail) + 1e-6
 

@@ -15,11 +15,11 @@ from zenolab.linalg import hermitian_eigendecompose, seeded_cons, seeded_hermiti
 from zenolab.measurement import _channel_route
 from zenolab.states import DensityMatrix, von_neumann_entropy
 
-from conftest import PAULI_X
+from conftest import PAULI_X, state_matrix
 
 
 def plus_state():
-    return DensityMatrix.pure([1.0, 1.0])
+    return DensityMatrix(np.full((2, 2), 0.5))
 
 
 def one_step(rho, frame, unitary=None):
@@ -55,12 +55,12 @@ def family_row(frame):
 
 class TestUnitaryChannel:
     def test_identity_fixes_state(self):
-        rho = DensityMatrix.diagonal([0.7, 0.3])
+        rho = DensityMatrix(np.diag([0.7, 0.3]))
         out = one_step(rho, np.eye(2), np.eye(2, dtype=complex))
         np.testing.assert_allclose(out.matrix, rho.matrix, atol=1e-14)
 
     def test_spin_flip_swaps_populations(self):
-        rho = DensityMatrix.diagonal([0.7, 0.3])
+        rho = DensityMatrix(np.diag([0.7, 0.3]))
         u = hermitian_eigendecompose(PAULI_X).propagator(np.pi / 2)
         np.testing.assert_allclose(u, -1j * PAULI_X, atol=1e-15)
         out = one_step(rho, np.eye(2), u)
@@ -71,7 +71,8 @@ class TestUnitaryChannel:
         # Measuring in the eigenbasis of U rho U* leaves it alone, so the step
         # returns the conjugated state itself.
         dim = 6
-        rho = DensityMatrix.seeded_random(dim, seed)
+        w = np.random.default_rng(seed).exponential(size=dim)
+        rho = DensityMatrix(state_matrix(w / w.sum(), seeded_cons(dim, seed + 1)))
         u = hermitian_eigendecompose(seeded_hermitian(dim, seed + 7)).propagator(1.1)
         conjugated = u @ rho.matrix @ u.conj().T
         out = one_step(rho, np.linalg.eigh(conjugated)[1], u)
@@ -91,7 +92,8 @@ class TestUnitaryChannel:
 
 class TestProjectionChannel:
     def test_eigenbasis_family_fixes_state(self):
-        rho = DensityMatrix.seeded_random(4, 3)
+        w = np.random.default_rng(3).exponential(size=4)
+        rho = DensityMatrix(state_matrix(w / w.sum(), seeded_cons(4, 3 + 1)))
         basis = np.linalg.eigh(rho.matrix)[1]
         out = one_step(rho, basis)
         np.testing.assert_allclose(out.matrix, rho.matrix, atol=1e-12)
@@ -104,14 +106,16 @@ class TestProjectionChannel:
     def test_trace_positivity_entropy(self, seed):
         rng = np.random.default_rng(seed)
         dim = int(rng.integers(2, 9))
-        rho = DensityMatrix.seeded_random(dim, seed)
+        w = np.random.default_rng(seed).exponential(size=dim)
+        rho = DensityMatrix(state_matrix(w / w.sum(), seeded_cons(dim, seed + 1)))
         out = one_step(rho, seeded_cons(dim, seed + 31))
         assert abs(np.trace(out.matrix).real - 1.0) <= 1e-10
         assert np.min(np.linalg.eigvalsh(out.matrix)) >= -1e-10
         assert von_neumann_entropy(out) >= von_neumann_entropy(rho) - 1e-9
 
     def test_block_diagonal_and_idempotent(self):
-        rho = DensityMatrix.seeded_random(5, 9)
+        w = np.random.default_rng(9).exponential(size=5)
+        rho = DensityMatrix(state_matrix(w / w.sum(), seeded_cons(5, 9 + 1)))
         frame = seeded_cons(5, 17)
         out = one_step(rho, frame)
         family = projectors(frame)
@@ -123,7 +127,8 @@ class TestProjectionChannel:
         np.testing.assert_allclose(again.matrix, out.matrix, atol=1e-12)
 
     def test_explicit_projector_path_matches_fast_path(self):
-        rho = DensityMatrix.seeded_random(4, 21)
+        w = np.random.default_rng(21).exponential(size=4)
+        rho = DensityMatrix(state_matrix(w / w.sum(), seeded_cons(4, 21 + 1)))
         basis = seeded_cons(4, 22)
         explicit = sum(p @ rho.matrix @ p for p in projectors(basis))
         np.testing.assert_allclose(one_step(rho, basis).matrix, explicit, atol=1e-12)

@@ -3,6 +3,7 @@
 import json
 import math
 import os
+import warnings
 
 import pytest
 
@@ -109,7 +110,8 @@ MALFORMED_INPUTS = {
     "null_dim": (_run_with(dim=None), "dim must be a positive integer, got None"),
     "null_tau": (_run_with(tau=None), "tau must be a positive number, got None"),
     "boolean_tau": (_run_with(tau=True), "tau must be a positive number, got True"),
-    "oversized_uniform_n": (_run_with(partitions={"uniform": [4, 10**12]}), "partitions: N = 1000000000000"),
+    "oversized_uniform_n": (
+        _run_with(partitions={"uniform": [4, 10**12]}), "partitions: the plan's N + 1 sum to 1000000000006"),
     "csv_row_with_a_non_number": (_rate_with_row(lambda f: f[:3] + ["x"] + f[4:]), "line 3"),
     "csv_row_with_too_few_fields": (_rate_with_row(lambda f: f[:3]), "line 3"),
     "csv_without_header": (_csv_file("#schema=1\n"), "columns do not match"),
@@ -133,6 +135,31 @@ def test_malformed_input_is_config_error(case, tmp_path, capsys):
     assert rc == 2
     assert err.startswith("configuration error:")
     assert named in err
+
+
+@pytest.mark.parametrize("overrides", [
+    {"tau": 1e200},
+    {"hamiltonian": {"random": {"seed": 1, "norm": 1e308}}},
+    {"curve": {"generated": {"generator": {"random": {"seed": 11, "norm": 1e160}}}}},
+], ids=["tau", "hamiltonian_norm", "generator_norm"])
+def test_scale_beyond_float_range_is_config_error(overrides, tmp_path, capsys):
+    # The first two were a traceback: an OverflowError from mesh_condition at
+    # this tau, a LinAlgError from the sigma_domination row at this norm. The
+    # generator's eta overflows while it is computed, and still exits 2.
+    with open(os.path.join(SCENARIOS, "unitary_approx.json")) as fh:
+        payload = json.load(fh)
+    del payload["output"]
+    payload.update(overrides)
+    path = tmp_path / "scaled.json"
+    path.write_text(json.dumps(payload))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        rc = main(["run", str(path)])
+    captured = capsys.readouterr()
+    assert rc == 2
+    assert captured.out == ""
+    assert captured.err.startswith("configuration error: tau, hamiltonian and curve: ")
+    assert len(captured.err.splitlines()) == 1
 
 
 class TestSweepCommand:

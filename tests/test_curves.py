@@ -31,19 +31,19 @@ class TestEvaluate:
         base = seeded_cons(3, 1)
         curve = StaticCurve(base, 2.0)
         for t in (0.0, 0.5, 2.0):
-            np.testing.assert_array_equal(curve.evaluate(t), base)
+            np.testing.assert_array_equal(curve.frames_at(t)[0], base)
 
     def test_generated_starts_at_base(self):
-        np.testing.assert_allclose(y_curve().evaluate(0.0), np.eye(2), atol=1e-14)
+        np.testing.assert_allclose(y_curve().frames_at(0.0)[0], np.eye(2), atol=1e-14)
 
     def test_generated_quarter_turn(self):
         # e^{-i t Y} acts on |0> as (cos t, sin t); at t = pi/2 that is |1>.
-        psi = y_curve().evaluate(math.pi / 2)[:, 0]
+        psi = y_curve().frames_at(math.pi / 2)[0, :, 0]
         np.testing.assert_allclose(psi, [0.0, 1.0], atol=1e-12)
 
     def test_rejects_time_outside_horizon(self):
         with pytest.raises(ValidationError, match="outside"):
-            y_curve(tau=1.0).evaluate(1.5)
+            y_curve(tau=1.0).frames_at(1.5)
 
     @pytest.mark.parametrize("seed", range(3))
     def test_orthonormal_at_random_times(self, seed):
@@ -51,7 +51,7 @@ class TestEvaluate:
         dim = int(rng.integers(2, 9))
         curve = GeneratedCurve(seeded_hermitian(dim, seed), seeded_cons(dim, seed + 5), 1.3)
         for t in rng.uniform(0.0, 1.3, size=100):
-            assert orthonormality_defect(curve.evaluate(float(t))) <= 1e-9
+            assert orthonormality_defect(curve.frames_at(float(t))[0]) <= 1e-9
 
 
 def three_variants(tau=1.3):
@@ -73,7 +73,7 @@ class TestFramesAt:
         curve = three_variants()[variant]
         grid = random_partition(1.3, 40, seed=3).times
         for times in (np.array([0.0, 1.3]), grid, grid[::-1], np.array([grid[5]])):
-            stacked = np.stack([curve.evaluate(float(t)) for t in times])
+            stacked = np.stack([curve.frames_at(float(t))[0] for t in times])
             np.testing.assert_array_equal(curve.frames_at(times), stacked)
 
     def test_generated_is_exactly_base_at_zero(self):
@@ -98,7 +98,7 @@ class TestFramesAt:
         with pytest.raises(ValidationError, match="time nan outside"):
             curve.frames_at([0.0, math.nan])
         with pytest.raises(ValidationError, match="time nan outside"):
-            curve.evaluate(math.nan)
+            curve.frames_at(math.nan)
 
     @pytest.mark.parametrize("variant", ["static", "generated", "sampled"])
     def test_rejects_time_outside_horizon(self, variant):
@@ -115,7 +115,7 @@ class TestFramesAt:
             curve.frames_at([grid[0], 0.5 * (grid[1] + grid[2]), grid[-1]])
         # evaluate is frames_at at one time: no nearest-frame fallback.
         with pytest.raises(ValidationError, match="not on the sampled grid"):
-            curve.evaluate(grid[1] + 1e-6)
+            curve.frames_at(grid[1] + 1e-6)
 
 
 def energy_sups(curve, h):
@@ -156,7 +156,7 @@ class TestEnergySup:
     def test_sampled_uses_its_own_grid(self):
         gen = y_curve(tau=1.0)
         times = np.linspace(0.0, 1.0, 5)
-        curve = SampledCurve(times, [gen.evaluate(t) for t in times])
+        curve = SampledCurve(times, [gen.frames_at(t)[0] for t in times])
         expected = max(float(np.linalg.norm(PAULI_Z @ f[:, 0])) for f in curve.frames)
         assert energy_sups(curve, PAULI_Z)[0] == pytest.approx(expected, abs=1e-14)
 
@@ -191,7 +191,7 @@ class TestLipschitzBound:
         etas = curve.lipschitz()
         for _ in range(50):
             s, t = sorted(rng.uniform(0.0, 1.2, size=2))
-            gap = np.linalg.norm(curve.evaluate(t) - curve.evaluate(s), axis=0)
+            gap = np.linalg.norm(curve.frames_at(t)[0] - curve.frames_at(s)[0], axis=0)
             assert np.all(gap <= etas * (t - s) + 1e-9)
 
 
@@ -242,9 +242,9 @@ class TestDriftSum:
         drifts = partition_drifts(curve, partition)
         for k in range(dim):
             acc = 0.0
-            prev = curve.evaluate(0.0)[:, k]
+            prev = curve.frames_at(0.0)[0, :, k]
             for t in partition.times[1:]:
-                cur = curve.evaluate(float(t))[:, k]
+                cur = curve.frames_at(float(t))[0, :, k]
                 acc += float(np.linalg.norm(cur - prev) ** 2)
                 prev = cur
             assert abs(drifts[k] + 0.5 * acc) <= 1e-10
@@ -257,9 +257,9 @@ class TestDriftSum:
         partition = random_partition(1.0, n, seed=n)
         drifts = partition_drifts(curve, partition)
         for k in range(5):
-            loop, prev = 0.0, curve.evaluate(0.0)[:, k]
+            loop, prev = 0.0, curve.frames_at(0.0)[0, :, k]
             for t in partition.times[1:]:
-                cur = curve.evaluate(float(t))[:, k]
+                cur = curve.frames_at(float(t))[0, :, k]
                 loop += float(np.real(np.vdot(prev, cur - prev)))
                 prev = cur
             assert abs(drifts[k] - loop) <= n * 5 * np.finfo(float).eps
@@ -282,8 +282,8 @@ class TestGeneratedDerivative:
         a = a / max(1.0, 0.5 * float(np.max(np.abs(np.linalg.eigvalsh(a)))))  # keep ||A|| <= 2
         curve = GeneratedCurve(a, seeded_cons(dim, seed), 1.0)
         t = float(rng.uniform(0.0, 1.0 - h))
-        frame = curve.evaluate(t)
-        fd = (curve.evaluate(t + h) - frame) / h
+        frame = curve.frames_at(t)[0]
+        fd = (curve.frames_at(t + h)[0] - frame) / h
         exact = -1j * (a @ frame)
         for k in range(dim):
             err = float(np.linalg.norm(fd[:, k] - exact[:, k]))
@@ -294,7 +294,7 @@ class TestSampledCurve:
     def make(self):
         gen = y_curve(tau=1.0)
         times = np.linspace(0.0, 1.0, 5)
-        return SampledCurve(times, [gen.evaluate(t) for t in times]), gen
+        return SampledCurve(times, [gen.frames_at(t)[0] for t in times]), gen
 
     def test_rejects_non_orthonormal_frame(self):
         with pytest.raises(ValidationError, match="orthonormal"):

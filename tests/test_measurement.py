@@ -65,7 +65,7 @@ def stepwise_channels(m, hamiltonian, curve, partition):
     frame at t."""
     times = [float(t) for t in partition.times]
     for t0, t1 in zip(times, times[1:]):
-        u, f = hamiltonian.propagator(t1 - t0), curve.evaluate(t1)
+        u, f = hamiltonian.propagator(t1 - t0), curve.frames_at(t1)[0]
         m = u @ m @ u.conj().T
         m = (f * np.real(np.diag(f.conj().T @ m @ f))) @ f.conj().T
     return m
@@ -197,7 +197,7 @@ class TestBatchedTransfer:
         h = hermitian_eigendecompose(seeded_hermitian(4, 2))
         times = [float(t) for t in partition.times]
         loop = [
-            np.abs(curve.evaluate(t1).conj().T @ h.propagator(t1 - t0) @ curve.evaluate(t0)) ** 2
+            np.abs(curve.frames_at(t1)[0].conj().T @ h.propagator(t1 - t0) @ curve.frames_at(t0)[0]) ** 2
             for t0, t1 in zip(times, times[1:])
         ]
         np.testing.assert_array_equal(block_transfer_matrices(curve, h, partition), loop)
@@ -342,7 +342,7 @@ class TestEvolveByChannels:
     def test_sampled_curve_requires_partition_on_grid(self):
         gen = GeneratedCurve(seeded_hermitian(2, 1), np.eye(2, dtype=complex), 1.0)
         times = np.linspace(0.0, 1.0, 5)
-        curve = SampledCurve(times, [gen.evaluate(t) for t in times])
+        curve = SampledCurve(times, [gen.frames_at(t)[0] for t in times])
         with pytest.raises(ValidationError, match="grid"):
             run_measurement([0.7, 0.3], hermitian_eigendecompose(PAULI_X), curve, uniform_partition(1.0, 3))
 
@@ -443,7 +443,7 @@ class TestTargetState:
         curve = GeneratedCurve(seeded_hermitian(3, 1), seeded_cons(3, 2), 1.0)
         h = hermitian_eigendecompose(seeded_hermitian(3, 3))
         result = run_measurement([1.0, 0.0, 0.0], h, curve, uniform_partition(1.0, 4))
-        psi = curve.evaluate(1.0)[:, 0]
+        psi = curve.frames_at(1.0)[0, :, 0]
         expected = trace_norm(result.rho_final.matrix - np.outer(psi, psi.conj()))
         assert result.trace_distance_to_target == pytest.approx(expected, abs=1e-12)
 
@@ -659,7 +659,7 @@ class TestStreamedTrajectory:
         np.testing.assert_allclose(result.rho_final.matrix, rho_final, rtol=0, atol=tol)
         np.testing.assert_allclose(result.frames.drifts, drifts, rtol=0, atol=tol)
         np.testing.assert_allclose(result.frames.half_square_sums, half_sq, rtol=0, atol=tol)
-        np.testing.assert_array_equal(result.frames.final, curve.evaluate(1.0))
+        np.testing.assert_array_equal(result.frames.final, curve.frames_at(1.0)[0])
 
     def test_traced_peak_is_flat_in_n(self):
         # Every block is dropped once the routes have read it, so the peak

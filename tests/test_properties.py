@@ -44,7 +44,7 @@ def test_run_measurement_identities(dim, n, seed, kind):
 
     # Route agreement: the channel route's state, read in the frame at tau,
     # carries the transfer route's weights on its diagonal.
-    final_basis = curve.evaluate(1.0)
+    final_basis = curve.frames_at(1.0)[0]
     by_channels = np.real(np.diag(final_basis.conj().T @ result.rho_final.matrix @ final_basis))
     np.testing.assert_allclose(by_channels, result.weights_out, rtol=0, atol=DIAGONAL_TOL)
     np.testing.assert_array_equal(result.weights, w)

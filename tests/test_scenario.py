@@ -11,8 +11,8 @@ import pytest
 
 from zenolab.curves import GeneratedCurve, SampledCurve, StaticCurve
 from zenolab.cli import main
-from zenolab.errors import SchemaError
-from zenolab.scenario import MAX_PARTITION_STEPS, load_scenario
+from zenolab.errors import SchemaError, ValidationError
+from zenolab.scenario import MAX_PLAN_TIMES, MAX_SCALE, _require_steps_fit, load_scenario
 from zenolab.sweep import run_sweep
 
 SCENARIOS = os.path.join(os.path.dirname(__file__), "..", "scenarios")
@@ -120,9 +120,34 @@ class TestLoadScenario:
         path = minimal_zeno(tmp_path, dim=d, hamiltonian={"diagonal": list(np.linspace(0.0, 1.0, d))},
                             state={"eigenvalues": [1.0 / d] * d}, partitions={"uniform": [20000]})
         assert [p.n for p in load_scenario(path).partitions] == [20000]
-        path = minimal_zeno(tmp_path, partitions={"uniform": [4, MAX_PARTITION_STEPS + 1]})
-        with pytest.raises(SchemaError, match=f"partitions: N = {MAX_PARTITION_STEPS + 1} exceeds"):
+        path = minimal_zeno(tmp_path, partitions={"uniform": [4, MAX_PLAN_TIMES]})
+        with pytest.raises(SchemaError, match=f"partitions: the plan's N \\+ 1 sum to {MAX_PLAN_TIMES + 6}, above"):
             load_scenario(path)
+
+    @pytest.mark.parametrize("plan", [{"uniform": [2**23, 2**23]}, {"random": {"n": [2**23, 2**23], "seed": 1}}],
+                             ids=["uniform", "random"])
+    def test_partition_cap_is_on_the_whole_plan(self, tmp_path, monkeypatch, plan):
+        # load_scenario holds every partition of a plan at once, so the cap is on
+        # the plan's sum of N + 1, checked before any partition is built.
+        import zenolab.scenario as scenario_mod
+
+        def refuse(*args):
+            raise AssertionError("a partition was built")
+
+        monkeypatch.setattr(scenario_mod, "uniform_partition", refuse)
+        monkeypatch.setattr(scenario_mod, "random_partition", refuse)
+        with pytest.raises(SchemaError, match=f"partitions: the plan's N \\+ 1 sum to {2**24 + 2}, above the cap"):
+            load_scenario(minimal_zeno(tmp_path, partitions=plan))
+
+    def test_a_single_partition_keeps_the_cap_of_n(self):
+        _require_steps_fit([MAX_PLAN_TIMES - 1])
+        _require_steps_fit([2**23 - 1, 2**23 - 1])
+        with pytest.raises(ValidationError, match="partitions:"):
+            _require_steps_fit([MAX_PLAN_TIMES])
+
+    def test_scale_at_the_cap_loads(self, tmp_path):
+        path = minimal_zeno(tmp_path, tau=MAX_SCALE, partitions={"uniform": [1]})
+        assert load_scenario(path).tau == MAX_SCALE
 
 
 class TestOperatorSpecs:

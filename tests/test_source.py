@@ -1,6 +1,7 @@
 """Source hygiene without a linter: every name a zenolab module imports is
 used in that module, every module-level definition is read somewhere in
-the package or exported, a Hermitian operator is validated only where it
+the package or exported, every public method is read somewhere in the
+package or the benchmark, a Hermitian operator is validated only where it
 enters the program, and the two routes of measurement.py never read each
 other. __init__.py is skipped by the import check, since its imports are
 the package's exports."""
@@ -12,6 +13,7 @@ import pytest
 
 PACKAGE = pathlib.Path(__file__).resolve().parent.parent / "src" / "zenolab"
 MODULES = sorted(p for p in PACKAGE.glob("*.py") if p.name != "__init__.py")
+BENCHMARKS = PACKAGE.parent.parent / "benchmarks"
 
 
 def unused_imports(source: str) -> list[str]:
@@ -27,15 +29,22 @@ def unused_imports(source: str) -> list[str]:
     return sorted(imported - used)
 
 
-def dead_definitions(sources: dict) -> list[str]:
+def dead_definitions(sources: dict, readers: tuple = ()) -> list[str]:
     """module:name for each module-level function, class or constant of the
     non-__init__ modules in sources (file name -> text) that no Name node of
-    any module reads and that __init__.py does not import."""
+    any module reads and that __init__.py does not import; and
+    module:Class.name for each public method, classmethod or property of
+    their classes that no Name or Attribute node of sources or of the
+    reader texts reads."""
     trees = {name: ast.parse(text) for name, text in sources.items()}
-    live = {node.id for tree in trees.values() for node in ast.walk(tree)
-            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load)}
+    loads = [node for tree in trees.values() for node in ast.walk(tree) if isinstance(getattr(node, "ctx", None), ast.Load)]
+    live = {node.id for node in loads if isinstance(node, ast.Name)}
     live |= {alias.name for node in ast.walk(trees["__init__.py"])
              if isinstance(node, ast.ImportFrom) for alias in node.names}
+    loads += [node for text in readers for node in ast.walk(ast.parse(text))
+              if isinstance(getattr(node, "ctx", None), ast.Load)]
+    read = {node.id if isinstance(node, ast.Name) else node.attr for node in loads
+            if isinstance(node, (ast.Name, ast.Attribute))}
     dead = []
     for module, tree in sorted(trees.items()):
         if module == "__init__.py":
@@ -50,6 +59,9 @@ def dead_definitions(sources: dict) -> list[str]:
             else:
                 names = []
             dead += [f"{module}:{name}" for name in names if name not in live]
+            if isinstance(node, ast.ClassDef):
+                dead += [f"{module}:{node.name}.{m.name}" for m in node.body
+                         if isinstance(m, ast.FunctionDef) and not m.name.startswith("_") and m.name not in read]
     return dead
 
 
@@ -142,8 +154,30 @@ def test_the_walk_finds_a_dead_definition():
     assert dead_definitions(sources) == ["a.py:UNUSED", "a.py:Orphan", "b.py:orphan"]
 
 
+def test_the_walk_finds_a_dead_method():
+    sources = {
+        "__init__.py": "from .a import State\n",
+        "a.py": "class State:\n    def __post_init__(self):\n        self._check()\n\n"
+                "    def _check(self):\n        return self.dim\n\n"
+                "    @property\n    def dim(self):\n        return 2\n\n"
+                "    @property\n    def rank(self):\n        return 1\n\n"
+                "    @classmethod\n    def mixed(cls, d):\n        return cls()\n\n"
+                "    @classmethod\n    def pure(cls, v):\n        return cls()\n\n"
+                "    def evaluate(self, t):\n        return t\n\n"
+                "    def spectrum(self):\n        return [1.0]\n",
+        "b.py": "from .a import State\n\ndef entropy(s):\n    return s.spectrum()\n\nentropy(State())\n",
+    }
+    readers = ("import a\nmixed = a.State.mixed(2)\n", "def evaluate(t):\n    pass\n")
+    # A read counts, as a Name or as an Attribute; a definition of the same name does not.
+    assert dead_definitions(sources, readers) == ["a.py:State.rank", "a.py:State.pure", "a.py:State.evaluate"]
+    assert dead_definitions(sources) == ["a.py:State.rank", "a.py:State.mixed", "a.py:State.pure",
+                                         "a.py:State.evaluate"]
+
+
 def test_every_definition_is_read_or_exported():
-    assert dead_definitions({p.name: p.read_text() for p in PACKAGE.glob("*.py")}) == []
+    readers = tuple(p.read_text() for p in sorted(BENCHMARKS.rglob("*.py")))
+    assert readers
+    assert dead_definitions({p.name: p.read_text() for p in PACKAGE.glob("*.py")}, readers) == []
 
 
 def test_the_walk_finds_a_validation_outside_its_homes():

@@ -13,7 +13,7 @@ from zenolab.curves import StaticCurve
 from zenolab.errors import ValidationError
 from zenolab.linalg import hermitian_eigendecompose, seeded_cons, seeded_hermitian, trace_norm
 from zenolab.measurement import run_measurement, uniform_partition
-from zenolab.states import DensityMatrix, clean_spectrum, entr, fannes_bound_at, von_neumann_entropy
+from zenolab.states import DensityMatrix, entr, fannes_bound_at, require_weights, von_neumann_entropy
 
 from conftest import state_matrix
 
@@ -24,14 +24,13 @@ def fannes_between(rho1, rho2):
 
 
 def eigen_expansion(rho):
-    """A state's eigen-expansion: the eigenbasis, with the clamp-and-renormalize policy on the weights."""
-    eig = hermitian_eigendecompose(rho.matrix)
-    return clean_spectrum(eig.values), eig.vectors
+    """A state's eigen-expansion: its kept spectrum, ascending, and the matching eigenbasis."""
+    return rho.spectrum, hermitian_eigendecompose(rho.matrix).vectors
 
 
 class TestDensityMatrix:
     def test_accepts_valid_state(self):
-        rho = DensityMatrix.diagonal([0.7, 0.3])
+        rho = DensityMatrix(np.diag([0.7, 0.3]))
         assert rho.dim == 2
         assert not rho.matrix.flags.writeable
 
@@ -49,12 +48,42 @@ class TestDensityMatrix:
             DensityMatrix(m)
 
     def test_clamp_policy_accepts_tiny_negative_drift(self):
-        # von_neumann_entropy applies the policy: the -5e-11 eigenvalue is
+        # The kept spectrum applies the policy: the -5e-11 eigenvalue is
         # clamped to 0, so the state counts as pure.
         rho = DensityMatrix(np.diag([1.0 + 5e-11, -5e-11]).astype(complex))
         assert von_neumann_entropy(rho) == 0.0
-        weights = clean_spectrum(np.linalg.eigvalsh(rho.matrix))
-        np.testing.assert_array_equal(weights, [0.0, 1.0])
+        np.testing.assert_array_equal(rho.spectrum, [0.0, 1.0])
+
+    def test_spectrum_clamps_and_renormalizes(self):
+        # -1e-11 clamps to 0; the rest, summing to 1 + 1e-11, is divided by that sum.
+        rho = DensityMatrix(np.diag([0.5 + 1e-11, 0.5, -1e-11]))
+        assert rho.spectrum[0] == 0.0
+        np.testing.assert_allclose(rho.spectrum, np.array([0.0, 0.5, 0.5 + 1e-11]) / (1.0 + 1e-11),
+                                   rtol=0, atol=1e-16)
+        assert rho.spectrum.sum() == pytest.approx(1.0, abs=1e-15)
+
+    def test_spectrum_is_read_only(self):
+        rho = DensityMatrix.maximally_mixed(3)
+        assert not rho.spectrum.flags.writeable
+        with pytest.raises(ValueError):
+            rho.spectrum[0] = 1.0
+        with pytest.raises(AttributeError):
+            rho.spectrum = np.array([1.0, 0.0, 0.0])
+
+    def test_spectrum_is_not_an_argument(self):
+        with pytest.raises(TypeError):
+            DensityMatrix(np.eye(2) / 2, spectrum=np.array([0.5, 0.5]))
+
+    def test_state_is_decomposed_once(self, monkeypatch):
+        # One eigvalsh on construction; the entropy reads the spectrum it kept.
+        w = np.random.default_rng(4).exponential(size=5)
+        matrix = state_matrix(w / w.sum(), seeded_cons(5, 5))
+        calls, eigvalsh = [], np.linalg.eigvalsh
+        monkeypatch.setattr(np.linalg, "eigvalsh", lambda m: calls.append(m) or eigvalsh(m))
+        rho = DensityMatrix(matrix)
+        assert len(calls) == 1
+        von_neumann_entropy(rho)
+        assert len(calls) == 1
 
 
 class TestSpectralDecompose:
@@ -63,7 +92,7 @@ class TestSpectralDecompose:
         np.testing.assert_allclose(weights, [0.5, 0.5], atol=1e-12)
 
     def test_diagonal_input(self):
-        weights, basis = eigen_expansion(DensityMatrix.diagonal([0.7, 0.3]))
+        weights, basis = eigen_expansion(DensityMatrix(np.diag([0.7, 0.3])))
         assert sorted(weights) == pytest.approx([0.3, 0.7], abs=1e-12)
         # Basis columns match the standard basis up to phase and order.
         mags = np.abs(basis)
@@ -71,14 +100,36 @@ class TestSpectralDecompose:
 
     @pytest.mark.parametrize("seed", [1, 2, 3])
     def test_seeded_reconstruction(self, seed):
-        rho = DensityMatrix.seeded_random(5, seed)
+        w = np.random.default_rng(seed).exponential(size=5)
+        rho = DensityMatrix(state_matrix(w / w.sum(), seeded_cons(5, seed + 1)))
         weights, basis = eigen_expansion(rho)
         assert np.max(np.abs((basis * weights) @ basis.conj().T - rho.matrix)) <= 1e-9
         assert weights.sum() == pytest.approx(1.0, abs=1e-10)
 
     def test_rejects_genuinely_negative_spectrum(self):
-        with pytest.raises(ValidationError, match="not a state"):
-            clean_spectrum(np.array([1.2, -0.2]))
+        # Below the floor of -1e-10 the clamp does not apply: not a state.
+        with pytest.raises(ValidationError, match="eigenvalue -2.000e-10 < -1e-10"):
+            DensityMatrix(np.diag([1.0 + 2e-10, -2e-10]))
+
+
+class TestRequireWeights:
+    def test_returns_a_float_copy(self):
+        given = [0.7, 0.3]
+        w = require_weights(given)
+        assert w.dtype == float and w.tolist() == given
+        w[0] = 0.0
+        assert given == [0.7, 0.3]
+
+    @pytest.mark.parametrize("weights, message", [
+        ([1.2, -0.2], "must be finite and nonnegative"),
+        ([math.nan, 1.0], "must be finite and nonnegative"),
+        ([0.7, 0.3 + 5e-10], "sum to 1.0000000005, expected 1"),
+    ])
+    def test_name_labels_the_errors(self, weights, message):
+        with pytest.raises(ValidationError, match=f"^weights {message}"):
+            require_weights(weights)
+        with pytest.raises(ValidationError, match=f"^state.eigenvalues {message}"):
+            require_weights(weights, name="state.eigenvalues")
 
 
 class TestEntropyKernel:
@@ -118,7 +169,7 @@ class TestEntropyKernel:
 
 class TestVonNeumannEntropy:
     def test_pure_state_is_zero(self):
-        assert von_neumann_entropy(DensityMatrix.pure([1.0, 0.0, 0.0])) == pytest.approx(0.0, abs=1e-12)
+        assert von_neumann_entropy(DensityMatrix(np.diag([1.0, 0.0, 0.0]))) == pytest.approx(0.0, abs=1e-12)
 
     def test_maximally_mixed_qubit(self):
         assert von_neumann_entropy(DensityMatrix.maximally_mixed(2)) == pytest.approx(
@@ -127,7 +178,7 @@ class TestVonNeumannEntropy:
 
     def test_diagonal_oracle(self):
         # -0.7 ln 0.7 - 0.3 ln 0.3 by scalar oracle
-        assert von_neumann_entropy(DensityMatrix.diagonal([0.7, 0.3])) == pytest.approx(
+        assert von_neumann_entropy(DensityMatrix(np.diag([0.7, 0.3]))) == pytest.approx(
             0.6108643020548935, abs=1e-12
         )
 
@@ -135,7 +186,8 @@ class TestVonNeumannEntropy:
     def test_unitary_invariance(self, seed):
         rng = np.random.default_rng(seed)
         dim = int(rng.integers(2, 9))
-        rho = DensityMatrix.seeded_random(dim, seed)
+        w = np.random.default_rng(seed).exponential(size=dim)
+        rho = DensityMatrix(state_matrix(w / w.sum(), seeded_cons(dim, seed + 1)))
         u = hermitian_eigendecompose(seeded_hermitian(dim, seed + 10)).propagator(0.9)
         rotated = DensityMatrix(u @ rho.matrix @ u.conj().T)
         assert abs(von_neumann_entropy(rotated) - von_neumann_entropy(rho)) <= 1e-9
@@ -143,15 +195,15 @@ class TestVonNeumannEntropy:
 
 class TestFannesBound:
     def test_identical_states(self):
-        rho = DensityMatrix.diagonal([0.6, 0.4])
+        rho = DensityMatrix(np.diag([0.6, 0.4]))
         fb = fannes_between(rho, rho)
         assert fb.trace_distance == pytest.approx(0.0, abs=1e-12)
         assert fb.bound == pytest.approx(0.0, abs=1e-10)
         assert fb.applicable
 
     def test_scalar_oracle_pair(self):
-        rho1 = DensityMatrix.diagonal([0.7, 0.3])
-        rho2 = DensityMatrix.diagonal([0.75, 0.25])
+        rho1 = DensityMatrix(np.diag([0.7, 0.3]))
+        rho2 = DensityMatrix(np.diag([0.75, 0.25]))
         fb = fannes_between(rho1, rho2)
         assert fb.trace_distance == pytest.approx(0.1, abs=1e-12)
         assert fb.applicable
@@ -161,7 +213,7 @@ class TestFannesBound:
         assert gap <= fb.bound
 
     def test_large_distance_not_applicable(self):
-        fb = fannes_between(DensityMatrix.pure([1.0, 0.0]), DensityMatrix.pure([0.0, 1.0]))
+        fb = fannes_between(DensityMatrix(np.diag([1.0, 0.0])), DensityMatrix(np.diag([0.0, 1.0])))
         assert fb.trace_distance == pytest.approx(2.0, abs=1e-9)
         assert not fb.applicable
 
