@@ -24,7 +24,7 @@ from .curves import (
     StaticCurve,
     curve_bounds,
 )
-from .errors import InvariantViolation, SchemaError, ValidationError, ZenolabError
+from .errors import InvariantViolation, ValidationError, ZenolabError
 from .linalg import (
     HermitianEigen,
     hermitian_eigendecompose,

@@ -59,7 +59,9 @@ def survival_lower_bound(xi, eta, a: float, partition: Partition, drift):
     """
     if not a > 1:
         raise ValidationError(f"constant a must exceed 1, got {a}")
-    exponent = -a * ((xi**2 + 2 * xi * eta) * partition.sumsq - 2.0 * drift)
+    # The bracket is >= 0 (drift <= 0): an a that overflows the exponent to -inf gives the limit 0.
+    with np.errstate(over="ignore"):
+        exponent = -a * ((xi**2 + 2 * xi * eta) * partition.sumsq - 2.0 * drift)
     return np.exp(exponent)
 
 

@@ -103,6 +103,15 @@ def _cmd_plot_script(args) -> int:
     return EXIT_OK
 
 
+def _int_at_least(least: int):
+    """An argparse type: an integer >= least, else argparse's usage error and exit 2."""
+    def integer(text: str) -> int:  # argparse names it for text that is no integer
+        if int(text) < least:
+            raise argparse.ArgumentTypeError(f"must be an integer >= {least}, got {text}")
+        return int(text)
+    return integer
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(prog="zenolab", description=__doc__, formatter_class=argparse.RawDescriptionHelpFormatter)
     sub = parser.add_subparsers(dest="command", required=True)
@@ -117,9 +126,9 @@ def build_parser() -> argparse.ArgumentParser:
     p_sweep.set_defaults(func=_cmd_sweep)
 
     p_check = sub.add_parser("check", help="run the seeded invariant corpus")
-    p_check.add_argument("--seed", type=int, default=42)
-    p_check.add_argument("--size", type=int, default=200)
-    p_check.add_argument("--replay", type=int, default=None, metavar="SCENARIO_SEED",
+    p_check.add_argument("--seed", type=_int_at_least(0), default=42)
+    p_check.add_argument("--size", type=_int_at_least(1), default=200)
+    p_check.add_argument("--replay", type=_int_at_least(0), default=None, metavar="SCENARIO_SEED",
                          help="rerun a single scenario by its reported seed")
     p_check.set_defaults(func=_cmd_check)
 
@@ -145,10 +154,7 @@ def main(argv=None) -> int:
     except InvariantViolation as exc:
         print(f"invariant violation: {exc}", file=sys.stderr)
         return EXIT_INVARIANT
-    except ValidationError as exc:
-        print(f"configuration error: {exc}", file=sys.stderr)
-        return EXIT_CONFIG
-    except OSError as exc:
+    except (ValidationError, OSError) as exc:
         print(f"configuration error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
 

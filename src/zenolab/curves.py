@@ -38,6 +38,11 @@ GRID_POINTS = 257
 COMMUTING_TOL = 1e-10
 
 
+def time_tol(tau: float) -> float:
+    """How far a time may sit from a time of [0, tau] and still be it: 1e-12, relative beyond tau = 1."""
+    return 1e-12 * max(1.0, tau)
+
+
 class BasisCurve:
     """Common surface of the three curve variants."""
 
@@ -52,7 +57,7 @@ class BasisCurve:
     def _check_times(self, times) -> np.ndarray:
         t = np.atleast_1d(np.asarray(times, dtype=float))
         # Written to fail closed, so a NaN time counts as outside.
-        outside = ~((t >= -1e-12) & (t <= self.tau + 1e-12))
+        outside = ~((t >= -time_tol(self.tau)) & (t <= self.tau + time_tol(self.tau)))
         if np.any(outside):
             raise ValidationError(f"time {float(t[outside][0])} outside [0, {self.tau}]")
         return np.clip(t, 0.0, self.tau)
@@ -149,7 +154,7 @@ class SampledCurve(BasisCurve):
             raise ValidationError(f"sampled grid time {float(times[~np.isfinite(times)][0])} is not finite")
         if np.any(np.diff(times) <= 0):
             raise ValidationError("sampled grid times must be strictly ascending")
-        if abs(times[0]) > 1e-12:
+        if abs(times[0]) > time_tol(times[-1]):
             raise ValidationError("sampled grid must start at 0")
         if len(frames) != times.shape[0]:
             raise ValidationError(f"{len(frames)} frames for {times.shape[0]} grid times")
@@ -182,7 +187,7 @@ class SampledCurve(BasisCurve):
         grid = self.times
         i = np.clip(np.searchsorted(grid, t), 1, grid.shape[0] - 1)
         i -= t - grid[i - 1] <= grid[i] - t
-        off = np.abs(grid[i] - t) > 1e-12 * max(1.0, self.tau)
+        off = np.abs(grid[i] - t) > time_tol(self.tau)
         if np.any(off):
             raise ValidationError(f"time {float(t[off][0])} is not on the sampled grid (no interpolation)")
         return self.frames[i]

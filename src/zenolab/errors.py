@@ -1,4 +1,4 @@
-"""Exception types shared across the package."""
+"""Exception types shared across the package: every input error is a ValidationError, exit 2 at the command line."""
 
 from __future__ import annotations
 
@@ -9,14 +9,6 @@ class ZenolabError(Exception):
 
 class ValidationError(ZenolabError):
     """A precondition or structural invariant of an input failed."""
-
-
-class SchemaError(ValidationError):
-    """A scenario file violated the schema. Collects every violated field."""
-
-    def __init__(self, problems: list[str]):
-        self.problems = list(problems)
-        super().__init__("; ".join(self.problems))
 
 
 class InvariantViolation(ZenolabError):

@@ -125,9 +125,11 @@ def commutator_norm(a, h) -> float:
 
 
 def orthonormality_defect(cons: np.ndarray):
-    """Largest entrywise deviation of cons* cons from the identity, per matrix of a (..., d, d) stack."""
-    gram = np.swapaxes(cons.conj(), -1, -2) @ cons
-    return np.max(np.abs(gram - np.eye(cons.shape[-1])), axis=(-2, -1))
+    """Largest entrywise deviation of cons* cons from I, per matrix of a (..., d, d) stack; inf on overflow."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        gram = np.swapaxes(cons.conj(), -1, -2) @ cons
+        defect = np.max(np.abs(gram - np.eye(cons.shape[-1])), axis=(-2, -1))
+    return np.nan_to_num(defect, nan=np.inf, posinf=np.inf)
 
 
 def require_cons(cons, name: str = "basis") -> np.ndarray:

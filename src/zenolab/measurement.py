@@ -57,7 +57,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .curves import BasisCurve, drift_sums, half_square_sums
+from .curves import BasisCurve, drift_sums, half_square_sums, time_tol
 from .errors import InvariantViolation, ValidationError
 from .linalg import HermitianEigen, trace_norm
 from .states import DensityMatrix, require_weights
@@ -173,7 +173,7 @@ def _trajectory_blocks(curve: BasisCurve, hamiltonian: HermitianEigen, partition
     The frame on a block boundary is carried into the next block, so every
     partition time is evaluated once.
     """
-    if abs(partition.tau - curve.tau) > 1e-12 * max(1.0, curve.tau):
+    if abs(partition.tau - curve.tau) > time_tol(curve.tau):
         raise ValidationError(f"partition horizon {partition.tau} differs from curve horizon {curve.tau}")
     if hamiltonian.dim != curve.dim:
         raise ValidationError(f"hamiltonian dimension {hamiltonian.dim} does not match the curve")

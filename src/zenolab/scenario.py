@@ -6,28 +6,29 @@ partitions to sweep, the bound constant a and an optional CSV output path.
 Any other top-level field is an error. Keys beginning with an underscore are
 ignored everywhere, which is how the shipped example files carry comments.
 
+One reader reads a scenario file and its frames file, and one set of rules
+reads every value, so each input error is a ValidationError that names the
+field: a spec names exactly one form and only that form's keys, a number is a
+finite JSON number of the kind and shape its field needs, and a complex entry
+is an [re, im] pair.
+
 load_scenario builds and validates every piece once, the Hamiltonian as a
 HermitianEigen, and returns them as a Scenario: a sampled curve's frames file is
 read there, relative to the scenario file, and sweeps never re-read a file or
 rebuild an operator.
-
-Operator literals use [re, im] pairs for complex entries, e.g.
-    {"dense": [[[0,0],[1,0]],[[1,0],[0,0]]]}
-Named forms: "pauli_x" / "pauli_y" / "pauli_z" (dimension 2 only),
-{"diagonal": [..]} and {"random": {"seed": S, "norm": 1.0}} where norm
-optionally rescales the matrix to that spectral norm.
 """
 
 from __future__ import annotations
 
 import json
 import os
+import sys
 from dataclasses import dataclass
 
 import numpy as np
 
-from .curves import BasisCurve, GeneratedCurve, SampledCurve, StaticCurve
-from .errors import SchemaError, ValidationError
+from .curves import BasisCurve, GeneratedCurve, SampledCurve, StaticCurve, time_tol
+from .errors import ValidationError
 from .linalg import (HermitianEigen, hermitian_eigendecompose, operator_norm_hermitian, require_cons, seeded_cons,
                      seeded_hermitian)
 from .measurement import Partition, random_partition, uniform_partition
@@ -39,7 +40,7 @@ PAULI = {
     "pauli_z": np.array([[1, 0], [0, -1]], dtype=complex),
 }
 
-# The top-level fields a scenario file may set.
+# The top-level fields a scenario file may set; all but a and output are required.
 FIELDS = ("dim", "tau", "state", "hamiltonian", "curve", "partitions", "a", "output")
 # Largest sum of N + 1 over a plan, at any d: a run streams its frames in blocks, so what grows
 # with N are float64 arrays of N + 1 entries, and load_scenario holds every partition of the plan at
@@ -77,84 +78,136 @@ class Scenario:
         return self.curve.tau
 
 
-def _without_comments(obj: dict) -> dict:
-    """json object_hook: drop the underscore keys, at every nesting level."""
-    return {k: v for k, v in obj.items() if not k.startswith("_")}
+def _read_json(path: str):
+    """The JSON document at path, its underscore keys dropped at every nesting level."""
+    try:
+        with open(path) as fh:
+            return json.load(fh, object_hook=lambda obj: {k: v for k, v in obj.items() if not k.startswith("_")})
+    except OSError as exc:
+        raise ValidationError(f"cannot read {path}: {exc}") from exc
+    except ValueError as exc:
+        raise ValidationError(f"{path} is not valid JSON: {exc}") from exc
 
 
-def build_operator(spec, dim: int) -> np.ndarray:
+def _keys(obj, name: str, required: tuple, optional: tuple = ()) -> dict:
+    """obj, an object that holds every required key and no other key but the optional ones."""
+    if not isinstance(obj, dict):
+        raise ValidationError(f"{name} must be an object, got {obj!r:.80}")
+    wrong = [f"missing key {k!r}" for k in required if k not in obj]
+    wrong += [f"unknown key {k!r}" for k in obj if k not in required + optional]
+    if wrong:
+        raise ValidationError(f"{name}: {wrong[0]}")
+    return obj
+
+
+def _form(spec, name: str, names: tuple, **forms) -> tuple:
+    """(form, params) of a spec: one of the bare names (params None), or an object naming exactly one of
+    forms. A form maps to None when its params are a plain value, else to the (required, optional) keys
+    of its params object."""
+    if isinstance(spec, str) and spec in names:
+        return spec, None
+    if not (isinstance(spec, dict) and len(spec) == 1 and next(iter(spec)) in forms):
+        raise ValidationError(f"{name} must be one of {', '.join(map(repr, [*names, *forms]))}, got {spec!r:.80}")
+    form, params = next(iter(spec.items()))
+    if forms[form] is not None:
+        _keys(params, f"{name}.{form}", *forms[form])
+    return form, params
+
+
+def _numbers(value, name: str, shape: tuple) -> np.ndarray:
+    """value as a float array of exactly shape (None: any length), every entry a finite number: a JSON
+    int or float, never a string or a boolean, within the float range."""
+    entries = np.array(value, dtype=object)  # keeps each entry's JSON type: no string or bool is converted
+    if entries.ndim != len(shape) or any(n not in (None, m) for n, m in zip(shape, entries.shape)):
+        want = str(tuple("n" if n is None else n for n in shape)).replace("'", "")
+        got = repr(value)[:80] if entries.ndim == 0 else f"shape {entries.shape}"
+        raise ValidationError(f"{name} must be numbers of shape {want}, got {got}")
+    # An int compares exactly with a float, so one beyond the float range fails; NaN compares False.
+    with np.errstate(invalid="ignore"):
+        if set(map(type, entries.flat)) <= {int, float} and np.all(np.abs(entries) <= sys.float_info.max):
+            return entries.astype(float)
+    bad = next(v for v in entries.flat if type(v) not in (int, float) or not abs(v) <= sys.float_info.max)
+    raise ValidationError(f"{name} must hold finite numbers only, got {bad!r:.80}")
+
+
+def _complex(value, name: str, shape: tuple) -> np.ndarray:
+    """A complex array of shape from [re, im] pairs; each entry keeps the bits of complex(re, im)."""
+    return _numbers(value, name, shape + (2,)).view(complex)[..., 0]
+
+
+def _real(value, name: str, low: float, strict: bool = False) -> float:
+    """value, one finite number (a _numbers of shape ()), as a float >= low, or > low when strict."""
+    number = float(_numbers(value, name, ()))
+    if not (number > low if strict else number >= low):
+        raise ValidationError(f"{name} must be {'>' if strict else '>='} {low:g}, got {value!r}")
+    return number
+
+
+def _count(value, name: str, positive: bool = False) -> int:
+    """value, a JSON integer >= 0 (a seed), or >= 1 when positive (a dim or an N)."""
+    if type(value) is not int or value < positive:
+        raise ValidationError(f"{name} must be a {['nonnegative', 'positive'][positive]} integer, got {value!r:.80}")
+    return value
+
+
+def build_operator(spec, dim: int, name: str = "hamiltonian") -> np.ndarray:
     """Hermitian operator from a named, diagonal, dense, or seeded-random spec."""
-    if isinstance(spec, str):
-        if spec not in PAULI:
-            raise ValidationError(f"unknown operator name {spec!r}")
-        if dim != 2:
-            raise ValidationError(f"{spec} requires dimension 2, scenario has {dim}")
-        return PAULI[spec]
-    if isinstance(spec, dict):
-        if "diagonal" in spec:
-            values = np.asarray(spec["diagonal"], dtype=float)
-            if values.shape[0] != dim:
-                raise ValidationError(f"diagonal length {values.shape[0]} != dim {dim}")
-            return np.diag(values).astype(complex)
-        if "dense" in spec:
-            return _dense_matrix(spec["dense"], dim)
-        if "random" in spec:
-            params = spec["random"]
-            h = seeded_hermitian(dim, int(params["seed"]))
-            if "norm" in params:
-                h = h * (float(params["norm"]) / operator_norm_hermitian(h))
-            return h
-    raise ValidationError(f"unrecognized operator spec {spec!r}")
+    form, params = _form(spec, name, tuple(PAULI), diagonal=None, dense=None, random=(("seed",), ("norm",)))
+    if form in PAULI and dim != 2:
+        raise ValidationError(f"{name}: {form} requires dimension 2, scenario has {dim}")
+    if form in PAULI:
+        h = PAULI[form]
+    elif form == "diagonal":
+        h = np.diag(_numbers(params, f"{name}.diagonal", (dim,))).astype(complex)
+    elif form == "dense":
+        h = _complex(params, f"{name}.dense", (dim, dim))
+    else:
+        h = seeded_hermitian(dim, _count(params["seed"], f"{name}.random.seed"))
+        if "norm" in params:
+            h = h * (_real(params["norm"], f"{name}.random.norm", 0.0) / operator_norm_hermitian(h))
+    # Such an entry fails the scale rule anyway (|h_ij| <= |h|), but would first overflow (h + h*)/2.
+    largest = float(np.max(np.abs([h.real, h.imag])))
+    if largest > sys.float_info.max / 2:
+        raise ValidationError(f"{name} has an entry of size {largest:.3e}, beyond half the float range")
+    return h
 
 
-def _dense_matrix(entries, dim: int) -> np.ndarray:
-    rows = []
-    for row in entries:
-        rows.append([complex(re, im) for re, im in row])
-    m = np.array(rows, dtype=complex)
-    if m.shape != (dim, dim):
-        raise ValidationError(f"dense matrix shape {m.shape} != ({dim}, {dim})")
-    return m
-
-
-def build_basis(spec, dim: int) -> np.ndarray:
-    if spec == "standard":
+def build_basis(spec, dim: int):
+    """The state basis as matrix columns; None for "curve", a sampled curve's first frame."""
+    form, params = _form(spec, "state.basis", ("standard", "curve"), dense=None, random=(("seed",), ()))
+    if form == "standard":
         return np.eye(dim, dtype=complex)
-    if isinstance(spec, dict):
-        if "random" in spec:
-            return seeded_cons(dim, int(spec["random"]["seed"]))
-        if "dense" in spec:
-            return require_cons(_dense_matrix(spec["dense"], dim), name="basis")
-    raise ValidationError(f"unrecognized basis spec {spec!r}")
+    if form == "curve":
+        return None
+    if form == "random":
+        return seeded_cons(dim, _count(params["seed"], "state.basis.random.seed"))
+    return require_cons(_complex(params, "state.basis.dense", (dim, dim)), name="state.basis")
 
 
 def build_curve(curve_spec, basis, dim: int, tau: float, base_dir: str = ".") -> BasisCurve:
     """The curve through the built state basis; None (the "curve" spec) takes a sampled curve's first frame."""
-    if not isinstance(curve_spec, dict) or len(curve_spec) != 1:
-        raise ValidationError(f"curve spec must be a single-key object, got {curve_spec!r}")
-    kind, params = next(iter(curve_spec.items()))
-    if basis is None and kind in ("static", "generated"):
-        raise ValidationError("unrecognized basis spec 'curve'")
+    kind, params = _form(curve_spec, "curve", (), static=((), ()), generated=(("generator",), ()),
+                         sampled=(("file",), ()))
+    if basis is None and kind != "sampled":
+        raise ValidationError(f'state.basis "curve" needs a sampled curve, got {kind!r}')
     if kind == "static":
         return StaticCurve(basis, tau)
     if kind == "generated":
-        return GeneratedCurve(build_operator(params["generator"], dim), basis, tau)
-    if kind == "sampled":
-        path = os.path.join(base_dir, params["file"])
-        with open(path) as fh:
-            data = json.load(fh, object_hook=_without_comments)
-        times = np.asarray(data["times"], dtype=float)
-        frames = [_dense_matrix(f, dim) for f in data["frames"]]
-        curve = SampledCurve(times, frames)
-        if abs(curve.tau - tau) > 1e-12 * max(1.0, tau):
-            raise ValidationError(f"sampled grid ends at {curve.tau}, scenario tau is {tau}")
-        if basis is not None and float(np.max(np.abs(basis - curve.base))) > 1e-9:
-            raise ValidationError(
-                'state basis differs from the sampled curve\'s first frame; use "curve" '
-                "as the basis spec or supply a matching basis"
-            )
-        return curve
-    raise ValidationError(f"unknown curve kind {kind!r}")
+        return GeneratedCurve(build_operator(params["generator"], dim, "curve.generated.generator"), basis, tau)
+    file = params["file"]
+    if not isinstance(file, str):
+        raise ValidationError(f"curve.sampled.file must be a path string, got {file!r:.80}")
+    data = _keys(_read_json(os.path.join(base_dir, file)), file, ("times", "frames"))
+    curve = SampledCurve(_numbers(data["times"], f"{file}: times", (None,)),
+                         _complex(data["frames"], f"{file}: frames", (None, dim, dim)))
+    if abs(curve.tau - tau) > time_tol(tau):
+        raise ValidationError(f"sampled grid ends at {curve.tau}, scenario tau is {tau}")
+    if basis is not None and float(np.max(np.abs(basis - curve.base))) > 1e-9:
+        raise ValidationError(
+            'state basis differs from the sampled curve\'s first frame; use "curve" '
+            "as the basis spec or supply a matching basis"
+        )
+    return curve
 
 
 def _require_steps_fit(sizes: list[int]) -> None:
@@ -179,113 +232,54 @@ def _require_scale_fits(hamiltonian: HermitianEigen, curve: BasisCurve) -> None:
 
 
 def build_partitions(plan, tau: float) -> list[Partition]:
-    if isinstance(plan, dict) and "uniform" in plan:
-        sizes = [int(n) for n in plan["uniform"]]
-        _require_steps_fit(sizes)
+    form, params = _form(plan, "partitions", (), uniform=None, random=(("n", "seed"), ()))
+    name, sizes = ("partitions.uniform", params) if form == "uniform" else ("partitions.random.n", params["n"])
+    if not (isinstance(sizes, list) and sizes):
+        raise ValidationError(f"{name} must be a non-empty list of partition sizes, got {sizes!r:.80}")
+    sizes = [_count(n, f"{name}[{i}]", positive=True) for i, n in enumerate(sizes)]
+    _require_steps_fit(sizes)
+    if form == "uniform":
         return [uniform_partition(tau, n) for n in sizes]
-    if isinstance(plan, dict) and "random" in plan:
-        params = plan["random"]
-        seed = int(params["seed"])
-        sizes = [int(n) for n in params["n"]]
-        _require_steps_fit(sizes)
-        return [random_partition(tau, n, seed + i) for i, n in enumerate(sizes)]
-    raise ValidationError(f"unrecognized partition plan {plan!r}")
+    seed = _count(params["seed"], "partitions.random.seed")
+    return [random_partition(tau, n, seed + i) for i, n in enumerate(sizes)]
+
+
+def _weights(state, name: str, dim) -> np.ndarray:
+    """The state object's eigenvalues, held to a run's weights rule; dim None leaves their length open."""
+    _keys(state, name, ("eigenvalues",), ("basis",))
+    return require_weights(_numbers(state["eigenvalues"], f"{name}.eigenvalues", (dim,)), f"{name}.eigenvalues")
 
 
 def load_scenario(path: str) -> Scenario:
-    """Parse and fully validate a scenario file.
-
-    Every violated field is collected before raising, so one pass over the
-    error message shows everything wrong with the file.
-    """
-    try:
-        with open(path) as fh:
-            data = json.load(fh, object_hook=_without_comments)
-    except OSError as exc:
-        raise SchemaError([f"cannot read {path}: {exc}"]) from exc
-    except json.JSONDecodeError as exc:
-        raise SchemaError([f"{path} is not valid JSON: {exc}"]) from exc
+    """Parse and fully validate a scenario file, reporting every top-level problem at once."""
+    data = _read_json(path)
     if not isinstance(data, dict):
-        raise SchemaError([f"{path}: top level must be an object"])
-
+        raise ValidationError(f"{path}: top level must be an object")
     problems = [f"unknown field {key!r}" for key in data if key not in FIELDS]
+    problems += [f"missing required field {key!r}" for key in FIELDS[:6] if key not in data]
 
-    def grab(key, default=None, required=False):
-        if key not in data:
-            if required:
-                problems.append(f"missing required field {key!r}")
-            return default
-        return data[key]
+    def read(key, rule, *args):
+        try:
+            return rule(data[key], key, *args) if key in data else None
+        except ValidationError as exc:
+            problems.append(str(exc))
 
-    # A null or boolean dim or tau is present but not a number; bool is an int subclass.
-    dim = grab("dim", required=True)
-    if "dim" in data and (isinstance(dim, bool) or not isinstance(dim, int) or dim < 1):
-        problems.append(f"dim must be a positive integer, got {dim!r}")
-        dim = None
-
-    tau = grab("tau", required=True)
-    if "tau" in data and (isinstance(tau, bool) or not (isinstance(tau, (int, float)) and tau > 0)):
-        problems.append(f"tau must be a positive number, got {tau!r}")
-        tau = None
-
-    state = grab("state", required=True)
-    weights = None
-    basis_spec = "standard"
-    if "state" in data:
-        if not isinstance(state, dict) or "eigenvalues" not in state:
-            problems.append('state must be an object with an "eigenvalues" list')
-        else:
-            try:
-                weights = np.asarray(state["eigenvalues"], dtype=float)
-            except (TypeError, ValueError):
-                weights = None
-            if weights is None or weights.ndim != 1 or weights.size == 0:
-                problems.append(f"state.eigenvalues must be a flat number list, got {state['eigenvalues']!r}")
-                weights = None
-        if weights is not None:
-            try:
-                weights = require_weights(weights, name="state.eigenvalues")
-            except ValidationError as exc:
-                problems.append(str(exc))
-            if dim is not None and weights.shape[0] != dim:
-                problems.append(f"state.eigenvalues has length {weights.shape[0]}, dim is {dim}")
-            basis_spec = state.get("basis", "standard")
-
-    hamiltonian_spec = grab("hamiltonian", required=True)
-    curve_spec = grab("curve", required=True)
-    plan = grab("partitions", required=True)
-
-    a = grab("a", default=2.0)
-    if not (isinstance(a, (int, float)) and a > 1):
-        problems.append(f"a must be a number greater than 1, got {a!r}")
-
-    output = grab("output")
+    dim = read("dim", _count, True)
+    tau = read("tau", _real, 0.0, True)
+    weights = read("state", _weights, dim)
+    a = read("a", _real, 1.0, True) if "a" in data else 2.0
+    output = data.get("output")
     if output is not None and not isinstance(output, str):
-        problems.append(f"output must be a path string, got {output!r}")
-
+        problems.append(f"output must be a path string, got {output!r:.80}")
     if problems:
-        raise SchemaError(problems)
+        raise ValidationError("; ".join(problems))
 
-    # Building each piece once surfaces dimension mismatches and invalid
-    # operator/curve/partition specs with precise messages; a spec of the
-    # wrong shape (a missing key, a non-number) is named by its field.
-    field = "hamiltonian"
-    try:
-        hamiltonian = hermitian_eigendecompose(build_operator(hamiltonian_spec, dim), name="hamiltonian")
-        field = "state"
-        basis = None if basis_spec == "curve" else build_basis(basis_spec, dim)
-        field = "curve"
-        curve = build_curve(curve_spec, basis, dim, float(tau), os.path.dirname(os.path.abspath(path)))
-        _require_scale_fits(hamiltonian, curve)
-        field = "partitions"
-        partitions = tuple(sorted(build_partitions(plan, float(tau)), key=lambda p: p.n))
-        if isinstance(curve, SampledCurve):
-            for partition in partitions:
-                curve.frames_at(partition.times)
-    except ValidationError as exc:
-        raise SchemaError([str(exc)]) from exc
-    except (KeyError, TypeError, ValueError, OverflowError) as exc:
-        detail = f"missing key {exc.args[0]!r}" if isinstance(exc, KeyError) else str(exc)
-        raise SchemaError([f"malformed {field} spec: {detail}"]) from exc
-    return Scenario(hamiltonian, weights, curve, partitions, a=float(a), output=output,
-                    label=os.path.basename(path))
+    hamiltonian = hermitian_eigendecompose(build_operator(data["hamiltonian"], dim), name="hamiltonian")
+    basis = build_basis(data["state"].get("basis", "standard"), dim)
+    curve = build_curve(data["curve"], basis, dim, tau, os.path.dirname(os.path.abspath(path)))
+    _require_scale_fits(hamiltonian, curve)
+    partitions = tuple(sorted(build_partitions(data["partitions"], tau), key=lambda p: p.n))
+    if isinstance(curve, SampledCurve):
+        for partition in partitions:
+            curve.frames_at(partition.times)
+    return Scenario(hamiltonian, weights, curve, partitions, a=a, output=output, label=os.path.basename(path))

@@ -103,13 +103,72 @@ MALFORMED_INPUTS = {
     "uniform_plan_with_a_string": (_run_with(partitions={"uniform": ["x"]}), "partitions"),
     "random_plan_without_seed": (_run_with(partitions={"random": {"n": [4]}}), "'seed'"),
     "random_basis_without_seed": (
-        _run_with(state={"eigenvalues": [0.7, 0.3], "basis": {"random": {}}}), "malformed state spec"),
+        _run_with(state={"eigenvalues": [0.7, 0.3], "basis": {"random": {}}}),
+        "state.basis.random: missing key 'seed'"),
     "null_state": (_run_with(state=None), "state must be an object"),
-    "infinite_random_seed": (_run_with(hamiltonian={"random": {"seed": math.inf}}), "malformed hamiltonian spec"),
-    "infinite_uniform_n": (_run_with(partitions={"uniform": [4, math.inf]}), "malformed partitions spec"),
+    "infinite_random_seed": (
+        _run_with(hamiltonian={"random": {"seed": math.inf}}), "hamiltonian.random.seed must be a nonnegative integer"),
+    "infinite_uniform_n": (
+        _run_with(partitions={"uniform": [4, math.inf]}), "partitions.uniform[1] must be a positive integer, got inf"),
     "null_dim": (_run_with(dim=None), "dim must be a positive integer, got None"),
-    "null_tau": (_run_with(tau=None), "tau must be a positive number, got None"),
-    "boolean_tau": (_run_with(tau=True), "tau must be a positive number, got True"),
+    "null_tau": (_run_with(tau=None), "tau must hold finite numbers only, got None"),
+    "boolean_tau": (_run_with(tau=True), "tau must hold finite numbers only, got True"),
+    "diagonal_not_a_list": (
+        _run_with(hamiltonian={"diagonal": 3}), "hamiltonian.diagonal must be numbers of shape (2,), got 3"),
+    "diagonal_of_rows": (
+        _run_with(hamiltonian={"diagonal": [[1, 2], [3, 4]]}), "hamiltonian.diagonal must be numbers of shape (2,)"),
+    "diagonal_entry_beyond_half_the_float_range": (
+        _run_with(hamiltonian={"diagonal": [1e308, 0.0]}), "hamiltonian has an entry of size 1.000e+308"),
+    "uniform_plan_with_a_numeric_string": (
+        _run_with(partitions={"uniform": ["4", 2.7, True]}),
+        "partitions.uniform[0] must be a positive integer, got '4'"),
+    "uniform_plan_with_a_fraction": (
+        _run_with(partitions={"uniform": [2, 2.7]}), "partitions.uniform[1] must be a positive integer, got 2.7"),
+    "uniform_plan_with_a_boolean": (
+        _run_with(partitions={"uniform": [2, True]}), "partitions.uniform[1] must be a positive integer, got True"),
+    "empty_uniform_plan": (_run_with(partitions={"uniform": []}), "partitions.uniform must be a non-empty list"),
+    "plan_with_two_forms": (
+        _run_with(partitions={"uniform": [2], "random": {"n": [4], "seed": 1}}), "partitions must be one of"),
+    "random_seed_as_a_string": (
+        _run_with(hamiltonian={"random": {"seed": "7"}}), "hamiltonian.random.seed must be a nonnegative integer"),
+    "random_seed_as_a_fraction": (
+        _run_with(hamiltonian={"random": {"seed": 7.9}}), "hamiltonian.random.seed must be a nonnegative integer"),
+    "negative_random_seed": (
+        _run_with(hamiltonian={"random": {"seed": -1}}), "hamiltonian.random.seed must be a nonnegative integer"),
+    "negative_basis_seed": (
+        _run_with(state={"eigenvalues": [0.7, 0.3], "basis": {"random": {"seed": -1}}}),
+        "state.basis.random.seed must be a nonnegative integer"),
+    "negative_plan_seed": (
+        _run_with(partitions={"random": {"n": [4], "seed": -1}}),
+        "partitions.random.seed must be a nonnegative integer"),
+    "random_norm_as_a_string": (
+        _run_with(hamiltonian={"random": {"seed": 7, "norm": "2"}}), "hamiltonian.random.norm must hold finite numbers only"),
+    "random_norm_as_a_boolean": (
+        _run_with(hamiltonian={"random": {"seed": 7, "norm": True}}),
+        "hamiltonian.random.norm must hold finite numbers only"),
+    "negative_random_norm": (
+        _run_with(hamiltonian={"random": {"seed": 7, "norm": -3}}),
+        "hamiltonian.random.norm must be >= 0, got -3"),
+    "misspelt_random_norm": (
+        _run_with(hamiltonian={"random": {"seed": 7, "nrom": 1.0}}), "hamiltonian.random: unknown key 'nrom'"),
+    "static_curve_with_a_param": (_run_with(curve={"static": {"speed": 3}}), "curve.static: unknown key 'speed'"),
+    "generator_with_a_misspelt_norm": (
+        _run_with(curve={"generated": {"generator": {"random": {"seed": 1, "nrom": 2.0}}}}),
+        "curve.generated.generator.random: unknown key 'nrom'"),
+    "operator_with_two_forms": (
+        _run_with(hamiltonian={"diagonal": [1, 2], "dense": [[[1, 0], [0, 0]], [[0, 0], [2, 0]]]}),
+        "hamiltonian must be one of"),
+    "unknown_operator_name": (_run_with(hamiltonian="pauli_w"), "hamiltonian must be one of 'pauli_x'"),
+    "eigenvalues_as_strings": (
+        _run_with(state={"eigenvalues": ["0.7", "0.3"]}), "state.eigenvalues must hold finite numbers only, got '0.7'"),
+    "eigenvalues_as_booleans": (
+        _run_with(state={"eigenvalues": [True, False]}), "state.eigenvalues must hold finite numbers only, got True"),
+    "misspelt_state_basis": (
+        _run_with(state={"eigenvalues": [0.7, 0.3], "basi": "curve"}), "state: unknown key 'basi'"),
+    "infinite_a": (_run_with(a=math.inf), "a must hold finite numbers only, got inf"),
+    "missing_frames_file": (
+        _run_with(curve={"sampled": {"file": "absent.json"}}, state={"eigenvalues": [0.7, 0.3], "basis": "curve"}),
+        "cannot read"),
     "oversized_uniform_n": (
         _run_with(partitions={"uniform": [4, 10**12]}), "partitions: the plan's N + 1 sum to 1000000000006"),
     "csv_row_with_a_non_number": (_rate_with_row(lambda f: f[:3] + ["x"] + f[4:]), "line 3"),
@@ -135,6 +194,7 @@ def test_malformed_input_is_config_error(case, tmp_path, capsys):
     assert rc == 2
     assert err.startswith("configuration error:")
     assert named in err
+    assert len(err.splitlines()) == 1
 
 
 @pytest.mark.parametrize("overrides", [
@@ -160,6 +220,23 @@ def test_scale_beyond_float_range_is_config_error(overrides, tmp_path, capsys):
     assert captured.out == ""
     assert captured.err.startswith("configuration error: tau, hamiltonian and curve: ")
     assert len(captured.err.splitlines()) == 1
+
+
+@pytest.mark.parametrize("argv, named", [
+    (["--replay", "-5"], "argument --replay: must be an integer >= 0, got -5"),
+    (["--seed", "-1", "--size", "2"], "argument --seed: must be an integer >= 0, got -1"),
+    (["--size", "-3"], "argument --size: must be an integer >= 1, got -3"),
+    (["--size", "0"], "argument --size: must be an integer >= 1, got 0"),
+    (["--seed", "x"], "argument --seed: invalid integer value: 'x'"),
+], ids=["negative_replay", "negative_seed", "negative_size", "zero_size", "seed_not_an_integer"])
+def test_check_arguments_out_of_range_are_usage_errors(argv, named, capsys):
+    # The first two were numpy's ValueError traceback; a negative size printed size=0 ... PASS.
+    with pytest.raises(SystemExit) as excinfo:
+        main(["check", *argv])
+    err = capsys.readouterr().err
+    assert excinfo.value.code == 2
+    assert err.startswith("usage: ")
+    assert named in err
 
 
 class TestSweepCommand:

@@ -11,7 +11,7 @@ import pytest
 
 from zenolab.curves import GeneratedCurve, SampledCurve, StaticCurve
 from zenolab.cli import main
-from zenolab.errors import SchemaError, ValidationError
+from zenolab.errors import ValidationError
 from zenolab.scenario import MAX_PLAN_TIMES, MAX_SCALE, _require_steps_fit, load_scenario
 from zenolab.sweep import run_sweep
 
@@ -54,24 +54,24 @@ class TestLoadScenario:
 
     def test_unknown_fields_are_named_together(self, tmp_path):
         path = minimal_zeno(tmp_path, ouput="x.csv", checks=["fannes"], _comment="ignored")
-        with pytest.raises(SchemaError) as excinfo:
+        with pytest.raises(ValidationError) as excinfo:
             load_scenario(path)
-        assert excinfo.value.problems == ["unknown field 'ouput'", "unknown field 'checks'"]
+        assert str(excinfo.value) == "unknown field 'ouput'; unknown field 'checks'"
 
     def test_bad_eigenvalue_sum_names_field(self, tmp_path):
         path = minimal_zeno(tmp_path, state={"eigenvalues": [0.6, 0.3]})
-        with pytest.raises(SchemaError, match="eigenvalues sum to"):
+        with pytest.raises(ValidationError, match="eigenvalues sum to"):
             load_scenario(path)
 
     @pytest.mark.parametrize("eigenvalues, message", [
-        ([math.nan, 0.3], "state.eigenvalues must be finite and nonnegative"),
+        ([math.nan, 0.3], "state.eigenvalues must hold finite numbers only, got nan"),
         ([1.2, -0.2], "state.eigenvalues must be finite and nonnegative"),
         ([0.7, 0.3 + 5e-10], "state.eigenvalues sum to 1.0000000005"),
     ])
     def test_eigenvalues_are_held_to_the_run_s_weights_check(self, tmp_path, eigenvalues, message):
         # The eigenvalues are the run's weights: a scenario rejects at load what a run would.
         path = minimal_zeno(tmp_path, state={"eigenvalues": eigenvalues})
-        with pytest.raises(SchemaError, match=message):
+        with pytest.raises(ValidationError, match=message):
             load_scenario(path)
 
     def test_every_problem_reported_at_once(self, tmp_path):
@@ -86,24 +86,24 @@ class TestLoadScenario:
                 "partitions": {"uniform": [2]},
             },
         )
-        with pytest.raises(SchemaError) as excinfo:
+        with pytest.raises(ValidationError) as excinfo:
             load_scenario(path)
         message = str(excinfo.value)
         assert "dim" in message and "tau" in message and "eigenvalues" in message
 
     def test_missing_file_is_schema_error(self, tmp_path):
-        with pytest.raises(SchemaError, match="cannot read"):
+        with pytest.raises(ValidationError, match="cannot read"):
             load_scenario(str(tmp_path / "absent.json"))
 
     def test_invalid_json_is_schema_error(self, tmp_path):
         bad = tmp_path / "bad.json"
         bad.write_text("{not json")
-        with pytest.raises(SchemaError, match="not valid JSON"):
+        with pytest.raises(ValidationError, match="not valid JSON"):
             load_scenario(str(bad))
 
     def test_dimension_mismatch_between_specs(self, tmp_path):
         path = minimal_zeno(tmp_path, dim=3, state={"eigenvalues": [0.5, 0.3, 0.2]})
-        with pytest.raises(SchemaError, match="dimension 2"):
+        with pytest.raises(ValidationError, match="dimension 2"):
             load_scenario(path)
 
     def test_random_partition_plan(self, tmp_path):
@@ -121,7 +121,7 @@ class TestLoadScenario:
                             state={"eigenvalues": [1.0 / d] * d}, partitions={"uniform": [20000]})
         assert [p.n for p in load_scenario(path).partitions] == [20000]
         path = minimal_zeno(tmp_path, partitions={"uniform": [4, MAX_PLAN_TIMES]})
-        with pytest.raises(SchemaError, match=f"partitions: the plan's N \\+ 1 sum to {MAX_PLAN_TIMES + 6}, above"):
+        with pytest.raises(ValidationError, match=f"partitions: the plan's N \\+ 1 sum to {MAX_PLAN_TIMES + 6}, above"):
             load_scenario(path)
 
     @pytest.mark.parametrize("plan", [{"uniform": [2**23, 2**23]}, {"random": {"n": [2**23, 2**23], "seed": 1}}],
@@ -136,7 +136,7 @@ class TestLoadScenario:
 
         monkeypatch.setattr(scenario_mod, "uniform_partition", refuse)
         monkeypatch.setattr(scenario_mod, "random_partition", refuse)
-        with pytest.raises(SchemaError, match=f"partitions: the plan's N \\+ 1 sum to {2**24 + 2}, above the cap"):
+        with pytest.raises(ValidationError, match=f"partitions: the plan's N \\+ 1 sum to {2**24 + 2}, above the cap"):
             load_scenario(minimal_zeno(tmp_path, partitions=plan))
 
     def test_a_single_partition_keeps_the_cap_of_n(self):
@@ -154,7 +154,7 @@ class TestOperatorSpecs:
     def test_named_pauli_requires_dim_two(self, tmp_path):
         path = minimal_zeno(tmp_path, dim=3, hamiltonian="pauli_x",
                             state={"eigenvalues": [0.5, 0.3, 0.2]})
-        with pytest.raises(SchemaError, match="requires dimension 2"):
+        with pytest.raises(ValidationError, match="requires dimension 2"):
             load_scenario(path)
 
     def test_diagonal_and_dense_literals(self, tmp_path):
@@ -174,7 +174,7 @@ class TestOperatorSpecs:
 
     def test_non_hermitian_dense_rejected_at_load(self, tmp_path):
         path = minimal_zeno(tmp_path, hamiltonian={"dense": [[[0, 0], [1, 0]], [[0, 0], [0, 0]]]})
-        with pytest.raises(SchemaError, match="hamiltonian is not Hermitian"):
+        with pytest.raises(ValidationError, match="hamiltonian is not Hermitian"):
             load_scenario(path)
 
     def test_seeded_random_with_norm(self, tmp_path):
@@ -234,7 +234,7 @@ class TestSampledCurveSpecs:
             state={"eigenvalues": [0.7, 0.3], "basis": "curve"},
             partitions={"uniform": [2]},
         )
-        with pytest.raises(SchemaError, match="orthonormal"):
+        with pytest.raises(ValidationError, match="orthonormal"):
             load_scenario(path)
 
     def test_partition_off_grid_rejected(self, tmp_path):
@@ -245,7 +245,7 @@ class TestSampledCurveSpecs:
             state={"eigenvalues": [0.7, 0.3], "basis": "curve"},
             partitions={"uniform": [3]},
         )
-        with pytest.raises(SchemaError, match="grid"):
+        with pytest.raises(ValidationError, match="grid"):
             load_scenario(path)
 
     def test_mismatched_state_basis_rejected(self, tmp_path):
@@ -262,8 +262,52 @@ class TestSampledCurveSpecs:
         payload["frames"][0] = [[[0.0, 0.0], [1.0, 0.0]], [[1.0, 0.0], [0.0, 0.0]]]
         payload["times"] = [0.0, 0.5, 1.0]
         write_json(tmp_path / "frames.json", payload)
-        with pytest.raises(SchemaError, match="first frame"):
+        with pytest.raises(ValidationError, match="first frame"):
             load_scenario(path)
+
+
+    def sampled_scenario(self, tmp_path, **overrides):
+        return minimal_zeno(tmp_path, curve={"sampled": {"file": "frames.json"}},
+                            state={"eigenvalues": [0.7, 0.3], "basis": "curve"}, partitions={"uniform": [2]},
+                            **overrides)
+
+    @pytest.mark.parametrize("edit, message", [
+        (lambda p: p.update(time=[0.0]), "frames.json: unknown key 'time'"),
+        (lambda p: p.pop("times"), "frames.json: missing key 'times'"),
+        (lambda p: p.update(times=["0", 0.5, 1.0]), "frames.json: times must hold finite numbers only, got '0'"),
+        (lambda p: p.update(times=[[0.0, 0.5, 1.0]]), "frames.json: times must be numbers of shape \\(n,\\)"),
+        (lambda p: p["frames"][1].pop(), "frames.json: frames must be numbers of shape \\(n, 2, 2, 2\\)"),
+        (lambda p: p["frames"][1][0][0].__setitem__(0, True), "frames.json: frames must hold finite numbers only"),
+    ], ids=["unknown_key", "missing_times", "string_time", "nested_times", "short_frame", "boolean_entry"])
+    def test_frames_file_is_held_to_the_same_rules(self, tmp_path, edit, message):
+        payload = self.frames_payload()
+        edit(payload)
+        write_json(tmp_path / "frames.json", payload)
+        with pytest.raises(ValidationError, match=message):
+            load_scenario(self.sampled_scenario(tmp_path))
+
+    def test_a_frames_file_that_is_no_object_is_named_in_a_short_message(self, tmp_path):
+        # The message quotes at most 80 characters of the value, not a whole frame stack.
+        write_json(tmp_path / "frames.json", self.frames_payload()["frames"] * 100)
+        with pytest.raises(ValidationError, match=r"^frames.json must be an object, got \[\[\[\[1.0, 0.0\]") as excinfo:
+            load_scenario(self.sampled_scenario(tmp_path))
+        assert len(str(excinfo.value)) < 150
+
+    def test_missing_frames_file_is_a_validation_error(self, tmp_path):
+        # It escaped load_scenario as a raw FileNotFoundError.
+        with pytest.raises(ValidationError, match="cannot read .*frames.json"):
+            load_scenario(self.sampled_scenario(tmp_path))
+
+    @pytest.mark.parametrize("end, rc", [(1000 - 5e-10, 0), (1000 + 5e-10, 0), (1000 - 2e-9, 2), (1000 + 2e-9, 2)],
+                             ids=["short_within", "long_within", "short_beyond", "long_beyond"])
+    def test_grid_end_is_held_to_one_relative_time_tolerance(self, tmp_path, capsys, end, rc):
+        # The scenario's tau, the curve's grid and the run's horizon share 1e-12 * max(1, tau). The
+        # short grid passed the load, then stopped with "time 1000.0 outside [0, 999.9999999995]".
+        identity = [[[1.0, 0.0], [0.0, 0.0]], [[0.0, 0.0], [1.0, 0.0]]]
+        write_json(tmp_path / "frames.json", {"times": [0.0, 500.0, end], "frames": [identity] * 3})
+        assert main(["run", self.sampled_scenario(tmp_path, tau=1000.0)]) == rc
+        err = capsys.readouterr().err
+        assert err == "" if rc == 0 else err.startswith("configuration error: sampled grid ends at ")
 
 
 class TestShippedExamples:

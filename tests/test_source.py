@@ -2,7 +2,8 @@
 used in that module, every module-level definition is read somewhere in
 the package or exported, every public method is read somewhere in the
 package or the benchmark, a Hermitian operator is validated only where it
-enters the program, and the two routes of measurement.py never read each
+enters the program, scenario.py parses input only in its reader and its
+number helpers, and the two routes of measurement.py never read each
 other. __init__.py is skipped by the import check, since its imports are
 the package's exports."""
 
@@ -100,6 +101,21 @@ def validation_breaches(sources: dict) -> list[str]:
                 if f"{module}:{scope}" not in VALIDATION_HOMES:
                     breaches.append(f"{module}:{scope} calls hermitian_eigendecompose")
     return breaches
+
+
+# The calls that turn file contents into values, and the functions of scenario.py that may make
+# them: the one reader and the number helpers. Module constants, such as the Pauli matrices, are
+# literals rather than input, so module scope is not checked.
+PARSING_CALLS = {"open", "json.load", "int", "complex", "np.asarray", "np.array"}
+PARSING_HOMES = {"_read_json", "_numbers"}
+
+
+def parsing_breaches(source: str) -> list[str]:
+    """The functions of a scenario.py source, other than PARSING_HOMES, that make one of PARSING_CALLS;
+    a nested function counts as the function it is defined in."""
+    return sorted({scope.split(".")[0] for scope, node in _scoped(ast.parse(source))
+                   if isinstance(node, ast.Call) and ast.unparse(node.func) in PARSING_CALLS
+                   and scope != "<module>" and scope.split(".")[0] not in PARSING_HOMES})
 
 
 # The two independent computations of measurement.py: the functions of each
@@ -201,6 +217,21 @@ def test_the_walk_finds_a_validation_outside_its_homes():
 
 def test_operators_are_validated_only_where_they_enter():
     assert validation_breaches({p.name: p.read_text() for p in PACKAGE.glob("*.py")}) == []
+
+
+def test_the_walk_finds_parsing_outside_the_reader_and_the_number_helpers():
+    source = (
+        "import json\nimport numpy as np\n\nPAULI = np.array([[0, 1], [1, 0]])\n\n"
+        "def _read_json(path):\n    with open(path) as fh:\n        return json.load(fh)\n\n"
+        "def _numbers(value):\n    return np.array(value, dtype=object).astype(float)\n\n"
+        "def build(spec):\n    return np.diag([float(spec['x'])]) * complex(1, int(spec['n']))\n\n"
+        "def load(path):\n    def grab(key):\n        return np.asarray(key)\n\n    return grab(path)\n"
+    )
+    assert parsing_breaches(source) == ["build", "load"]
+
+
+def test_a_scenario_file_is_read_by_one_reader_and_one_number_rule():
+    assert parsing_breaches((PACKAGE / "scenario.py").read_text()) == []
 
 
 def test_the_walk_finds_a_route_reading_the_other():
