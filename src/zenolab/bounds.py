@@ -30,8 +30,8 @@ from .channels import FAMILY_TOL
 from .curves import BasisCurve, GeneratedCurve
 from .errors import ValidationError
 from .linalg import HermitianEigen, orthonormality_defect
-from .measurement import WEIGHT_SUM_TOL, MeasurementResult, Partition, leakage_by_path_enumeration
-from .states import entr, fannes_bound_at, von_neumann_entropy
+from .measurement import MeasurementResult, Partition, leakage_by_path_enumeration
+from .states import entr, fannes_bound_at, require_weights, von_neumann_entropy
 
 MONOTONE_REGION = 1.0 / math.e
 PATH_ORACLE_MAX_STEPS = 6
@@ -71,10 +71,9 @@ def weight_error_bound(weight, survival_lb, leakage_ub):
 
 
 def trace_distance_bound(weights, survivals) -> float:
-    """2 - 2 sum_k weight_k * survival_k, the refinement-driven distance bound."""
-    w = np.asarray(weights, dtype=float)
-    if abs(float(w.sum()) - 1.0) > WEIGHT_SUM_TOL:
-        raise ValidationError(f"weights sum to {w.sum()!r}, expected 1")
+    """2 - 2 sum_k weight_k * survival_k, the refinement-driven distance bound;
+    the weights are held to states.require_weights."""
+    w = require_weights(weights)
     return 2.0 - 2.0 * float(np.sum(w * np.asarray(survivals, dtype=float)))
 
 

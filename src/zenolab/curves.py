@@ -13,7 +13,9 @@ frames_at(t)[0], so an off-grid time raises there too.
 
 Regularity quantities are (d,) vectors over the basis index k, each one
 pass over a frame stack; curve_bounds returns the pair (xi, eta):
-  xi_k   sup over t of ||H Psi_k(t)||, the max over sup_frames
+  xi_k   sup over t of ||H Psi_k(t)||, the max over sup_frames: exact for
+         static and sampled curves, the maximum over GRID_POINTS frames
+         for a generated one
   eta_k  a Lipschitz constant for t -> Psi_k(t) (lipschitz)
   drift  sum over a partition of Re <Psi_k(t_j) - Psi_k(t_{j-1}),
          Psi_k(t_{j-1})>, which equals -1/2 the summed squared increments
@@ -25,17 +27,9 @@ from __future__ import annotations
 import numpy as np
 
 from .errors import ValidationError
-from .linalg import (
-    CONS_TOL,
-    HermitianEigen,
-    commutator_norm,
-    hermitian_eigendecompose,
-    orthonormality_defect,
-    require_cons,
-)
+from .linalg import CONS_TOL, HermitianEigen, hermitian_eigendecompose, orthonormality_defect, require_cons
 
 GRID_POINTS = 257
-COMMUTING_TOL = 1e-10
 
 
 def time_tol(tau: float) -> float:
@@ -67,9 +61,9 @@ class BasisCurve:
         column n of a frame is Psi_n(t)."""
         raise NotImplementedError
 
-    def sup_frames(self, hamiltonian: np.ndarray) -> np.ndarray:
-        """The frame stack over which the largest ||H Psi_k|| is the energy
-        sup xi_k: a single frame when that sup is exact, else samples."""
+    def sup_frames(self) -> np.ndarray:
+        """The frame stack over which the largest ||H Psi_k|| is taken as the
+        energy sup xi_k: every frame the curve takes, or samples of them."""
         raise NotImplementedError
 
     def lipschitz(self) -> np.ndarray:
@@ -102,7 +96,7 @@ class StaticCurve(BasisCurve):
         t = self._check_times(times)
         return np.broadcast_to(self.base, (t.shape[0],) + self.base.shape)
 
-    def sup_frames(self, hamiltonian: np.ndarray) -> np.ndarray:
+    def sup_frames(self) -> np.ndarray:
         return self.base[None]
 
     def lipschitz(self) -> np.ndarray:
@@ -127,10 +121,7 @@ class GeneratedCurve(BasisCurve):
         frames[t == 0.0] = self.base
         return frames
 
-    def sup_frames(self, hamiltonian: np.ndarray) -> np.ndarray:
-        if commutator_norm(self.generator, hamiltonian) <= COMMUTING_TOL:
-            # Commuting flow: ||H e^{-itA} psi|| is t-independent.
-            return self.base[None]
+    def sup_frames(self) -> np.ndarray:
         return self.frames_at(np.linspace(0.0, self.tau, GRID_POINTS))
 
     def lipschitz(self) -> np.ndarray:
@@ -192,7 +183,7 @@ class SampledCurve(BasisCurve):
             raise ValidationError(f"time {float(t[off][0])} is not on the sampled grid (no interpolation)")
         return self.frames[i]
 
-    def sup_frames(self, hamiltonian: np.ndarray) -> np.ndarray:
+    def sup_frames(self) -> np.ndarray:
         # The curve exists only at its grid times, so the exact sup is the
         # max over its own grid frames.
         return self.frames
@@ -204,12 +195,11 @@ class SampledCurve(BasisCurve):
 def curve_bounds(curve: BasisCurve, hamiltonian: HermitianEigen) -> tuple[np.ndarray, np.ndarray]:
     """The (d,) vectors (xi, eta) of a whole curve, each in one pass.
 
-    xi is exact for a static curve, a commuting generator and a sampled
-    curve's own grid; for any other generated curve it is the maximum over
+    xi is exact for a static curve and for a sampled curve, which exists only
+    at its grid times; for a generated curve it is the maximum over
     GRID_POINTS samples, a lower estimate of the sup.
     """
     if hamiltonian.dim != curve.dim:
         raise ValidationError(f"hamiltonian dimension {hamiltonian.dim} does not match the curve")
-    h = hamiltonian.matrix
-    xis = np.max(np.linalg.norm(h @ curve.sup_frames(h), axis=1), axis=0)
+    xis = np.max(np.linalg.norm(hamiltonian.matrix @ curve.sup_frames(), axis=1), axis=0)
     return xis, curve.lipschitz()

@@ -47,16 +47,16 @@ def require_hermitian(m, name: str = "matrix") -> np.ndarray:
 def phase_fix(vectors: np.ndarray) -> np.ndarray:
     """Rescale each column so its largest-modulus entry is real positive.
 
-    Ties go to the lowest index, which makes the output deterministic.
+    Ties go to the lowest index, which makes the output deterministic; a zero
+    column stays zero.
     """
     out = np.array(vectors, dtype=complex)
-    for j in range(out.shape[1]):
-        col = out[:, j]
-        i = int(np.argmax(np.abs(col)))
-        a = col[i]
-        if np.abs(a) > 0:
-            out[:, j] = col * (np.conj(a) / np.abs(a))
-    return out
+    lead = out[np.argmax(np.abs(out), axis=0), np.arange(out.shape[1])]
+    size = np.abs(lead)
+    scale = np.divide(np.conj(lead), size, out=np.ones_like(lead), where=size > 0)
+    # Scaled as the rows of out.T, so each product rounds as a column times a scalar does; a
+    # product broadcast along rows takes another numpy multiply loop and rounds differently at d = 1.
+    return (out.T * scale[:, None]).T
 
 
 @dataclass(frozen=True)
@@ -93,7 +93,6 @@ def hermitian_eigendecompose(m, name: str = "matrix") -> HermitianEigen:
     h = require_hermitian(m, name)
     values, vectors = np.linalg.eigh(h)
     vectors = phase_fix(vectors)
-    values = values.copy()
     for a in (values, vectors, h):
         a.flags.writeable = False
     return HermitianEigen(values=values, vectors=vectors, matrix=h)
@@ -107,21 +106,6 @@ def trace_norm(t) -> float:
     """
     h = require_hermitian(t, name="trace-norm argument")
     return float(np.sum(np.abs(np.linalg.eigvalsh(h))))
-
-
-def operator_norm_hermitian(h) -> float:
-    """Spectral norm of a Hermitian operator."""
-    m = require_hermitian(h, name="operator-norm argument")
-    return float(np.max(np.abs(np.linalg.eigvalsh(m))))
-
-
-def commutator_norm(a, h) -> float:
-    """Spectral norm of [A, H] for Hermitian A, H.
-
-    i[A, H] is Hermitian, so its eigenvalues give the exact norm.
-    """
-    c = a @ h - h @ a
-    return operator_norm_hermitian(1j * c)
 
 
 def orthonormality_defect(cons: np.ndarray):

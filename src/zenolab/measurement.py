@@ -148,8 +148,6 @@ def random_partition(tau: float, n: int, seed: int) -> Partition:
         raise ValidationError("n must be at least 1")
     if not tau > 0:
         raise ValidationError("tau must be positive")
-    if n == 1:
-        return Partition(np.array([0.0, float(tau)]))
     rng = np.random.default_rng(seed)
     min_gap = tau * min(1e-6, 0.25 / n)
     for _ in range(100):

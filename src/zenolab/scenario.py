@@ -29,8 +29,7 @@ import numpy as np
 
 from .curves import BasisCurve, GeneratedCurve, SampledCurve, StaticCurve, time_tol
 from .errors import ValidationError
-from .linalg import (HermitianEigen, hermitian_eigendecompose, operator_norm_hermitian, require_cons, seeded_cons,
-                     seeded_hermitian)
+from .linalg import HermitianEigen, hermitian_eigendecompose, require_cons, seeded_cons, seeded_hermitian
 from .measurement import Partition, random_partition, uniform_partition
 from .states import require_weights
 
@@ -81,12 +80,16 @@ class Scenario:
 def _read_json(path: str):
     """The JSON document at path, its underscore keys dropped at every nesting level."""
     try:
-        with open(path) as fh:
-            return json.load(fh, object_hook=lambda obj: {k: v for k, v in obj.items() if not k.startswith("_")})
-    except OSError as exc:
+        fh = open(path)
+    except (OSError, ValueError) as exc:
         raise ValidationError(f"cannot read {path}: {exc}") from exc
-    except ValueError as exc:
-        raise ValidationError(f"{path} is not valid JSON: {exc}") from exc
+    with fh:
+        try:
+            return json.load(fh, object_hook=lambda obj: {k: v for k, v in obj.items() if not k.startswith("_")})
+        except OSError as exc:
+            raise ValidationError(f"cannot read {path}: {exc}") from exc
+        except ValueError as exc:
+            raise ValidationError(f"{path} is not valid JSON: {exc}") from exc
 
 
 def _keys(obj, name: str, required: tuple, optional: tuple = ()) -> dict:
@@ -164,7 +167,7 @@ def build_operator(spec, dim: int, name: str = "hamiltonian") -> np.ndarray:
     else:
         h = seeded_hermitian(dim, _count(params["seed"], f"{name}.random.seed"))
         if "norm" in params:
-            h = h * (_real(params["norm"], f"{name}.random.norm", 0.0) / operator_norm_hermitian(h))
+            h = h * (_real(params["norm"], f"{name}.random.norm", 0.0) / np.max(np.abs(np.linalg.eigvalsh(h))))
     # Such an entry fails the scale rule anyway (|h_ij| <= |h|), but would first overflow (h + h*)/2.
     largest = float(np.max(np.abs([h.real, h.imag])))
     if largest > sys.float_info.max / 2:

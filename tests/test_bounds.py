@@ -150,6 +150,16 @@ class TestTraceDistanceBound:
         g = rng.uniform(0.0, 1.0, size=4)
         assert 0.0 <= trace_distance_bound(w, g) <= 2.0
 
+    @pytest.mark.parametrize("weights", [[0.7, 0.7], [0.7, 0.3 + 5e-10]], ids=["far", "beyond_state_tol"])
+    def test_holds_weights_to_the_run_rule(self, weights):
+        # The same rule, and message, that run_measurement applies to its weights.
+        w, h, curve = qubit_static()
+        with pytest.raises(ValidationError) as run_error:
+            run_measurement(weights, h, curve, uniform_partition(1.0, 1))
+        with pytest.raises(ValidationError) as bound_error:
+            trace_distance_bound(weights, [1.0, 1.0])
+        assert str(bound_error.value) == str(run_error.value) == f"weights sum to {sum(weights)!r}, expected 1"
+
 
 class TestConvergenceConditionsReport:
     """The finite-sample footprint of the convergence conditions along a

@@ -52,6 +52,19 @@ class TestRunCommand:
         assert rc == 2
         assert "eigenvalues" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("eigenvalues", [[0.5, 0.3, 0.2], [0.3, 0.25, 0.2, 0.15, 0.1]], ids=["d3", "d5"])
+    def test_large_random_hamiltonian_and_generator(self, eigenvalues, tmp_path, capsys):
+        # Norms of 1e4 give i[A, H] a rounding defect far above 1e-10: the run reads
+        # the energy sups off the grid and must not re-check that product.
+        path = qubit_scenario_file(
+            tmp_path, dim=len(eigenvalues), hamiltonian={"random": {"seed": 1, "norm": 1e4}},
+            state={"eigenvalues": eigenvalues},
+            curve={"generated": {"generator": {"random": {"seed": 2, "norm": 1e4}}}}, partitions={"uniform": [2, 4]})
+        rc = main(["run", path])
+        captured = capsys.readouterr()
+        assert rc == 0, captured.err
+        assert [l.split()[0] for l in captured.out.splitlines()[1:]] == ["2", "4"]
+
     def test_broken_final_state_is_an_invariant_violation(self, capsys, monkeypatch):
         # A route defect that leaves the final state off trace is the program's
         # fault, not the scenario's: exit 1, not the configuration error's 2.
@@ -168,6 +181,9 @@ MALFORMED_INPUTS = {
     "infinite_a": (_run_with(a=math.inf), "a must hold finite numbers only, got inf"),
     "missing_frames_file": (
         _run_with(curve={"sampled": {"file": "absent.json"}}, state={"eigenvalues": [0.7, 0.3], "basis": "curve"}),
+        "cannot read"),
+    "frames_path_with_a_null_byte": (
+        _run_with(curve={"sampled": {"file": "fr\u0000.json"}}, state={"eigenvalues": [0.7, 0.3], "basis": "curve"}),
         "cannot read"),
     "oversized_uniform_n": (
         _run_with(partitions={"uniform": [4, 10**12]}), "partitions: the plan's N + 1 sum to 1000000000006"),

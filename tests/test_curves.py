@@ -131,7 +131,9 @@ class TestEnergySup:
         curve = StaticCurve(np.eye(2, dtype=complex), 1.0)
         assert energy_sups(curve, PAULI_X)[0] == pytest.approx(1.0, abs=1e-12)
 
-    def test_commuting_generator_is_grid_free(self, monkeypatch):
+    def test_commuting_generator_grid_max_equals_base_value(self, monkeypatch):
+        # ||H e^{-itA} psi|| does not depend on t when A commutes with H, so
+        # every grid's maximum is the value at the base.
         h = seeded_hermitian(4, 3)
         curve = GeneratedCurve(h, seeded_cons(4, 9), 1.0)
         expected = float(np.linalg.norm(h @ curve.base[:, 2]))
@@ -163,6 +165,14 @@ class TestEnergySup:
     def test_rejects_mismatched_hamiltonian(self):
         with pytest.raises(ValidationError, match="dimension"):
             energy_sups(StaticCurve(np.eye(3, dtype=complex), 1.0), PAULI_X)
+
+    @pytest.mark.parametrize("dim", [3, 5])
+    def test_large_generator_and_hamiltonian(self, dim):
+        # Norms of 1e4 put the rounding of i[A, H] far above an absolute 1e-10,
+        # so no product the program forms may be held to a Hermiticity check.
+        curve = GeneratedCurve(1e4 * seeded_hermitian(dim, 2), seeded_cons(dim, 3), 1.0)
+        xis, etas = curve_bounds(curve, hermitian_eigendecompose(1e4 * seeded_hermitian(dim, 1)))
+        assert np.all(np.isfinite(xis)) and np.all(np.isfinite(etas))
 
 
 class TestLipschitzBound:

@@ -9,8 +9,8 @@ import pytest
 from zenolab.errors import ValidationError
 from zenolab.linalg import (
     hermitian_eigendecompose,
-    operator_norm_hermitian,
     orthonormality_defect,
+    phase_fix,
     seeded_cons,
     seeded_hermitian,
     trace_norm,
@@ -165,6 +165,35 @@ class TestSeededFixtures:
         np.testing.assert_array_equal(a, b)
         assert orthonormality_defect(a) <= 1e-10
 
-    def test_operator_norm_matches_spectrum(self):
-        h = np.diag([-3.0, 2.0]).astype(complex)
-        assert operator_norm_hermitian(h) == pytest.approx(3.0, abs=1e-14)
+
+def phase_fix_by_columns(vectors):
+    """phase_fix one column at a time, the reference for the array form."""
+    out = np.array(vectors, dtype=complex)
+    for j in range(out.shape[1]):
+        col = out[:, j]
+        a = col[int(np.argmax(np.abs(col)))]
+        if np.abs(a) > 0:
+            out[:, j] = col * (np.conj(a) / np.abs(a))
+    return out
+
+
+class TestPhaseFix:
+    @pytest.mark.parametrize("dim", [1, 2, 3, 5, 8, 17, 32])
+    def test_matches_the_column_loop_bit_for_bit(self, dim):
+        for seed in range(5):
+            rng = np.random.default_rng(seed)
+            g = rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim))
+            # A C-ordered Gaussian, eigh's F-ordered eigenvectors and a QR factor.
+            for m in (g, np.linalg.eigh(seeded_hermitian(dim, seed))[1], np.linalg.qr(g)[0]):
+                assert phase_fix(m).tobytes() == phase_fix_by_columns(m).tobytes()
+
+    def test_tied_largest_entries_go_to_the_lowest_index(self):
+        m = np.array([[1j, 0.6], [-1j, -0.8j], [0.5, 0.0]])
+        fixed = phase_fix(m)
+        assert fixed.tobytes() == phase_fix_by_columns(m).tobytes()
+        np.testing.assert_array_equal(fixed[:, 0], [1.0, -1.0, -0.5j])
+        assert fixed[1, 1] == 0.8
+
+    def test_zero_column_stays_zero(self):
+        m = np.array([[0.0, 1j], [0.0, 0.0]])
+        np.testing.assert_array_equal(phase_fix(m), [[0.0, 1.0], [0.0, 0.0]])

@@ -69,6 +69,9 @@ def dead_definitions(sources: dict, readers: tuple = ()) -> list[str]:
 # Where hermitian_eigendecompose may run outside linalg.py: the places an
 # operator enters the program. Everything downstream takes the HermitianEigen.
 VALIDATION_HOMES = {"scenario.py:load_scenario", "corpus.py:build_scenario", "curves.py:GeneratedCurve.__init__"}
+# Inside linalg.py, the public entries that may call require_hermitian; a kernel behind them takes
+# what they built, and no kernel re-checks a product the program formed.
+HERMITIAN_ENTRIES = {"hermitian_eigendecompose", "trace_norm"}
 
 
 def _scoped(node, scope="<module>"):
@@ -83,21 +86,25 @@ def _scoped(node, scope="<module>"):
 
 
 def validation_breaches(sources: dict) -> list[str]:
-    """module:scope for each place outside linalg.py that names require_hermitian,
-    and for each hermitian_eigendecompose call outside linalg.py and VALIDATION_HOMES."""
+    """module:scope for each place outside linalg.py that names require_hermitian, for each
+    require_hermitian call in linalg.py outside HERMITIAN_ENTRIES, and for each
+    hermitian_eigendecompose call outside linalg.py and VALIDATION_HOMES."""
     breaches = []
     for module, text in sorted(sources.items()):
-        if module == "linalg.py":
-            continue
         for scope, node in _scoped(ast.parse(text)):
+            func = node.func if isinstance(node, ast.Call) else None
+            called = {getattr(func, "id", None), getattr(func, "attr", None)}
+            if module == "linalg.py":
+                if "require_hermitian" in called and scope not in HERMITIAN_ENTRIES:
+                    breaches.append(f"{module}:{scope} calls require_hermitian")
+                continue
             if isinstance(node, ast.alias):
                 names = {node.name, node.asname}
             else:
                 names = {getattr(node, "id", None), getattr(node, "attr", None)}
             if "require_hermitian" in names:
                 breaches.append(f"{module}:{scope} names require_hermitian")
-            func = node.func if isinstance(node, ast.Call) else None
-            if "hermitian_eigendecompose" in {getattr(func, "id", None), getattr(func, "attr", None)}:
+            if "hermitian_eigendecompose" in called:
                 if f"{module}:{scope}" not in VALIDATION_HOMES:
                     breaches.append(f"{module}:{scope} calls hermitian_eigendecompose")
     return breaches
@@ -199,7 +206,10 @@ def test_every_definition_is_read_or_exported():
 def test_the_walk_finds_a_validation_outside_its_homes():
     sources = {
         "linalg.py": "def require_hermitian(m):\n    return m\n\n"
-                     "def hermitian_eigendecompose(m):\n    return require_hermitian(m)\n",
+                     "def hermitian_eigendecompose(m):\n    return require_hermitian(m)\n\n"
+                     "def trace_norm(t):\n    return abs(require_hermitian(t))\n\n"
+                     "def operator_norm(h):\n    return abs(require_hermitian(h))\n\n"
+                     "def commutator_norm(a, h):\n    return operator_norm(a @ h - h @ a)\n",
         "scenario.py": "from .linalg import hermitian_eigendecompose\n\n"
                        "def load_scenario(h):\n    return hermitian_eigendecompose(h)\n\n"
                        "def build_operator(h):\n    return hermitian_eigendecompose(h)\n",
@@ -211,6 +221,7 @@ def test_the_walk_finds_a_validation_outside_its_homes():
     assert validation_breaches(sources) == [
         "curves.py:<module> names require_hermitian",
         "curves.py:GeneratedCurve.sup calls hermitian_eigendecompose",
+        "linalg.py:operator_norm calls require_hermitian",
         "scenario.py:build_operator calls hermitian_eigendecompose",
     ]
 
