@@ -2,7 +2,8 @@
 
 A corpus is a list of randomized desk-scale scenarios (dimension 2..8, up
 to 64 steps, all three curve variants, uniform and random partitions)
-derived deterministically from one master seed. The battery runs the full
+derived deterministically from one master seed, each a scenario.Scenario
+with a one-partition plan, so a sweep runs it too. The battery runs the full
 protocol on each scenario and checks every identity and bound the package
 promises. Reports are plain data with stable text rendering, so two runs
 with the same seed produce byte-identical output.
@@ -17,31 +18,26 @@ import numpy as np
 from .bounds import CheckInputs, run_checks
 from .curves import BasisCurve, GeneratedCurve, SampledCurve, StaticCurve, curve_bounds
 from .errors import ZenolabError
-from .linalg import HermitianEigen, hermitian_eigendecompose, seeded_cons, seeded_hermitian
+from .linalg import hermitian_eigendecompose, seeded_cons, seeded_hermitian
 from .measurement import Partition, random_partition, run_measurement, uniform_partition
+from .scenario import Scenario
 
 BOUND_CONSTANTS = (1.5, 2.0, 4.0)
 
 
-@dataclass(frozen=True)
-class CorpusScenario:
-    """One randomized protocol run, fully determined by its seed."""
+@dataclass(frozen=True, eq=False, kw_only=True)
+class CorpusScenario(Scenario):
+    """A Scenario fully determined by its seed, whose plan holds one partition
+    and whose label is its description."""
 
     seed: int
-    dim: int
-    variant: str
-    partition_kind: str
-    tau: float
-    weights: np.ndarray
-    hamiltonian: HermitianEigen
-    curve: BasisCurve
-    partition: Partition
+
+    @property
+    def partition(self) -> Partition:
+        return self.partitions[0]
 
     def describe(self) -> str:
-        return (
-            f"seed={self.seed} d={self.dim} curve={self.variant} "
-            f"partition={self.partition_kind} n={self.partition.n} tau={self.tau:.6g}"
-        )
+        return self.label
 
 
 def scenario_seeds(master_seed: int, size: int) -> list[int]:
@@ -54,7 +50,8 @@ def scenario_seeds(master_seed: int, size: int) -> list[int]:
 
 
 def build_scenario(seed: int) -> CorpusScenario:
-    """Deterministically build one randomized scenario from a single seed."""
+    """Deterministically build one randomized scenario from a single seed: a
+    one-partition plan, labelled with the draws that describe it."""
     rng = np.random.default_rng(seed)
     dim = int(rng.integers(2, 9))
     steps = int(rng.integers(1, 65))
@@ -86,17 +83,8 @@ def build_scenario(seed: int) -> CorpusScenario:
         else:
             curve = SampledCurve(partition.times, generated.frames_at(partition.times))
 
-    return CorpusScenario(
-        seed=seed,
-        dim=dim,
-        variant=variant,
-        partition_kind=partition_kind,
-        tau=tau,
-        weights=weights,
-        hamiltonian=hamiltonian,
-        curve=curve,
-        partition=partition,
-    )
+    label = f"seed={seed} d={dim} curve={variant} partition={partition_kind} n={partition.n} tau={tau:.6g}"
+    return CorpusScenario(hamiltonian, weights, curve, (partition,), label=label, seed=seed)
 
 
 @dataclass(frozen=True)

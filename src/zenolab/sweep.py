@@ -164,6 +164,9 @@ def read_csv(path: str) -> list[SweepRecord]:
         dim = len(per_k)
         if header != csv_columns(dim):
             raise ValidationError(f"{path} columns do not match schema 1 for dim {dim}")
+        if dim == 0:
+            stems = ", ".join(f"{stem}_k" for _, stem in BLOCKS)
+            raise ValidationError(f"{path} has no per-index block: schema 1 needs {stems} for each index k >= 1")
         records = []
         for row in reader:
             where = f"{path} line {reader.line_num + 1}"
@@ -208,6 +211,8 @@ def fit_loglog(ns, values) -> RateFit:
         raise ValidationError(f"need at least 4 records to fit a rate, got {n.shape[0]}")
     if not (np.all((n > 0) & np.isfinite(n)) and np.all((v > 0) & np.isfinite(v))):
         raise ValidationError("rate fitting requires finite, strictly positive N and values")
+    if np.all(n == n[0]):
+        raise ValidationError(f"need at least 2 distinct N to fit a rate, every record has N = {n[0]:g}")
     x, y = np.log(n), np.log(v)
     slope, intercept = np.polyfit(x, y, 1)
     residual = float(np.linalg.norm(y - (slope * x + intercept)))

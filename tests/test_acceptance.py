@@ -34,7 +34,7 @@ from zenolab.bounds import (
 )
 from zenolab.cli import main
 from zenolab.corpus import CorpusScenario, build_scenario, scenario_seeds
-from zenolab.curves import GeneratedCurve, StaticCurve, curve_bounds, drift_sums
+from zenolab.curves import GeneratedCurve, SampledCurve, StaticCurve, curve_bounds, drift_sums
 from zenolab.linalg import hermitian_eigendecompose, seeded_cons, trace_norm
 from zenolab.measurement import (
     MeasurementResult,
@@ -136,8 +136,8 @@ def test_criterion_1_dual_oracle_equivalence(corpus):
     runs, elapsed = corpus
     with criterion(1, f"dual-oracle equivalence on {len(runs)} scenarios in {elapsed:.1f}s"):
         assert len(runs) == CORPUS_SIZE
-        variants = {r.scenario.variant for r in runs}
-        assert variants == {"static", "generated", "sampled"}
+        variants = {type(r.scenario.curve) for r in runs}
+        assert variants == {StaticCurve, GeneratedCurve, SampledCurve}
         dims = {r.scenario.dim for r in runs}
         assert dims == set(range(2, 9))
         assert all(1 <= r.scenario.partition.n <= 64 for r in runs)
@@ -269,7 +269,7 @@ def test_criterion_8_curve_regularity(corpus):
             assert float(np.max(np.abs(run.drifts + run.half_squared_increments))) <= 1e-10
             for k in range(s.dim):
                 assert abs(float(run.drifts[k])) <= 0.5 * float(run.etas[k]) ** 2 * s.partition.sumsq + 1e-9
-                if s.partition_kind == "uniform":
+                if s.partition.uniform:
                     cap = float(run.etas[k]) ** 2 * s.tau**2 / (2 * s.partition.n)
                     assert abs(float(run.drifts[k])) <= cap + 1e-9
             if isinstance(s.curve, GeneratedCurve):

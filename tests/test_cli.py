@@ -4,6 +4,7 @@ import json
 import math
 import os
 import warnings
+from pathlib import Path
 
 import pytest
 
@@ -93,6 +94,17 @@ def _rate_with_row(edit):
         lines[2] = ",".join(edit(lines[2].split(",")))
         out_csv.write_text("\n".join(lines) + "\n")
         return ["rate", str(out_csv), "--column", "trace_distance"]
+
+    return argv
+
+
+def _rate_over_plan(plan):
+    """rate on the sweep CSV of the qubit scenario run over plan."""
+
+    def argv(tmp_path):
+        out_csv = str(tmp_path / "sweep.csv")
+        assert main(["sweep", qubit_scenario_file(tmp_path, partitions=plan), "--output", out_csv]) == 0
+        return ["rate", out_csv, "--column", "trace_distance"]
 
     return argv
 
@@ -190,6 +202,10 @@ MALFORMED_INPUTS = {
     "csv_row_with_a_non_number": (_rate_with_row(lambda f: f[:3] + ["x"] + f[4:]), "line 3"),
     "csv_row_with_too_few_fields": (_rate_with_row(lambda f: f[:3]), "line 3"),
     "csv_without_header": (_csv_file("#schema=1\n"), "columns do not match"),
+    "csv_without_per_index_block": (
+        _csv_file("#schema=1\n" + ",".join(csv_columns(0)) + "\n4,0.25,0.25,0.1,0.2,0.5,0.01\n"),
+        "sweep.csv has no per-index block: schema 1 needs lambda_k"),
+    "rate_over_a_single_n": (_rate_over_plan({"uniform": [4, 4, 4, 4]}), "need at least 2 distinct N"),
     "csv_without_records": (
         _csv_file("#schema=1\n" + ",".join(csv_columns(2)) + "\n", command="plot-script"), "holds no records"),
     "csv_row_with_zero_n": (_rate_with_row(lambda f: ["0"] + f[1:]), "line 3"),
@@ -264,7 +280,7 @@ class TestSweepCommand:
         out_csv = str(tmp_path / "sweep.csv")
         rc = main(["sweep", qubit_scenario_file(tmp_path), "--output", out_csv])
         assert rc == 0
-        assert open(out_csv).readline().startswith("#schema=1")
+        assert Path(out_csv).read_text().startswith("#schema=1\n")
 
 
 class TestRateCommand:

@@ -13,9 +13,10 @@ from zenolab.corpus import (
     run_battery,
     scenario_seeds,
 )
-from zenolab.curves import StaticCurve
+from zenolab.curves import GeneratedCurve, SampledCurve, StaticCurve
 from zenolab.linalg import hermitian_eigendecompose
 from zenolab.measurement import uniform_partition
+from zenolab.sweep import run_sweep
 
 DATA = os.path.join(os.path.dirname(__file__), "data")
 
@@ -43,8 +44,8 @@ class TestBuildScenario:
 
     def test_corpus_covers_all_variants_and_dims(self):
         scenarios = [build_scenario(s) for s in scenario_seeds(42, 60)]
-        assert {s.variant for s in scenarios} == {"static", "generated", "sampled"}
-        assert {s.partition_kind for s in scenarios} == {"uniform", "random"}
+        assert {type(s.curve) for s in scenarios} == {StaticCurve, GeneratedCurve, SampledCurve}
+        assert {s.partition.uniform for s in scenarios} == {True, False}
         assert {s.dim for s in scenarios} >= {2, 3, 4, 5, 6, 7, 8} - {5}
 
     def test_battery_decomposes_the_hamiltonian_once(self, validations):
@@ -57,7 +58,7 @@ class TestBuildScenario:
         assert any(r.scenario.dim == 2 and r.scenario.partition.n <= 6 for r in reports)
         assert names.count("hamiltonian") == len(reports)
         assert "matrix" not in names
-        assert len(eighs) == len(reports) + sum(r.scenario.variant != "static" for r in reports)
+        assert len(eighs) == len(reports) + sum(not isinstance(r.scenario.curve, StaticCurve) for r in reports)
 
     def test_zero_weight_padding_occurs(self):
         scenarios = [build_scenario(s) for s in scenario_seeds(42, 40)]
@@ -76,15 +77,12 @@ class TestRunBattery:
         # must report a failure instead of raising.
         good = build_scenario(scenario_seeds(3, 1)[0])
         bad = CorpusScenario(
+            hermitian_eigendecompose(np.eye(2)),
+            np.array([0.5, 0.3, 0.2]),
+            StaticCurve(np.eye(2, dtype=complex), 1.0),
+            (uniform_partition(1.0, 2),),
+            label=f"seed={good.seed} d=2 curve=static partition=uniform n=2 tau=1",
             seed=good.seed,
-            dim=2,
-            variant="static",
-            partition_kind="uniform",
-            tau=1.0,
-            weights=np.array([0.5, 0.3, 0.2]),
-            hamiltonian=hermitian_eigendecompose(np.eye(2)),
-            curve=StaticCurve(np.eye(2, dtype=complex), 1.0),
-            partition=uniform_partition(1.0, 2),
         )
         report = run_battery(bad)
         assert not report.passed
@@ -111,6 +109,19 @@ class TestRunBattery:
         report = run_battery(scenario)
         assert "trace_distance_bound" in [name for name, _ in report.failures]
         assert report.checks_run == checks_run
+
+    def test_corpus_scenario_sweeps_as_the_run_the_battery_checks(self, monkeypatch):
+        import zenolab.corpus as corpus_mod
+
+        runs = []
+        run_measurement = corpus_mod.run_measurement
+        monkeypatch.setattr(corpus_mod, "run_measurement", lambda *args: runs.append(run_measurement(*args)) or runs[-1])
+        for seed in scenario_seeds(3, 5):
+            scenario = build_scenario(seed)
+            assert run_battery(scenario).passed
+            [record] = run_sweep(scenario)
+            assert record.n == scenario.partition.n
+            assert record.trace_distance == runs[-1].trace_distance_to_target
 
     def test_suite_result_render_is_stable(self):
         a = check_suite(5, 6).render()

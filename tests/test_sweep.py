@@ -2,6 +2,7 @@
 
 import math
 import os
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -234,7 +235,7 @@ class TestCsvRoundTrip:
         records = run_sweep(small_qubit_scenario(tmp_path, ns=(2,)))
         path = str(tmp_path / "out.csv")
         write_csv(records, path)
-        lines = open(path).read().splitlines()
+        lines = Path(path).read_text().splitlines()
         assert lines[0] == "#schema=1"
         assert lines[1].startswith("N,mesh,sumsq,trace_distance,trace_bound,entropy,entropy_gap,lambda_1")
         assert lines[1].endswith("gamma_lb_2,a3_2")
@@ -244,7 +245,7 @@ class TestCsvRoundTrip:
         p1, p2 = str(tmp_path / "a.csv"), str(tmp_path / "b.csv")
         write_csv(run_sweep(scenario), p1)
         write_csv(run_sweep(scenario), p2)
-        assert open(p1, "rb").read() == open(p2, "rb").read()
+        assert Path(p1).read_bytes() == Path(p2).read_bytes()
 
     @pytest.mark.parametrize("blocks", [{"eps": (0.01,)}, {"a3s": (0.0, 0.0, 0.0)}], ids=["short", "long"])
     def test_ragged_blocks_rejected(self, tmp_path, blocks):
