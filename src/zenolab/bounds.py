@@ -6,10 +6,10 @@ trace-distance bounds and the dominating operator) are pure computations;
 the leakage and survival formulas take xi, eta and drift as scalars or as
 (d,) arrays over the basis index k.
 CHECKS is the only place the paper's inequalities are asserted: each row
-has a name and a tolerance, and yields one outcome per comparison it makes
-on a CheckInputs, reading the weights, partition and frame summary
-(measurement.FrameSummary) of the run itself. CheckInputs computes each
-bound and each entropy term once per run.
+has a name and a tolerance, and yields one (value, bound) pair per comparison
+on a CheckInputs, the weights, partition and frame summary of the run itself.
+Check.outcomes alone judges a pair: it passes when value <= bound + tol at
+every entry, so a NaN fails. CheckInputs computes what two readers share once.
 Sweeps and the corpus run the whole table; a row whose precondition does
 not hold (path enumeration beyond d = 2 and N <= 6, the drift decay off
 uniform_partition grids, the witness off generated curves, the entropy
@@ -90,8 +90,8 @@ def dominating_operator(weights, xis, etas, frame) -> np.ndarray:
 class CheckInputs:
     """One protocol run as the check table sees it: weights, partition and
     frame summary, drifts included, are the run's own, read from result.
-    Derived values are computed on first use and shared by the rows and the
-    sweep record; constants are the values of a that the survival rows try."""
+    Derived values are computed on first use, each read by two or more of the
+    rows and the sweep record; constants are the values of a the survival rows try."""
 
     result: MeasurementResult
     curve: BasisCurve
@@ -118,11 +118,6 @@ class CheckInputs:
         """Survival lower bounds per index for each constant a, mesh condition or not."""
         p = self.result.partition
         return {a: survival_lower_bound(self.xis, self.etas, a, p, self.drifts) for a in self.constants}
-
-    @cached_property
-    def weight_error_bounds(self) -> dict:
-        """Weight error bounds per index for each constant a, mesh condition or not."""
-        return {a: weight_error_bound(self.result.weights, self.gamma_lbs[a], self.eps_bounds) for a in self.constants}
 
     @cached_property
     def gated(self) -> list:
@@ -155,153 +150,154 @@ class CheckInputs:
         w, x2, e2 = self.result.weights, self.xis**2, self.etas**2
         return tuple(entr(v) for v in (w, x2, e2, w + x2 + e2))
 
-    @cached_property
-    def tail_index(self) -> int | None:
-        """Number of leading indices to drop before every w + xi^2 + eta^2 lies in
-        [0, 1/e], where entr increases; None when even the last one lies outside."""
-        combined = self.result.weights + self.xis**2 + self.etas**2
-        outside = np.flatnonzero(~(combined <= MONOTONE_REGION))
-        if not outside.size:
-            return 0
-        return None if outside[-1] == self.dim - 1 else int(outside[-1]) + 1
-
 
 class Check(NamedTuple):
-    """A row of the table: compare(inputs, tol) yields one (passed, fields) pair per comparison."""
+    """A row of the table: compare(inputs) yields (value, bound, fields) per comparison, outcomes judges it."""
 
     name: str
     tol: float
     compare: Callable
 
+    def outcomes(self, inputs: CheckInputs):
+        """(passed, fields) per comparison: passed when value <= bound + tol
+        holds at every entry of value, so a NaN in either fails."""
+        for value, bound, fields in self.compare(inputs):
+            holds = value <= bound + self.tol
+            # Only an array needs .all(): np.all on a scalar costs microseconds per comparison.
+            yield bool(holds.all() if isinstance(holds, np.ndarray) else holds), fields
 
-def _projection_family(x: CheckInputs, tol: float):
+
+def _projection_family(x: CheckInputs):
     # The projectors f_k f_k* of a frame F satisfy P_j P_k - delta_jk P_k = f_j (F*F - I)_jk f_k*
     # and sum_k P_k - I = F F* - I, so each identity is off by at most d times the Gram defect.
     defect = float(orthonormality_defect(x.result.frames.final))
-    yield defect <= tol, {"orthonormality_defect": defect}
+    yield defect, 0.0, {"orthonormality_defect": defect}
 
 
-def _weight_gap_identity(x: CheckInputs, tol: float):
+def _weight_gap_identity(x: CheckInputs):
     distance = x.result.trace_distance_to_target
     gap = float(np.sum(np.abs(x.result.weights_out - x.result.weights)))
-    yield abs(distance - gap) <= tol, {"distance": distance, "weight_gap": gap}
+    yield abs(distance - gap), 0.0, {"distance": distance, "weight_gap": gap}
 
 
-def _trace_distance_bound(x: CheckInputs, tol: float):
+def _trace_distance_bound(x: CheckInputs):
     distance = x.result.trace_distance_to_target
-    yield distance <= x.trace_bound + tol, {"distance": distance, "bound": x.trace_bound}
+    yield distance, x.trace_bound, {"distance": distance, "bound": x.trace_bound}
 
 
-def _per_index_gap(x: CheckInputs, tol: float):
+def _per_index_gap(x: CheckInputs):
     distance = x.result.trace_distance_to_target
     worst = float(np.max(np.abs(x.result.weights_out - x.result.weights)))
-    yield worst <= distance + tol, {"worst_gap": worst, "distance": distance}
+    yield worst, distance, {"worst_gap": worst, "distance": distance}
 
 
-def _weight_split(x: CheckInputs, tol: float):
+def _weight_split(x: CheckInputs):
     r = x.result
     residual = float(np.max(np.abs(r.weights_out - (r.weights * r.survivals + r.leakage))))
-    yield residual <= tol, {"residual": residual}
+    yield residual, 0.0, {"residual": residual}
 
 
-def _leakage_path_enumeration(x: CheckInputs, tol: float):
+def _leakage_path_enumeration(x: CheckInputs):
     r = x.result
     if x.dim == 2 and r.partition.n <= PATH_ORACLE_MAX_STEPS:
         brute = leakage_by_path_enumeration(r.weights, x.curve, x.hamiltonian, r.partition)
         for k in range(x.dim):
             leakage = float(r.leakage[k])
-            yield abs(brute[k] - leakage) <= tol, {"k": k + 1, "brute": brute[k], "leakage": leakage}
+            yield abs(brute[k] - leakage), 0.0, {"k": k + 1, "brute": brute[k], "leakage": leakage}
 
 
-def _leakage_bound(x: CheckInputs, tol: float):
+def _leakage_bound(x: CheckInputs):
     for k in range(x.dim):
         leakage, bound = float(x.result.leakage[k]), float(x.eps_bounds[k])
-        yield leakage <= bound + tol, {"k": k + 1, "leakage": leakage, "bound": bound}
+        yield leakage, bound, {"k": k + 1, "leakage": leakage, "bound": bound}
 
 
-def _survival_lower_bound(x: CheckInputs, tol: float):
+def _survival_lower_bound(x: CheckInputs):
     for k, a in x.gated:
         survival, lower = float(x.result.survivals[k]), float(x.gamma_lbs[a][k])
-        yield lower <= survival + tol, {"k": k + 1, "a": a, "survival": survival, "lower": lower}
+        yield lower, survival, {"k": k + 1, "a": a, "survival": survival, "lower": lower}
 
 
-def _weight_error_bound(x: CheckInputs, tol: float):
+def _weight_error_bound(x: CheckInputs):
     for k, a in x.gated:
-        bound = float(x.weight_error_bounds[a][k])
+        bound = float(weight_error_bound(x.result.weights[k], x.gamma_lbs[a][k], x.eps_bounds[k]))
         error = float(abs(x.result.weights_out[k] - x.result.weights[k]))
-        yield error <= bound + tol, {"k": k + 1, "a": a, "error": error, "bound": bound}
+        yield error, bound, {"k": k + 1, "a": a, "error": error, "bound": bound}
 
 
-def _drift_nonpositive(x: CheckInputs, tol: float):
+def _drift_nonpositive(x: CheckInputs):
     worst = float(np.max(x.drifts))
-    yield worst <= tol, {"worst": worst}
+    yield worst, 0.0, {"worst": worst}
 
 
-def _drift_identity(x: CheckInputs, tol: float):
+def _drift_identity(x: CheckInputs):
     # Each drift sum equals minus half the summed squared increments.
     residual = float(np.max(np.abs(x.drifts + x.result.frames.half_square_sums)))
-    yield residual <= tol, {"residual": residual}
+    yield residual, 0.0, {"residual": residual}
 
 
-def _drift_bound(x: CheckInputs, tol: float):
+def _drift_bound(x: CheckInputs):
     for k in range(x.dim):
         drift, bound = float(x.drifts[k]), float(0.5 * x.etas[k] ** 2 * x.result.partition.sumsq)
-        yield abs(drift) <= bound + tol, {"k": k + 1, "drift": drift, "bound": bound}
+        yield abs(drift), bound, {"k": k + 1, "drift": drift, "bound": bound}
 
 
-def _drift_bound_uniform(x: CheckInputs, tol: float):
+def _drift_bound_uniform(x: CheckInputs):
     p = x.result.partition
     if p.uniform:
         for k in range(x.dim):
             drift, bound = float(x.drifts[k]), float(x.etas[k]) ** 2 * p.tau**2 / (2 * p.n)
-            yield abs(drift) <= bound + tol, {"k": k + 1, "drift": drift, "bound": bound}
+            yield abs(drift), bound, {"k": k + 1, "drift": drift, "bound": bound}
 
 
-def _lipschitz_witness(x: CheckInputs, tol: float):
+def _lipschitz_witness(x: CheckInputs):
     if isinstance(x.curve, GeneratedCurve):
         pair_rng = np.random.default_rng(x.seed ^ 0x5EED)
         pairs = np.sort(pair_rng.uniform(0.0, x.curve.tau, size=(8, 2)), axis=1)
         frames = x.curve.frames_at(pairs.ravel()).reshape(8, 2, x.dim, x.dim)
         steps = np.linalg.norm(frames[:, 1] - frames[:, 0], axis=1)
         for (t0, t1), step in zip(pairs.tolist(), steps):
-            yield bool(np.all(step <= x.etas * (t1 - t0) + tol)), {"t0": t0, "t1": t1}
+            yield step, x.etas * (t1 - t0), {"t0": t0, "t1": t1}
 
 
-def _fannes(x: CheckInputs, tol: float):
+def _fannes(x: CheckInputs):
     if x.fannes.applicable:
-        yield x.entropy_gap <= x.fannes.bound + tol, {"gap": x.entropy_gap, "bound": x.fannes.bound}
+        yield x.entropy_gap, x.fannes.bound, {"gap": x.entropy_gap, "bound": x.fannes.bound}
 
 
-def _sigma_domination(x: CheckInputs, tol: float):
+def _sigma_domination(x: CheckInputs):
     # Domination is promised only once the partition is fine enough.
     r = x.result
     if r.partition.sumsq < 0.5:
         sigma = dominating_operator(r.weights, x.xis, x.etas, r.frames.final)
         min_eig = float(np.min(np.linalg.eigvalsh(sigma - r.rho_final.matrix)))
-        yield min_eig >= -tol, {"min_eig": min_eig}
+        # Negation is exact: -min_eig <= tol exactly when min_eig >= -tol.
+        yield -min_eig, 0.0, {"min_eig": min_eig}
 
 
-def _entropy_subadditivity(x: CheckInputs, tol: float):
+def _entropy_subadditivity(x: CheckInputs):
     # entr(w + xi^2 + eta^2) <= entr(w) + entr(xi^2) + entr(eta^2) at every index k.
     ew, ex, ee, ec = x.entropy_terms
     parts = ew + ex + ee
     k = int(np.argmin(parts - ec))
-    yield bool(np.all(ec <= parts + tol)), {"k": k + 1, "slack": float(parts[k] - ec[k])}
+    yield ec, parts, {"k": k + 1, "slack": float(parts[k] - ec[k])}
 
 
-def _dominator_entropy(x: CheckInputs, tol: float):
+def _dominator_entropy(x: CheckInputs):
     s_w, s_xi, s_eta, s_c = (float(np.sum(v)) for v in x.entropy_terms)
-    yield s_c <= s_w + s_xi + s_eta + tol, {
+    yield s_c, s_w + s_xi + s_eta, {
         "state_entropy": s_w, "sum_entr_xi_sq": s_xi, "sum_entr_eta_sq": s_eta, "sum_entr_combined": s_c}
 
 
-def _entropy_tail_monotone(x: CheckInputs, tol: float):
-    # Past tail_index every combined value lies where entr increases, so each
-    # marginal tail sum is at most the combined one.
-    i = x.tail_index
-    if i is not None:
+def _entropy_tail_monotone(x: CheckInputs):
+    # Past the last w + xi^2 + eta^2 outside [0, 1/e] every combined value lies where entr increases,
+    # so each marginal tail sum is at most the combined one; no tail when the last index lies outside.
+    combined = x.result.weights + x.xis**2 + x.etas**2
+    outside = np.flatnonzero(~(combined <= MONOTONE_REGION))
+    i = int(outside[-1]) + 1 if outside.size else 0
+    if i < x.dim:
         tw, txi, teta, tc = (float(np.sum(v[i:])) for v in x.entropy_terms)
-        yield max(tw, txi, teta) <= tc + tol, {
+        yield max(tw, txi, teta), tc, {
             "tail_index": i, "tail_state": tw, "tail_xi_sq": txi, "tail_eta_sq": teta, "tail_combined": tc}
 
 
@@ -330,4 +326,4 @@ CHECKS = (
 
 def run_checks(inputs: CheckInputs) -> list[tuple[str, bool, dict]]:
     """(name, passed, fields) for each comparison of every row, in table order."""
-    return [(c.name, bool(ok), fields) for c in CHECKS for ok, fields in c.compare(inputs, c.tol)]
+    return [(c.name, passed, fields) for c in CHECKS for passed, fields in c.outcomes(inputs)]

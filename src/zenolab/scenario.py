@@ -21,6 +21,7 @@ rebuild an operator.
 from __future__ import annotations
 
 import json
+import math
 import os
 import sys
 from dataclasses import dataclass
@@ -30,7 +31,7 @@ import numpy as np
 from .curves import BasisCurve, GeneratedCurve, SampledCurve, StaticCurve, time_tol
 from .errors import ValidationError
 from .linalg import HermitianEigen, hermitian_eigendecompose, require_cons, seeded_cons, seeded_hermitian
-from .measurement import Partition, random_partition, uniform_partition
+from .measurement import TRANSFER_BLOCK, Partition, random_partition, uniform_partition
 from .states import require_weights
 
 PAULI = {
@@ -52,6 +53,12 @@ MAX_PLAN_TIMES = 2**24
 # (xi^2 + 2 xi eta) mesh^2 + 2 eta mesh, 2 (xi^2 + eta^2) sumsq) is at most 5 s^2 for s >= 1.
 # float64 is finite below 2**1024: s <= 2**510 keeps 5 s^2 < 2**1023.
 MAX_SCALE = 2.0**510
+# Largest dim: what grows with d are (d, d) complex128 matrices of 16 d^2 bytes each. A run holds one
+# trajectory block at a time, about seven stacks of TRANSFER_BLOCK + 1 of them (the frames, the step
+# unitaries and each route's products; 6.6 measured at d = 64), and a load some twenty more (the
+# seeded draws, the eigenvectors, LAPACK's workspace): eight stacks in all. In 1 GiB:
+# d^2 <= 2**30 / (16 * 8 * 257) = 32640 for blocks of 256 steps, so d <= 180.
+MAX_DIM = math.isqrt(2**30 // (16 * 8 * (TRANSFER_BLOCK + 1)))
 
 
 @dataclass(frozen=True, eq=False)
@@ -151,6 +158,14 @@ def _count(value, name: str, positive: bool = False) -> int:
     if type(value) is not int or value < positive:
         raise ValidationError(f"{name} must be a {['nonnegative', 'positive'][positive]} integer, got {value!r:.80}")
     return value
+
+
+def _dim(value, name: str) -> int:
+    """value, a positive integer no larger than MAX_DIM: checked before any (d, d) array exists."""
+    dim = _count(value, name, positive=True)
+    if dim > MAX_DIM:
+        raise ValidationError(f"{name} must be at most {MAX_DIM}, got {dim}")
+    return dim
 
 
 def build_operator(spec, dim: int, name: str = "hamiltonian") -> np.ndarray:
@@ -267,7 +282,7 @@ def load_scenario(path: str) -> Scenario:
         except ValidationError as exc:
             problems.append(str(exc))
 
-    dim = read("dim", _count, True)
+    dim = read("dim", _dim)
     tau = read("tau", _real, 0.0, True)
     weights = read("state", _weights, dim)
     a = read("a", _real, 1.0, True) if "a" in data else 2.0

@@ -11,6 +11,7 @@ significant digits so a parse reproduces the records bit for bit.
 from __future__ import annotations
 
 import csv
+import io
 import math
 import sys
 from dataclasses import dataclass
@@ -145,6 +146,14 @@ def _finite(values: dict, column: str) -> float:
     return x
 
 
+def _rows(reader, path: str):
+    """The rows of a csv reader over path; a csv.Error becomes a ValidationError naming its line."""
+    try:
+        yield from reader
+    except csv.Error as exc:
+        raise ValidationError(f"{path} line {reader.line_num + 1}: {exc}") from exc
+
+
 def read_csv(path: str) -> list[SweepRecord]:
     """Parse a sweep CSV back into records.
 
@@ -152,14 +161,23 @@ def read_csv(path: str) -> list[SweepRecord]:
     in the float range and every other field a finite float. The two
     continuity-bound fields are exact functions of trace_distance and the
     dimension, so they are recomputed rather than stored; the result matches
-    the in-memory originals bit for bit.
+    the in-memory originals bit for bit. A file that is not UTF-8, or that
+    csv cannot parse, is a ValidationError naming its line.
     """
-    with open(path, newline="") as fh:
+    with open(path, "rb") as fh:
+        data = fh.read()
+    try:
+        text = data.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        line = data.count(b"\n", 0, exc.start) + 1
+        raise ValidationError(f"{path} line {line}: not UTF-8 ({exc.reason} at byte {exc.start})") from exc
+    with io.StringIO(text, newline="") as fh:
         first = fh.readline()
         if not first.startswith("#schema=1"):
             raise ValidationError(f"{path} does not carry the #schema=1 header")
         reader = csv.reader(fh)
-        header = next(reader, [])
+        rows = _rows(reader, path)
+        header = next(rows, [])
         per_k = [c for c in header if c.startswith("lambda_")]
         dim = len(per_k)
         if header != csv_columns(dim):
@@ -168,7 +186,7 @@ def read_csv(path: str) -> list[SweepRecord]:
             stems = ", ".join(f"{stem}_k" for _, stem in BLOCKS)
             raise ValidationError(f"{path} has no per-index block: schema 1 needs {stems} for each index k >= 1")
         records = []
-        for row in reader:
+        for row in rows:
             where = f"{path} line {reader.line_num + 1}"
             if len(row) != len(header):
                 raise ValidationError(f"{where}: {len(row)} fields, the header has {len(header)}")

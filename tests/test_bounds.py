@@ -263,15 +263,21 @@ class TestEntropyConditionReport:
         assert sums["sum_entr_combined"] == pytest.approx(s_c, abs=1e-12)
         assert [passed for passed, _ in row_outcomes(x, "entropy_subadditivity")] == [True]
         # Only the first combined value 0.41 exceeds 1/e.
-        assert x.tail_index == 1
         [(passed, tail)] = row_outcomes(x, "entropy_tail_monotone")
         assert passed
         assert tail["tail_index"] == 1
         assert tail["tail_combined"] == pytest.approx(-sum(c * math.log(c) for c in combined[1:]), abs=1e-12)
 
+    def test_every_combined_value_inside_the_monotone_region_compares_the_whole_sums(self):
+        x = self.inputs([0.25, 0.25, 0.25, 0.25], [0.0] * 4, [0.0] * 4)
+        [(passed, tail)] = row_outcomes(x, "entropy_tail_monotone")
+        assert passed
+        assert tail["tail_index"] == 0
+        assert tail["tail_state"] == tail["tail_combined"] == pytest.approx(math.log(4), abs=1e-14)
+        assert tail["tail_xi_sq"] == tail["tail_eta_sq"] == 0.0
+
     def test_all_arguments_outside_monotone_region(self):
         x = self.inputs([0.5, 0.5], [1.0, 1.0], [1.0, 1.0])
-        assert x.tail_index is None
         assert row_outcomes(x, "entropy_tail_monotone") == []
 
 
@@ -286,7 +292,7 @@ def generated_inputs(dim=3, n=8, seed=0, constants=(1.5, 2.0, 4.0)) -> CheckInpu
 
 def row_outcomes(inputs: CheckInputs, name: str) -> list:
     row = next(c for c in CHECKS if c.name == name)
-    return list(row.compare(inputs, row.tol))
+    return list(row.outcomes(inputs))
 
 
 class TestCheckRowsReadTheRun:
@@ -358,8 +364,17 @@ class TestCheckInputsOverArrays:
             for a in x.constants:
                 exponent = -a * ((xis[k] ** 2 + 2 * xis[k] * etas[k]) * p.sumsq - 2.0 * x.drifts[k])
                 assert x.gamma_lbs[a][k] == pytest.approx(math.exp(exponent), rel=4 * np.finfo(float).eps)
-                scalar = x.result.weights[k] * (1.0 - math.exp(exponent)) + 2.0 * (xis[k] ** 2 + etas[k] ** 2) * p.sumsq
-                assert x.weight_error_bounds[a][k] == pytest.approx(scalar, rel=4 * np.finfo(float).eps)
+
+    def test_weight_error_row_matches_the_scalar_formula_at_each_gated_pair(self):
+        x = generated_inputs(dim=5, n=16)
+        xis, etas, p = x.xis, x.etas, x.result.partition
+        outcomes = row_outcomes(x, "weight_error_bound")
+        assert [(f["k"] - 1, f["a"]) for _, f in outcomes] == x.gated
+        for _, f in outcomes:
+            k, a = f["k"] - 1, f["a"]
+            survival_lb = math.exp(-a * ((xis[k] ** 2 + 2 * xis[k] * etas[k]) * p.sumsq - 2.0 * x.drifts[k]))
+            scalar = x.result.weights[k] * (1.0 - survival_lb) + 2.0 * (xis[k] ** 2 + etas[k] ** 2) * p.sumsq
+            assert f["bound"] == pytest.approx(scalar, rel=4 * np.finfo(float).eps)
 
     def test_gated_pairs_are_k_major(self):
         x = generated_inputs(dim=5, n=16)
@@ -389,20 +404,45 @@ class TestEntropySemicontinuityAlongSweeps:
         assert limit <= min(tail) + 1e-6
 
 
+def every_row_inputs() -> CheckInputs:
+    """A run on which every row compares: d = 2 with N = 6, a uniform plan, a generated curve slow
+    enough for the mesh gate and a small trace distance, and a last weight that leaves a tail."""
+    h = hermitian_eigendecompose(0.1 * seeded_hermitian(2, 11))
+    curve = GeneratedCurve(0.1 * seeded_hermitian(2, 12), seeded_cons(2, 13), 1.0)
+    result = run_measurement([0.9, 0.1], h, curve, uniform_partition(1.0, 6))
+    xis, etas = curve_bounds(curve, h)
+    return CheckInputs(result, curve, h, xis, etas, (1.5, 2.0, 4.0))
+
+
+def with_nan(row, at: int):
+    """row with a NaN at the first entry of each comparison's value (at = 0) or bound (at = 1)."""
+
+    def compare(inputs):
+        for value, bound, fields in row.compare(inputs):
+            pair = [value, bound]
+            pair[at] = np.array(pair[at], dtype=float)
+            pair[at].flat[0] = math.nan
+            yield (*pair, fields)
+
+    return row._replace(compare=compare)
+
+
 class TestCheckTable:
     def test_every_row_compares_with_its_own_tol(self):
-        # With tol = -inf no comparison can pass. Every row compares on this run:
-        # d = 2 with N = 6, a uniform plan, a generated curve slow enough for the
-        # mesh gate and a small trace distance, and a last weight that leaves a tail.
-        h = hermitian_eigendecompose(0.1 * seeded_hermitian(2, 11))
-        curve = GeneratedCurve(0.1 * seeded_hermitian(2, 12), seeded_cons(2, 13), 1.0)
-        result = run_measurement([0.9, 0.1], h, curve, uniform_partition(1.0, 6))
-        xis, etas = curve_bounds(curve, h)
-        x = CheckInputs(result, curve, h, xis, etas, (1.5, 2.0, 4.0))
+        # With tol = -inf no comparison can pass.
+        x = every_row_inputs()
         for row in CHECKS:
-            outcomes = list(row.compare(x, row.tol))
+            outcomes = list(row.outcomes(x))
             assert outcomes and all(passed for passed, _ in outcomes), row.name
-            assert not any(passed for passed, _ in row.compare(x, -math.inf)), row.name
+            assert not any(passed for passed, _ in row._replace(tol=-math.inf).outcomes(x)), row.name
+
+    @pytest.mark.parametrize("at", [0, 1], ids=["value", "bound"])
+    def test_a_nan_fails_every_comparison_of_every_row(self, at):
+        x = every_row_inputs()
+        for row in CHECKS:
+            outcomes = list(with_nan(row, at).outcomes(x))
+            assert len(outcomes) == len(list(row.outcomes(x))) > 0, row.name
+            assert not any(passed for passed, _ in outcomes), row.name
 
     def test_names_unique(self):
         names = [c.name for c in CHECKS]

@@ -111,7 +111,7 @@ def _rate_over_plan(plan):
 
 def _csv_file(text, command="rate"):
     def argv(tmp_path):
-        (tmp_path / "sweep.csv").write_text(text)
+        (tmp_path / "sweep.csv").write_bytes(text if isinstance(text, bytes) else text.encode())
         return [command, str(tmp_path / "sweep.csv"), "--column", "trace_distance"]
 
     return argv
@@ -206,6 +206,12 @@ MALFORMED_INPUTS = {
         _csv_file("#schema=1\n" + ",".join(csv_columns(0)) + "\n4,0.25,0.25,0.1,0.2,0.5,0.01\n"),
         "sweep.csv has no per-index block: schema 1 needs lambda_k"),
     "rate_over_a_single_n": (_rate_over_plan({"uniform": [4, 4, 4, 4]}), "need at least 2 distinct N"),
+    "csv_not_utf8": (_csv_file(b"\xff\xfe#schema=1\n"), "sweep.csv line 1: not UTF-8"),
+    "csv_not_utf8_on_a_later_line": (
+        _csv_file(b"#schema=1\n" + ",".join(csv_columns(2)).encode() + b"\n4,0.25,\xff\n", command="plot-script"),
+        "sweep.csv line 3: not UTF-8"),
+    "csv_field_beyond_the_field_limit": (
+        _rate_with_row(lambda f: f[:3] + ["1" * 131073] + f[4:]), "sweep.csv line 3: field larger than field limit"),
     "csv_without_records": (
         _csv_file("#schema=1\n" + ",".join(csv_columns(2)) + "\n", command="plot-script"), "holds no records"),
     "csv_row_with_zero_n": (_rate_with_row(lambda f: ["0"] + f[1:]), "line 3"),

@@ -12,7 +12,7 @@ import pytest
 from zenolab.curves import GeneratedCurve, SampledCurve, StaticCurve
 from zenolab.cli import main
 from zenolab.errors import ValidationError
-from zenolab.scenario import MAX_PLAN_TIMES, MAX_SCALE, _require_steps_fit, load_scenario
+from zenolab.scenario import MAX_DIM, MAX_PLAN_TIMES, MAX_SCALE, _require_steps_fit, load_scenario
 from zenolab.sweep import run_sweep
 
 SCENARIOS = os.path.join(os.path.dirname(__file__), "..", "scenarios")
@@ -148,6 +148,22 @@ class TestLoadScenario:
     def test_scale_at_the_cap_loads(self, tmp_path):
         path = minimal_zeno(tmp_path, tau=MAX_SCALE, partitions={"uniform": [1]})
         assert load_scenario(path).tau == MAX_SCALE
+
+    def test_dim_above_the_cap_is_a_config_error_before_any_operator_is_drawn(self, tmp_path, monkeypatch, capsys):
+        # The cap admits the stress tier's d = 64 and d = 128; past it, a small file
+        # must not reach the (d, d) Gaussian draws of a seeded operator.
+        import zenolab.scenario as scenario_mod
+
+        def refuse(*args):
+            raise AssertionError("a (d, d) operator was drawn")
+
+        assert MAX_DIM >= 128
+        monkeypatch.setattr(scenario_mod, "seeded_hermitian", refuse)
+        d = MAX_DIM + 1
+        path = minimal_zeno(tmp_path, dim=d, hamiltonian={"random": {"seed": 1}}, state={"eigenvalues": [1.0 / d] * d})
+        assert main(["run", path]) == 2
+        err = capsys.readouterr().err
+        assert err == f"configuration error: dim must be at most {MAX_DIM}, got {d}\n"
 
 
 class TestOperatorSpecs:
