@@ -7,11 +7,12 @@ the leakage and survival formulas take xi, eta and drift as scalars or as
 (d,) arrays over the basis index k.
 CHECKS is the only place the paper's inequalities are asserted: each row
 has a name and a tolerance, and yields one (value, bound) pair per comparison
-on a CheckInputs, the weights, partition and frame summary of the run itself.
+on a CheckInputs, the run itself with its weights, partition and frames.
 Check.outcomes alone judges a pair: it passes when value <= bound + tol at
 every entry, so a NaN fails. CheckInputs computes what two readers share once.
-Sweeps and the corpus run the whole table; a row whose precondition does
-not hold (path enumeration beyond d = 2 and N <= 6, the drift decay off
+check_run, for sweeps and the corpus alike, runs the protocol on a partition
+and the whole table on the run; a row whose precondition does not hold
+(path enumeration beyond d = 2 and N <= 6, the drift decay off
 uniform_partition grids, the witness off generated curves, the entropy
 tail when no tail lies in the monotone region of entr, and the mesh,
 Fannes and sigma gates) makes no comparison.
@@ -30,7 +31,8 @@ from .channels import FAMILY_TOL
 from .curves import BasisCurve, GeneratedCurve
 from .errors import ValidationError
 from .linalg import HermitianEigen, orthonormality_defect
-from .measurement import MeasurementResult, Partition, leakage_by_path_enumeration
+from .measurement import MeasurementResult, Partition, leakage_by_path_enumeration, run_measurement
+from .scenario import Scenario
 from .states import entr, fannes_bound_at, require_weights, von_neumann_entropy
 
 MONOTONE_REGION = 1.0 / math.e
@@ -88,10 +90,10 @@ def dominating_operator(weights, xis, etas, frame) -> np.ndarray:
 
 @dataclass(frozen=True, eq=False)
 class CheckInputs:
-    """One protocol run as the check table sees it: weights, partition and
-    frame summary, drifts included, are the run's own, read from result.
-    Derived values are computed on first use, each read by two or more of the
-    rows and the sweep record; constants are the values of a the survival rows try."""
+    """One protocol run as the check table sees it, built by check_run: weights,
+    partition and frames are the run's own, read from result. Derived values
+    are computed on first use, each read by two or more of the rows and the
+    sweep record; constants are the values of a the survival rows try."""
 
     result: MeasurementResult
     curve: BasisCurve
@@ -105,10 +107,6 @@ class CheckInputs:
     def dim(self) -> int:
         return self.result.weights.shape[0]
 
-    @property
-    def drifts(self) -> np.ndarray:
-        return self.result.frames.drifts
-
     @cached_property
     def eps_bounds(self) -> np.ndarray:
         return leakage_upper_bound(self.xis, self.etas, self.result.partition)
@@ -117,7 +115,7 @@ class CheckInputs:
     def gamma_lbs(self) -> dict:
         """Survival lower bounds per index for each constant a, mesh condition or not."""
         p = self.result.partition
-        return {a: survival_lower_bound(self.xis, self.etas, a, p, self.drifts) for a in self.constants}
+        return {a: survival_lower_bound(self.xis, self.etas, a, p, self.result.drifts) for a in self.constants}
 
     @cached_property
     def gated(self) -> list:
@@ -170,7 +168,7 @@ class Check(NamedTuple):
 def _projection_family(x: CheckInputs):
     # The projectors f_k f_k* of a frame F satisfy P_j P_k - delta_jk P_k = f_j (F*F - I)_jk f_k*
     # and sum_k P_k - I = F F* - I, so each identity is off by at most d times the Gram defect.
-    defect = float(orthonormality_defect(x.result.frames.final))
+    defect = float(orthonormality_defect(x.result.final_frame))
     yield defect, 0.0, {"orthonormality_defect": defect}
 
 
@@ -226,19 +224,19 @@ def _weight_error_bound(x: CheckInputs):
 
 
 def _drift_nonpositive(x: CheckInputs):
-    worst = float(np.max(x.drifts))
+    worst = float(np.max(x.result.drifts))
     yield worst, 0.0, {"worst": worst}
 
 
 def _drift_identity(x: CheckInputs):
     # Each drift sum equals minus half the summed squared increments.
-    residual = float(np.max(np.abs(x.drifts + x.result.frames.half_square_sums)))
+    residual = float(np.max(np.abs(x.result.drifts + x.result.half_square_sums)))
     yield residual, 0.0, {"residual": residual}
 
 
 def _drift_bound(x: CheckInputs):
     for k in range(x.dim):
-        drift, bound = float(x.drifts[k]), float(0.5 * x.etas[k] ** 2 * x.result.partition.sumsq)
+        drift, bound = float(x.result.drifts[k]), float(0.5 * x.etas[k] ** 2 * x.result.partition.sumsq)
         yield abs(drift), bound, {"k": k + 1, "drift": drift, "bound": bound}
 
 
@@ -246,7 +244,7 @@ def _drift_bound_uniform(x: CheckInputs):
     p = x.result.partition
     if p.uniform:
         for k in range(x.dim):
-            drift, bound = float(x.drifts[k]), float(x.etas[k]) ** 2 * p.tau**2 / (2 * p.n)
+            drift, bound = float(x.result.drifts[k]), float(x.etas[k]) ** 2 * p.tau**2 / (2 * p.n)
             yield abs(drift), bound, {"k": k + 1, "drift": drift, "bound": bound}
 
 
@@ -269,7 +267,7 @@ def _sigma_domination(x: CheckInputs):
     # Domination is promised only once the partition is fine enough.
     r = x.result
     if r.partition.sumsq < 0.5:
-        sigma = dominating_operator(r.weights, x.xis, x.etas, r.frames.final)
+        sigma = dominating_operator(r.weights, x.xis, x.etas, r.final_frame)
         min_eig = float(np.min(np.linalg.eigvalsh(sigma - r.rho_final.matrix)))
         # Negation is exact: -min_eig <= tol exactly when min_eig >= -tol.
         yield -min_eig, 0.0, {"min_eig": min_eig}
@@ -324,6 +322,11 @@ CHECKS = (
 )
 
 
-def run_checks(inputs: CheckInputs) -> list[tuple[str, bool, dict]]:
-    """(name, passed, fields) for each comparison of every row, in table order."""
-    return [(c.name, passed, fields) for c in CHECKS for passed, fields in c.outcomes(inputs)]
+def check_run(scenario: Scenario, partition: Partition, xis_etas: tuple, constants: tuple,
+              seed: int = 0) -> tuple[CheckInputs, list[tuple[str, bool, dict]]]:
+    """Run the protocol on one partition of scenario, then the table on the run:
+    (inputs, outcomes), with (name, passed, fields) for each comparison of every
+    row in table order. xis_etas is the curve_bounds pair; errors propagate."""
+    result = run_measurement(scenario.weights, scenario.hamiltonian, scenario.curve, partition)
+    inputs = CheckInputs(result, scenario.curve, scenario.hamiltonian, *xis_etas, constants, seed=seed)
+    return inputs, [(c.name, passed, fields) for c in CHECKS for passed, fields in c.outcomes(inputs)]

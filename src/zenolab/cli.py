@@ -83,6 +83,8 @@ def _cmd_plot_script(args) -> int:
     if args.column not in columns:
         raise ValidationError(f"column {args.column!r} not in {args.csv}")
     idx = columns.index(args.column) + 1
+    # A gnuplot single-quoted string writes a quote as two quotes.
+    path = args.csv.replace("'", "''")
     script = "\n".join(
         [
             "set datafile separator ','",
@@ -90,7 +92,7 @@ def _cmd_plot_script(args) -> int:
             "set logscale xy",
             "set xlabel 'N'",
             f"set ylabel '{args.column}'",
-            f"plot '{args.csv}' every ::1 using 1:{idx} with linespoints title '{args.column}'",
+            f"plot '{path}' every ::1 using 1:{idx} with linespoints title '{args.column}'",
             "",
         ]
     )

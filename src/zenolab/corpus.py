@@ -5,7 +5,8 @@ to 64 steps, all three curve variants, uniform and random partitions)
 derived deterministically from one master seed, each a scenario.Scenario
 with a one-partition plan, so a sweep runs it too. The battery runs the full
 protocol on each scenario and checks every identity and bound the package
-promises. Reports are plain data with stable text rendering, so two runs
+promises, through bounds.check_run as a sweep does, but collects every
+failure. Reports are plain data with stable text rendering, so two runs
 with the same seed produce byte-identical output.
 """
 
@@ -15,11 +16,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .bounds import CheckInputs, run_checks
+from .bounds import check_run
 from .curves import BasisCurve, GeneratedCurve, SampledCurve, StaticCurve, curve_bounds
 from .errors import ZenolabError
 from .linalg import hermitian_eigendecompose, seeded_cons, seeded_hermitian
-from .measurement import Partition, random_partition, run_measurement, uniform_partition
+from .measurement import Partition, random_partition, uniform_partition
 from .scenario import Scenario
 
 BOUND_CONSTANTS = (1.5, 2.0, 4.0)
@@ -108,20 +109,17 @@ class ScenarioReport:
 
 
 def run_battery(scenario: CorpusScenario) -> ScenarioReport:
-    """Run every row of the check table on one scenario.
+    """Run every row of the check table on one scenario: bounds.check_run with
+    BOUND_CONSTANTS and the scenario's seed.
 
     A ZenolabError from running the protocol becomes a structured failure
     entry rather than an exception, so a whole-corpus run always completes.
     """
     s = scenario
     try:
-        result = run_measurement(s.weights, s.hamiltonian, s.curve, s.partition)
+        _, outcomes = check_run(s, s.partition, curve_bounds(s.curve, s.hamiltonian), BOUND_CONSTANTS, seed=s.seed)
     except ZenolabError as exc:
         return ScenarioReport(scenario=s, checks_run=1, failures=(("run_measurement", str(exc)),))
-
-    xis, etas = curve_bounds(s.curve, s.hamiltonian)
-    inputs = CheckInputs(result, s.curve, s.hamiltonian, xis, etas, BOUND_CONSTANTS, seed=s.seed)
-    outcomes = run_checks(inputs)
     failures = tuple(
         (name, " ".join(f"{k}={v!r}" for k, v in fields.items())) for name, passed, fields in outcomes if not passed
     )

@@ -37,15 +37,21 @@ def time_tol(tau: float) -> float:
     return 1e-12 * max(1.0, tau)
 
 
+def require_tau(tau) -> float:
+    """tau as a float, if it is a finite positive number; a NaN or an infinity fails."""
+    t = float(tau)
+    if not 0 < t < np.inf:
+        raise ValidationError(f"tau must be a finite positive number, got {t!r}")
+    return t
+
+
 class BasisCurve:
     """Common surface of the three curve variants."""
 
     def __init__(self, base, tau: float):
-        if not (float(tau) > 0):
-            raise ValidationError(f"tau must be positive, got {tau!r}")
+        self.tau = require_tau(tau)
         self.base = require_cons(base, name="base basis")
         self.base.flags.writeable = False
-        self.tau = float(tau)
         self.dim = self.base.shape[1]
 
     def _check_times(self, times) -> np.ndarray:

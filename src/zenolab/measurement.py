@@ -23,9 +23,9 @@ the block, so a run's memory does not grow with N.
 
 The transfer matrices, weights and survivals never reach the channel
 route, and its state never reaches the transfer route. They must agree to
-1e-9. Beside the routes, each block adds to the run's FrameSummary: the
-drift sums and half the summed squared increments, which the drift checks
-read, and finally the frame at tau.
+1e-9. Beside the routes, each block adds to the run's drift sums and half
+summed squared increments, which the drift checks read; the result also
+keeps the frame at tau.
 
 Inputs are validated once, at the API boundary (the weights w of the start
 state sum_k w_k |b_k><b_k| over the curve's base b, by states.require_weights
@@ -37,7 +37,7 @@ state (DensityMatrix symmetrizes, checks and decomposes it once) and
 diagonal in the frame at tau with the transfer weights as its diagonal
 (dual_oracle_agreement), weights_out summing to 1 and leakage nonnegative.
 The paper's bounds, the trace-distance bound among them, are checked by
-the rows of bounds.CHECKS.
+the rows of bounds.CHECKS, which bounds.check_run runs on each run.
 
 Per index k the result splits as
 
@@ -57,7 +57,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .curves import BasisCurve, drift_sums, half_square_sums, time_tol
+from .curves import BasisCurve, drift_sums, half_square_sums, require_tau, time_tol
 from .errors import InvariantViolation, ValidationError
 from .linalg import HermitianEigen, trace_norm
 from .states import DensityMatrix, require_weights
@@ -128,9 +128,7 @@ class Partition:
 def uniform_partition(tau: float, n: int) -> Partition:
     if n < 1:
         raise ValidationError("n must be at least 1")
-    if not tau > 0:
-        raise ValidationError("tau must be positive")
-    return Partition(np.linspace(0.0, float(tau), n + 1), uniform=True)
+    return Partition(np.linspace(0.0, require_tau(tau), n + 1), uniform=True)
 
 
 def random_partition(tau: float, n: int, seed: int) -> Partition:
@@ -146,8 +144,7 @@ def random_partition(tau: float, n: int, seed: int) -> Partition:
     """
     if n < 1:
         raise ValidationError("n must be at least 1")
-    if not tau > 0:
-        raise ValidationError("tau must be positive")
+    tau = require_tau(tau)
     rng = np.random.default_rng(seed)
     min_gap = tau * min(1e-6, 0.25 / n)
     for _ in range(100):
@@ -301,27 +298,16 @@ def leakage_by_path_enumeration(weights, curve: BasisCurve, hamiltonian: Hermiti
 
 
 @dataclass(frozen=True, eq=False)
-class FrameSummary:
-    """What the checks read of a run's frames, gathered block by block:
-    the frame at tau, the per-index drift sums and half the per-index
-    summed squared increments, each (d,)."""
-
-    final: np.ndarray
-    drifts: np.ndarray
-    half_square_sums: np.ndarray
-
-
-@dataclass(frozen=True, eq=False)
 class MeasurementResult:
     """Everything a single protocol run produces.
 
     weights_out are the coefficients of the final state in the basis at tau,
     survivals the per-index stay probabilities, leakage the nonnegative
     remainder, and trace_distance_to_target the trace-norm distance between
-    the final state and the moving reference state at tau. weights (the
-    validated weights over the curve's base that both routes start from),
-    frames (the FrameSummary of the frames both routes read) and partition
-    are kept for the checks.
+    the final state and the moving reference state at tau. final_frame (the
+    frame at tau), drifts and half_square_sums (per index, summed block by
+    block over the frames both routes read), weights (the validated weights
+    both routes start from) and partition are kept for the checks.
     """
 
     rho_final: DensityMatrix
@@ -329,7 +315,9 @@ class MeasurementResult:
     survivals: np.ndarray
     leakage: np.ndarray
     trace_distance_to_target: float
-    frames: FrameSummary
+    final_frame: np.ndarray
+    drifts: np.ndarray
+    half_square_sums: np.ndarray
     weights: np.ndarray
     partition: Partition
 
@@ -340,7 +328,7 @@ def run_measurement(weights, hamiltonian: HermitianEigen, curve: BasisCurve,
     cross-check the two routes' invariants.
 
     One pass over the trajectory's blocks: each block goes to the transfer
-    route, the channel route and the frame summary, each with its own carry,
+    route, the channel route and the drift sums, each with its own carry,
     and is dropped, so memory does not grow with N. Violations surface as
     InvariantViolation diagnostics naming the failed invariant; the paper's
     bounds on the result are the rows of bounds.CHECKS.
@@ -398,7 +386,9 @@ def run_measurement(weights, hamiltonian: HermitianEigen, curve: BasisCurve,
         survivals=survivals,
         leakage=leakage,
         trace_distance_to_target=distance,
-        frames=FrameSummary(final_basis, drifts, half_sq),
+        final_frame=final_basis,
+        drifts=drifts,
+        half_square_sums=half_sq,
         weights=weights,
         partition=partition,
     )

@@ -81,7 +81,8 @@ def entr(x):
     Continuous and concave on [0, inf), subadditive, maximal at x = 1/e.
     """
     a = np.asarray(x, dtype=float)
-    if np.any(a < 0):
+    # Fails closed, so a NaN is rejected with the negatives.
+    if not np.all(a >= 0):
         raise ValidationError("entropy kernel requires nonnegative input")
     out = np.where(a > 0, -a * np.log(np.where(a > 0, a, 1.0)), 0.0)
     if np.isscalar(x) or a.ndim == 0:

@@ -18,10 +18,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .bounds import CheckInputs, run_checks
+from .bounds import check_run
 from .curves import curve_bounds
 from .errors import InvariantViolation, ValidationError
-from .measurement import run_measurement
 from .scenario import Scenario
 from .states import fannes_bound_at
 
@@ -81,22 +80,21 @@ def run_sweep(scenario: Scenario) -> list[SweepRecord]:
     """One record per partition in the plan, ordered by step count.
 
     Deterministic for a fixed scenario, including any seeded pieces. Every
-    row of the check table runs on every partition; the first failing
-    comparison raises, labelled with the scenario and N.
+    partition goes through bounds.check_run with the scenario's a; the first
+    failing comparison raises, labelled with the scenario and N.
     """
-    curve, hamiltonian = scenario.curve, scenario.hamiltonian
-    xis, etas = curve_bounds(curve, hamiltonian)
+    xis_etas = curve_bounds(scenario.curve, scenario.hamiltonian)
     records = []
     for partition in scenario.partitions:
         label = f"{scenario.label} N={partition.n}"
         try:
-            result = run_measurement(scenario.weights, hamiltonian, curve, partition)
+            inputs, outcomes = check_run(scenario, partition, xis_etas, (scenario.a,))
         except InvariantViolation as exc:
             raise InvariantViolation(exc.name, scenario=label, **exc.details) from exc
-        inputs = CheckInputs(result, curve, hamiltonian, xis, etas, constants=(scenario.a,))
-        for name, passed, fields in run_checks(inputs):
+        for name, passed, fields in outcomes:
             if not passed:
                 raise InvariantViolation(name, scenario=label, **fields)
+        result = inputs.result
         records.append(
             SweepRecord(
                 n=partition.n,
@@ -113,7 +111,7 @@ def run_sweep(scenario: Scenario) -> list[SweepRecord]:
                 eps=tuple(float(x) for x in result.leakage),
                 eps_bounds=tuple(float(x) for x in inputs.eps_bounds),
                 gamma_lbs=tuple(float(x) for x in inputs.gamma_lbs[scenario.a]),
-                a3s=tuple(float(x) for x in inputs.drifts),
+                a3s=tuple(float(x) for x in result.drifts),
             )
         )
     return records

@@ -15,10 +15,10 @@ import pytest
 from zenolab.bounds import (
     CHECKS,
     CheckInputs,
+    check_run,
     dominating_operator,
     leakage_upper_bound,
     mesh_condition,
-    run_checks,
     survival_lower_bound,
     trace_distance_bound,
     weight_error_bound,
@@ -28,6 +28,7 @@ from zenolab.curves import (GeneratedCurve, SampledCurve, StaticCurve, curve_bou
 from zenolab.errors import ValidationError
 from zenolab.linalg import hermitian_eigendecompose, seeded_cons, seeded_hermitian
 from zenolab.measurement import run_measurement, uniform_partition
+from zenolab.scenario import Scenario
 from zenolab.states import DensityMatrix, entr, von_neumann_entropy
 
 from conftest import PAULI_X, state_matrix
@@ -295,15 +296,40 @@ def row_outcomes(inputs: CheckInputs, name: str) -> list:
     return list(row.outcomes(inputs))
 
 
+def table(inputs: CheckInputs) -> list:
+    """(name, passed, fields) for each comparison of every row on inputs, in table order."""
+    return [(c.name, passed, fields) for c in CHECKS for passed, fields in c.outcomes(inputs)]
+
+
+class TestCheckRun:
+    def test_runs_the_protocol_on_the_partition_then_every_row(self):
+        x = generated_inputs(seed=3)
+        partition = x.result.partition
+        scenario = Scenario(x.hamiltonian, x.result.weights, x.curve, (uniform_partition(1.0, 2), partition))
+        inputs, outcomes = check_run(scenario, partition, (x.xis, x.etas), x.constants, seed=3)
+        assert inputs.result.partition is partition
+        assert inputs.curve is x.curve and inputs.hamiltonian is x.hamiltonian
+        assert inputs.xis is x.xis and inputs.etas is x.etas
+        assert (inputs.constants, inputs.seed) == (x.constants, 3)
+        np.testing.assert_array_equal(inputs.result.rho_final.matrix, x.result.rho_final.matrix)
+        assert outcomes == table(inputs) == table(x)
+        assert len(outcomes) == 28 and all(passed for _, passed, _ in outcomes)
+
+    def test_an_error_of_the_run_propagates(self):
+        x = generated_inputs()
+        scenario = Scenario(x.hamiltonian, x.result.weights, x.curve, (x.result.partition,))
+        with pytest.raises(ValidationError, match="partition horizon 2.0 differs"):
+            check_run(scenario, uniform_partition(2.0, 4), (x.xis, x.etas), x.constants)
+
+
 class TestCheckRowsReadTheRun:
     def test_projection_family_fails_on_a_scaled_column_of_the_final_frame(self):
         x = generated_inputs()
         [(passed, _)] = row_outcomes(x, "projection_family")
         assert passed
-        final = x.result.frames.final.copy()
+        final = x.result.final_frame.copy()
         final[:, 1] *= 1.0 + 1e-6
-        frames = dataclasses.replace(x.result.frames, final=final)
-        broken = dataclasses.replace(x, result=dataclasses.replace(x.result, frames=frames))
+        broken = dataclasses.replace(x, result=dataclasses.replace(x.result, final_frame=final))
         [(passed, fields)] = row_outcomes(broken, "projection_family")
         assert not passed
         assert fields["orthonormality_defect"] == pytest.approx(2e-6, rel=1e-5)
@@ -312,12 +338,11 @@ class TestCheckRowsReadTheRun:
         # The frame at tau is a value the run computed: sigma_domination builds
         # its majorant from it as given, and only projection_family judges it.
         x = generated_inputs()
-        final = x.result.frames.final.copy()
+        final = x.result.final_frame.copy()
         final[:, 1] *= 1.0 + 1e-6
-        frames = dataclasses.replace(x.result.frames, final=final)
-        broken = dataclasses.replace(x, result=dataclasses.replace(x.result, frames=frames))
-        outcomes = run_checks(broken)
-        assert len(outcomes) == len(run_checks(x)) == 28
+        broken = dataclasses.replace(x, result=dataclasses.replace(x.result, final_frame=final))
+        outcomes = table(broken)
+        assert len(outcomes) == len(table(x)) == 28
         assert [name for name, passed, _ in outcomes if not passed] == ["projection_family"]
 
     @pytest.mark.parametrize("dim", [2, 3, 4, 8])
@@ -337,7 +362,7 @@ class TestCheckRowsReadTheRun:
 
     def test_entropy_gap_is_the_distance_to_the_target_entropy(self):
         x = generated_inputs(dim=4)
-        target = von_neumann_entropy(DensityMatrix(state_matrix(x.result.weights, x.result.frames.final)))
+        target = von_neumann_entropy(DensityMatrix(state_matrix(x.result.weights, x.result.final_frame)))
         delta = 4 * np.finfo(float).eps
         assert x.entropy_gap == pytest.approx(abs(x.entropy - target), rel=0, abs=4 * delta * (1 - math.log(delta)))
         [(passed, fields)] = row_outcomes(x, "fannes_bound")
@@ -362,7 +387,7 @@ class TestCheckInputsOverArrays:
         for k in range(x.dim):
             assert x.eps_bounds[k] == leakage_upper_bound(float(xis[k]), float(etas[k]), p)
             for a in x.constants:
-                exponent = -a * ((xis[k] ** 2 + 2 * xis[k] * etas[k]) * p.sumsq - 2.0 * x.drifts[k])
+                exponent = -a * ((xis[k] ** 2 + 2 * xis[k] * etas[k]) * p.sumsq - 2.0 * x.result.drifts[k])
                 assert x.gamma_lbs[a][k] == pytest.approx(math.exp(exponent), rel=4 * np.finfo(float).eps)
 
     def test_weight_error_row_matches_the_scalar_formula_at_each_gated_pair(self):
@@ -372,7 +397,7 @@ class TestCheckInputsOverArrays:
         assert [(f["k"] - 1, f["a"]) for _, f in outcomes] == x.gated
         for _, f in outcomes:
             k, a = f["k"] - 1, f["a"]
-            survival_lb = math.exp(-a * ((xis[k] ** 2 + 2 * xis[k] * etas[k]) * p.sumsq - 2.0 * x.drifts[k]))
+            survival_lb = math.exp(-a * ((xis[k] ** 2 + 2 * xis[k] * etas[k]) * p.sumsq - 2.0 * x.result.drifts[k]))
             scalar = x.result.weights[k] * (1.0 - survival_lb) + 2.0 * (xis[k] ** 2 + etas[k] ** 2) * p.sumsq
             assert f["bound"] == pytest.approx(scalar, rel=4 * np.finfo(float).eps)
 

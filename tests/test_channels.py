@@ -48,7 +48,7 @@ def family_residuals(frame):
 def family_row(frame):
     """(passed, Gram defect) of the projection_family row on a run whose final frame is frame."""
     row = next(c for c in CHECKS if c.name == "projection_family")
-    run = SimpleNamespace(result=SimpleNamespace(frames=SimpleNamespace(final=np.asarray(frame, dtype=complex))))
+    run = SimpleNamespace(result=SimpleNamespace(final_frame=np.asarray(frame, dtype=complex)))
     [(passed, fields)] = row.outcomes(run)
     return passed, fields["orthonormality_defect"]
 

@@ -320,6 +320,18 @@ class TestPlotScriptCommand:
         assert "set logscale xy" in out
         assert "using 1:4" in out
 
+    def test_a_quote_in_the_csv_path_is_doubled(self, tmp_path, capsys):
+        # In a gnuplot single-quoted string a quote is written as two quotes.
+        out_csv = str(tmp_path / "it's.csv")
+        main(["sweep", qubit_scenario_file(tmp_path), "--output", out_csv])
+        capsys.readouterr()
+        rc = main(["plot-script", out_csv, "--column", "trace_distance"])
+        lines = capsys.readouterr().out.splitlines()
+        assert rc == 0
+        quoted = out_csv.replace("'", "''")
+        assert lines[-1] == f"plot '{quoted}' every ::1 using 1:4 with linespoints title 'trace_distance'"
+        assert "it''s.csv" in lines[-1]
+
     def test_unknown_column_is_config_error(self, tmp_path, capsys):
         out_csv = str(tmp_path / "sweep.csv")
         main(["sweep", qubit_scenario_file(tmp_path), "--output", out_csv])

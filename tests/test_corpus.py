@@ -111,17 +111,18 @@ class TestRunBattery:
         assert report.checks_run == checks_run
 
     def test_corpus_scenario_sweeps_as_the_run_the_battery_checks(self, monkeypatch):
-        import zenolab.corpus as corpus_mod
+        import zenolab.bounds as bounds_mod
 
         runs = []
-        run_measurement = corpus_mod.run_measurement
-        monkeypatch.setattr(corpus_mod, "run_measurement", lambda *args: runs.append(run_measurement(*args)) or runs[-1])
+        run_measurement = bounds_mod.run_measurement
+        monkeypatch.setattr(bounds_mod, "run_measurement", lambda *args: runs.append(run_measurement(*args)) or runs[-1])
         for seed in scenario_seeds(3, 5):
             scenario = build_scenario(seed)
             assert run_battery(scenario).passed
+            battery_run = runs[-1]
             [record] = run_sweep(scenario)
             assert record.n == scenario.partition.n
-            assert record.trace_distance == runs[-1].trace_distance_to_target
+            assert record.trace_distance == battery_run.trace_distance_to_target
 
     def test_suite_result_render_is_stable(self):
         a = check_suite(5, 6).render()

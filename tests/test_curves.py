@@ -41,6 +41,13 @@ class TestEvaluate:
         psi = y_curve().frames_at(math.pi / 2)[0, :, 0]
         np.testing.assert_allclose(psi, [0.0, 1.0], atol=1e-12)
 
+    @pytest.mark.parametrize("tau", [math.inf, math.nan, 0.0])
+    def test_rejects_a_tau_that_is_not_finite_and_positive(self, tau):
+        with pytest.raises(ValidationError, match=f"tau must be a finite positive number, got {tau}"):
+            StaticCurve(np.eye(2), tau)
+        with pytest.raises(ValidationError, match=f"tau must be a finite positive number, got {tau}"):
+            GeneratedCurve(np.diag([1.0, -1.0]), np.eye(2), tau)
+
     def test_rejects_time_outside_horizon(self):
         with pytest.raises(ValidationError, match="outside"):
             y_curve(tau=1.0).frames_at(1.5)

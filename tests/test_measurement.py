@@ -89,6 +89,16 @@ class TestPartitions:
         with pytest.raises(ValidationError):
             uniform_partition(0.0, 4)
 
+    @pytest.mark.parametrize("tau", [math.inf, -math.inf, math.nan])
+    def test_uniform_rejects_a_non_finite_tau(self, tau):
+        with pytest.raises(ValidationError, match=f"tau must be a finite positive number, got {tau}"):
+            uniform_partition(tau, 3)
+
+    @pytest.mark.parametrize("tau", [math.inf, -math.inf, math.nan])
+    def test_random_rejects_a_non_finite_tau(self, tau):
+        with pytest.raises(ValidationError, match=f"tau must be a finite positive number, got {tau}"):
+            random_partition(tau, 3, 1)
+
     def test_random_single_step_ignores_seed(self):
         p = random_partition(0.7, 1, seed=999)
         np.testing.assert_array_equal(p.times, [0.0, 0.7])
@@ -457,7 +467,7 @@ class TestTargetState:
         curve = GeneratedCurve(seeded_hermitian(dim, 15), base, 1.0)
         partition = uniform_partition(1.0, 20) if kind == "uniform" else random_partition(1.0, 20, seed=16)
         result = run_measurement(w / w.sum(), hermitian_eigendecompose(seeded_hermitian(dim, 17)), curve, partition)
-        final = result.frames.final
+        final = result.final_frame
         target = DensityMatrix((final * result.weights) @ final.conj().T)
         assert result.trace_distance_to_target == trace_norm(result.rho_final.matrix - target.matrix)
 
@@ -603,8 +613,8 @@ class TestTrajectoryCorruption:
         result = run_measurement(w, h, curve, partition)
         assert [len(t) for t in calls] == [TRANSFER_BLOCK + 1, TRANSFER_BLOCK, TRANSFER_BLOCK, 5]
         np.testing.assert_array_equal(np.concatenate(calls), partition.times)
-        np.testing.assert_array_equal(result.frames.final, frames_at(partition.times[-1:])[0])
-        assert not result.frames.final.flags.writeable
+        np.testing.assert_array_equal(result.final_frame, frames_at(partition.times[-1:])[0])
+        assert not result.final_frame.flags.writeable
 
     def test_frame_corrupted_in_a_later_block_names_its_global_step(self, monkeypatch):
         w, h, curve, partition = four_level_run(n=3 * TRANSFER_BLOCK)
@@ -657,9 +667,9 @@ class TestStreamedTrajectory:
         np.testing.assert_allclose(result.weights_out, weights_out, rtol=0, atol=tol)
         np.testing.assert_allclose(result.survivals, survivals, rtol=0, atol=tol)
         np.testing.assert_allclose(result.rho_final.matrix, rho_final, rtol=0, atol=tol)
-        np.testing.assert_allclose(result.frames.drifts, drifts, rtol=0, atol=tol)
-        np.testing.assert_allclose(result.frames.half_square_sums, half_sq, rtol=0, atol=tol)
-        np.testing.assert_array_equal(result.frames.final, curve.frames_at(1.0)[0])
+        np.testing.assert_allclose(result.drifts, drifts, rtol=0, atol=tol)
+        np.testing.assert_allclose(result.half_square_sums, half_sq, rtol=0, atol=tol)
+        np.testing.assert_array_equal(result.final_frame, curve.frames_at(1.0)[0])
 
     def test_traced_peak_is_flat_in_n(self):
         # Every block is dropped once the routes have read it, so the peak

@@ -3,7 +3,8 @@ used in that module, every module-level definition is read somewhere in
 the package or exported, every public method is read somewhere in the
 package or the benchmark, a Hermitian operator is validated only where it
 enters the program, scenario.py parses input only in its reader and its
-number helpers, and the two routes of measurement.py never read each
+number helpers, a partition's run becomes checked outcomes only in
+bounds.check_run, and the two routes of measurement.py never read each
 other. __init__.py is skipped by the import check, since its imports are
 the package's exports."""
 
@@ -107,6 +108,22 @@ def validation_breaches(sources: dict) -> list[str]:
             if "hermitian_eigendecompose" in called:
                 if f"{module}:{scope}" not in VALIDATION_HOMES:
                     breaches.append(f"{module}:{scope} calls hermitian_eigendecompose")
+    return breaches
+
+
+# The one place that runs the protocol and builds the check table's inputs; sweeps and the battery call it.
+RUNNER_HOME = "bounds.py:check_run"
+RUNNER_CALLS = {"run_measurement", "CheckInputs"}
+
+
+def runner_breaches(sources: dict) -> list[str]:
+    """module:scope for each call of run_measurement or CheckInputs outside RUNNER_HOME."""
+    breaches = []
+    for module, text in sorted(sources.items()):
+        for scope, node in _scoped(ast.parse(text)):
+            if isinstance(node, ast.Call) and f"{module}:{scope}" != RUNNER_HOME:
+                called = {getattr(node.func, "id", None), getattr(node.func, "attr", None)} & RUNNER_CALLS
+                breaches += [f"{module}:{scope} calls {name}" for name in sorted(called)]
     return breaches
 
 
@@ -228,6 +245,29 @@ def test_the_walk_finds_a_validation_outside_its_homes():
 
 def test_operators_are_validated_only_where_they_enter():
     assert validation_breaches({p.name: p.read_text() for p in PACKAGE.glob("*.py")}) == []
+
+
+def test_the_walk_finds_a_run_outside_check_run():
+    sources = {
+        "bounds.py": "from .measurement import run_measurement\n\n"
+                     "class CheckInputs:\n    pass\n\n"
+                     "def check_run(s, p):\n    return CheckInputs(run_measurement(s, p))\n\n"
+                     "def outcomes(inputs):\n    return dataclasses.replace(inputs, seed=1)\n",
+        "sweep.py": "from . import measurement\nfrom .bounds import CheckInputs, check_run\n\n"
+                    "def run_sweep(s):\n    return [check_run(s, p) for p in s.partitions]\n\n"
+                    "def rerun(s, p):\n    return CheckInputs(measurement.run_measurement(s, p))\n",
+        "corpus.py": "def run_battery(s):\n    def once(p):\n        return run_measurement(s, p)\n\n"
+                     "    return once(s.partition)\n",
+    }
+    assert runner_breaches(sources) == [
+        "corpus.py:run_battery.once calls run_measurement",
+        "sweep.py:rerun calls CheckInputs",
+        "sweep.py:rerun calls run_measurement",
+    ]
+
+
+def test_a_partition_is_run_and_checked_only_in_check_run():
+    assert runner_breaches({p.name: p.read_text() for p in PACKAGE.glob("*.py")}) == []
 
 
 def test_the_walk_finds_parsing_outside_the_reader_and_the_number_helpers():

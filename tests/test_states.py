@@ -153,6 +153,12 @@ class TestEntropyKernel:
         with pytest.raises(ValidationError, match="nonnegative"):
             entr(-0.1)
 
+    def test_rejects_nan(self):
+        with pytest.raises(ValidationError, match="nonnegative"):
+            entr(math.nan)
+        with pytest.raises(ValidationError, match="nonnegative"):
+            entr(np.array([0.5, np.nan]))
+
     def test_subadditive_on_samples(self):
         rng = np.random.default_rng(0)
         x = rng.uniform(1e-6, 0.5, size=200)

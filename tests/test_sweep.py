@@ -95,15 +95,15 @@ class TestRunSweep:
     def test_drift_decay_row_compares_on_uniform_plans_only(self, tmp_path, monkeypatch, plan, per_partition):
         import zenolab.sweep as sweep_mod
 
-        run_checks = sweep_mod.run_checks
+        check_run = sweep_mod.check_run
         counts = []
 
-        def counting(inputs):
-            outcomes = run_checks(inputs)
+        def counting(*args):
+            inputs, outcomes = check_run(*args)
             counts.append(sum(name == "drift_decay_bound_uniform" for name, _, _ in outcomes))
-            return outcomes
+            return inputs, outcomes
 
-        monkeypatch.setattr(sweep_mod, "run_checks", counting)
+        monkeypatch.setattr(sweep_mod, "check_run", counting)
         run_sweep(rotated_scenario(tmp_path, plan))
         assert counts == [per_partition] * 3
 
@@ -132,22 +132,20 @@ class TestRunSweep:
         import dataclasses
 
         import zenolab.bounds as bounds_mod
-        import zenolab.sweep as sweep_mod
         from zenolab.curves import GeneratedCurve, drift_sums, half_square_sums
         from zenolab.errors import InvariantViolation
-        from zenolab.measurement import FrameSummary
         from zenolab.states import FannesBound
 
-        measure = sweep_mod.run_measurement
+        measure = bounds_mod.run_measurement
 
         def moving_frames(rho, h, curve, partition):
             # Frames of a rotating curve under a static one: the drift identity
             # still holds for them, but the static curve's eta = 0 bounds the drift by 0.
             rotating = GeneratedCurve(np.array([[0, -1j], [1j, 0]]), curve.base, curve.tau)
             frames = rotating.frames_at(partition.times)
-            summary = FrameSummary(frames[-1], drift_sums(frames), half_square_sums(frames))
             result = measure(rho, h, curve, partition)
-            return dataclasses.replace(result, frames=summary)
+            return dataclasses.replace(result, final_frame=frames[-1], drifts=drift_sums(frames),
+                                       half_square_sums=half_square_sums(frames))
 
         def shifted_distance(rho, h, curve, partition):
             result = measure(rho, h, curve, partition)
@@ -157,7 +155,7 @@ class TestRunSweep:
         # dominator_entropy has no formula of its own to poison: per-index
         # subadditivity within 1e-12 implies the sum within d * 1e-12, so its row is.
         poison = {
-            "trace_distance_equals_weight_gap": (sweep_mod, "run_measurement", shifted_distance),
+            "trace_distance_equals_weight_gap": (bounds_mod, "run_measurement", shifted_distance),
             "leakage_bound": (bounds_mod, "leakage_upper_bound", lambda xi, eta, p: np.full(np.shape(xi), -1.0)),
             "survival_lower_bound": (bounds_mod, "survival_lower_bound", lambda xi, *args: np.full(np.shape(xi), 2.0)),
             "weight_error_bound": (bounds_mod, "weight_error_bound", lambda w, *args: np.full(np.shape(w), -1.0)),
@@ -169,7 +167,7 @@ class TestRunSweep:
                 "CHECKS",
                 tuple(c._replace(tol=-np.inf) if c.name == "dominator_entropy" else c for c in bounds_mod.CHECKS),
             ),
-            "drift_bound": (sweep_mod, "run_measurement", moving_frames),
+            "drift_bound": (bounds_mod, "run_measurement", moving_frames),
         }
         monkeypatch.setattr(*poison[name])
         with pytest.raises(InvariantViolation, match=name) as excinfo:
@@ -195,14 +193,14 @@ class TestRunSweep:
     def test_protocol_violation_carries_scenario_context(self, tmp_path, monkeypatch):
         from zenolab.errors import InvariantViolation
 
-        import zenolab.sweep as sweep_mod
+        import zenolab.bounds as bounds_mod
 
         scenario = small_qubit_scenario(tmp_path, ns=(4,))
 
         def explode(*args, **kwargs):
             raise InvariantViolation("dual_oracle_agreement", gap=0.5)
 
-        monkeypatch.setattr(sweep_mod, "run_measurement", explode)
+        monkeypatch.setattr(bounds_mod, "run_measurement", explode)
         with pytest.raises(InvariantViolation, match="dual_oracle_agreement") as excinfo:
             run_sweep(scenario)
         assert "N=4" in str(excinfo.value)
